@@ -418,6 +418,34 @@ def builtin_example_checks() -> list[CheckResult]:
 # -- parser wiring ------------------------------------------------------------------
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -467,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intertwine", help="solve alpha*F = H*alpha exactly")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--degree-max", type=int, required=True)
+    p.add_argument("--degree-max", type=_int_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_intertwine)
 
@@ -490,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series-check",
                        help="truncated-series checks of the rotation identity")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--order", type=_int_at_least(1), default=DEFAULT_ORDER)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--samples", default=None,
                    help='complex sample list, e.g. "0.3, 1, 0.5+0.5i"')
     p.set_defaults(func=_cmd_series_check)

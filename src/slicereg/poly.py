@@ -4,11 +4,26 @@ linear algebra (row reduction, nullspace) for small linear systems.
 A polynomial is an immutable tuple of coefficients, index = degree, with
 no trailing zero; the empty tuple is the zero polynomial.  Coefficients
 may be Fraction or GaussRat (any exact field scalar with +, *, /).
+
+Rational polynomials run on scaled integers, and stay exact.  A product
+scales each operand to integers over its common denominator, multiplies
+once as big integers by Kronecker substitution (each operand packed into
+one integer, a digit per coefficient, wide enough that no digit of the
+product overflows), unpacks and divides by the two denominators.  `poly_gcd`
+first tries a coprimality certificate modulo the prime p = 2**61 - 1: if p
+divides neither leading coefficient of the integer-scaled inputs and their
+gcd mod p is a constant, they are coprime over Q.  That is a proof: a
+common factor over Q can be taken primitive in Z[z] (Gauss's lemma), it
+divides both inputs in Z[z], its leading coefficient divides theirs and so
+survives reduction mod p, and its image mod p divides the gcd mod p with
+the same degree.  Every other input, and every GaussRat polynomial, takes
+the monic Euclidean scheme over the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
@@ -86,6 +101,12 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
+            left = _integer_scaled(self.coeffs)
+            right = _integer_scaled(other.coeffs)
+            if left is not None and right is not None:
+                den = left[1] * right[1]
+                return Poly(tuple(Fraction(c, den)
+                                  for c in _kronecker(left[0], right[0])))
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for a, ca in enumerate(self.coeffs):
                 if not ca:
@@ -185,14 +206,91 @@ def _poly_operand(value):
     return None
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean scheme.
+def _integer_scaled(coeffs):
+    """(numerators, denominator) with coeffs[k] = numerators[k] / denominator,
+    or None unless every coefficient is an int or a Fraction."""
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return None
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    Remainders are renormalized to monic at every step so Fraction sizes
-    stay tame at desk scale; coefficient arithmetic is exact regardless.
+
+def _kronecker(a, b):
+    """The coefficients of the product of two nonzero integer polynomials.
+
+    Each operand is packed into one integer, sum x_k * 2**(8*w*k), with
+    digits of w bytes: wide enough that every product coefficient c has
+    |c| < 2**(8*w - 1) = half.  Offsetting every digit by half makes it
+    nonnegative, so packing and unpacking are byte copies, and the single
+    big-integer multiply between them does the convolution.
+    """
+    bound = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+             + min(len(a), len(b)).bit_length())
+    width = bound // 8 + 1
+    half = 1 << (8 * width - 1)
+    offset = half.to_bytes(width, "little")
+
+    def pack(xs):
+        digits = b"".join((x + half).to_bytes(width, "little") for x in xs)
+        return (int.from_bytes(digits, "little")
+                - int.from_bytes(offset * len(xs), "little"))
+
+    n = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(offset * n, "little")
+    digits = product.to_bytes(n * width, "little")
+    return [int.from_bytes(digits[k:k + width], "little") - half
+            for k in range(0, n * width, width)]
+
+
+# The prime of the coprimality certificate (a Mersenne prime, 2**61 - 1).
+_P = (1 << 61) - 1
+
+
+def _rem_mod_p(a, b):
+    """Remainder of a by b over Z/pZ; coefficient lists in ascending order
+    with nonzero last entries, and the result trimmed the same way."""
+    a = list(a)
+    inv = pow(b[-1], -1, _P)
+    db = len(b) - 1
+    while len(a) > db:
+        factor = a.pop() * inv % _P
+        shift = len(a) - db
+        for k in range(db):
+            a[shift + k] = (a[shift + k] - factor * b[k]) % _P
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """True only when the nonzero a and b share no factor of positive
+    degree over Q (the certificate of the module docstring).  False means
+    "not shown", never "not coprime"."""
+    left = _integer_scaled(a.coeffs)
+    right = _integer_scaled(b.coeffs)
+    if left is None or right is None:
+        return False
+    x = [c % _P for c in left[0]]
+    y = [c % _P for c in right[0]]
+    if not x[-1] or not y[-1]:
+        return False
+    while y:
+        x, y = y, _rem_mod_p(x, y)
+    return len(x) == 1
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor.
+
+    Inputs that the mod-p certificate shows coprime return 1 at once.
+    All others take the Euclidean scheme, with remainders renormalized
+    to monic at every step so Fraction sizes stay tame at desk scale;
+    coefficient arithmetic is exact regardless.
     """
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd(0, 0) is undefined")
+    if not a.is_zero and not b.is_zero and _coprime_mod_p(a, b):
+        return Poly((Fraction(1),))
     a, b = a.monic() if not a.is_zero else a, b.monic() if not b.is_zero else b
     while not b.is_zero:
         a, b = b, (a % b)

@@ -16,6 +16,11 @@ coefficientwise quaternionic conjugation F^c one gets
     hat(F)   = (F - F^c) / 2  (the trace-free reduction, with
                                norm(F) = trace(F)^2/4 + norm(hat(F)))
 
+Writing F = c0 + c1 i + c2 j + c3 k with rational polynomials c0..c3,
+the imaginary parts of F * F^c cancel in pairs and its real part is
+c0^2 + c1^2 + c2^2 + c3^2, so `norm` computes that sum of squares, four
+rational polynomial products and no quaternion convolution.
+
 Splitting values into center + trace-free part W writes F = (F', F'')
 with F' rational and F'' a triple of rational polynomials over (i, j, k).
 The central divisor of a non-slice-preserving F is the vanishing divisor
@@ -254,14 +259,11 @@ class StemPoly:
         return Poly(tuple(2 * c.c0 for c in self.coeffs))
 
     def norm(self) -> Poly:
-        """norm(F) = F * F^c, a central (rational) polynomial."""
-        product = self.star(self.conj())
-        out = []
-        for c in product.coeffs:
-            if c.c1 or c.c2 or c.c3:
-                raise AssertionError("norm produced a non-central coefficient")
-            out.append(c.c0)
-        return Poly(tuple(out))
+        """norm(F) = F * F^c, a central (rational) polynomial, computed as
+        the sum of the squares of the four component polynomials."""
+        parts = self.split()
+        c0, (c1, c2, c3) = parts.center, parts.w_polys()
+        return c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""

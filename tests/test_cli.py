@@ -127,6 +127,20 @@ def test_parse_and_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "--help")
     assert code == 0
+    for argv in (("series-check", "--order", "0"),
+                 ("series-check", "--order", "-3"),
+                 ("series-check", "--tol", "nan"),
+                 ("series-check", "--tol", "inf"),
+                 ("series-check", "--tol", "0"),
+                 ("series-check", "--tol", "-1e-9"),
+                 ("intertwine", "i", "j", "--degree-max", "-1")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if ": error: " in line]
+        assert len(errors) == 1 and argv[-2] in errors[0]
 
 
 def test_series_check_command(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -131,3 +132,147 @@ def test_nullspace_contract_on_random_matrices():
         assert m.rank() + len(basis) == cols
         for v in basis:
             assert all(entry == 0 for entry in m.mul_vector(v))
+
+
+# -- the integer kernels against sympy and against the field routes ------------
+
+P61 = (1 << 61) - 1
+
+
+def _to_sympy(sp, p: Poly):
+    """Ascending rational coefficients -> sympy Poly over QQ."""
+    coeffs = [sp.Rational(c.numerator, c.denominator) for c in p.coeffs]
+    return sp.Poly(list(reversed(coeffs)), sp.Symbol("z"), domain=sp.QQ)
+
+
+def _from_sympy(q) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+def _diff_poly(rng, degree: int, density: float = 1.0) -> Poly:
+    """Degree exactly `degree`; zero, negative, integer and rational
+    coefficients, and with density < 1 mostly zero (sparse)."""
+    coeffs = [rand_fraction(rng, 99, 12) if rng.random() < density else Fraction(0)
+              for _ in range(degree)]
+    lead = Fraction(0)
+    while not lead:
+        lead = rand_fraction(rng, 99, 12)
+    return Poly(coeffs + [lead])
+
+
+def _schoolbook(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for m, x in enumerate(a.coeffs):
+        for n, y in enumerate(b.coeffs):
+            out[m + n] += x * y
+    return Poly(out)
+
+
+def _euclid(a: Poly, b: Poly) -> Poly:
+    """Monic Euclid over the coefficient field, with no certificate."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_products_match_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(2009)
+    for _ in range(80):
+        a = _diff_poly(rng, rng.choice((0, 1, 2, 5, 17, 40)), rng.choice((1, 0.3)))
+        b = _diff_poly(rng, rng.choice((0, 1, 3, 8, 33)), rng.choice((1, 0.2)))
+        a = -a if rng.random() < 0.3 else a
+        want = _from_sympy(_to_sympy(sp, a) * _to_sympy(sp, b))
+        assert a * b == want
+        assert b * a == want
+    assert Poly([Fraction(5)]) * Poly([Fraction(-3, 7)]) == Poly([Fraction(-15, 7)])
+    assert Poly([0, 1]) * Poly([0, 0, 2]) == Poly([0, 0, 0, 2])
+    assert (Z - 1) * Poly() == Poly() and Poly() * Z == Poly()
+
+
+def test_products_of_large_coefficients_match_the_schoolbook():
+    rng = random.Random(1982)
+    for bits in (1, 60, 61, 64, 200):
+        a = Poly([Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+                  for _ in range(rng.randint(1, 12))] + [Fraction(-2 ** bits)])
+        b = Poly([Fraction(rng.randint(-2 ** bits, 2 ** bits))
+                  for _ in range(rng.randint(0, 12))] + [Fraction(2 ** bits - 1)])
+        assert a * b == _schoolbook(a, b)
+        assert a * a == _schoolbook(a, a)
+
+
+def test_products_of_int_and_fraction_coefficients_are_fractions():
+    product = Poly([1, 2]) * Poly([Fraction(1, 2), 3])
+    assert product == Poly([Fraction(1, 2), 4, 6])
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_gcd_matches_sympy_on_coprime_and_planted_inputs():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(1971)
+    for _ in range(40):
+        a = _diff_poly(rng, rng.randint(0, 12), rng.choice((1, 0.4)))
+        b = _diff_poly(rng, rng.randint(0, 12), rng.choice((1, 0.4)))
+        g = _diff_poly(rng, rng.randint(1, 4))
+        for x, y in ((a, b), (a * g, b * g), (a * g * g, b * g)):
+            want = _from_sympy(sp.gcd(_to_sympy(sp, x), _to_sympy(sp, y)).monic())
+            assert poly_gcd(x, y) == want
+            assert poly_gcd(y, x) == want
+
+
+def test_gcd_many_matches_sympy_on_coprime_and_planted_inputs():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(68)
+    for _ in range(30):
+        family = [_diff_poly(rng, rng.randint(0, 10), rng.choice((1, 0.5)))
+                  for _ in range(3)]
+        planted = _diff_poly(rng, rng.randint(1, 3))
+        for polys in (family, [p * planted for p in family],
+                      [family[0] * planted, Poly(), family[1] * planted]):
+            want = _from_sympy(reduce(sp.Poly.gcd, [_to_sympy(sp, p) for p in polys
+                                                     if not p.is_zero]).monic())
+            assert poly_gcd_many(polys) == want
+
+
+def test_certificate_fallback_when_coprime_over_q_but_not_mod_p():
+    from slicereg.poly import _coprime_mod_p
+    # z and z + p are coprime over Q, but equal mod p.
+    a, b = Z, Z + P61
+    assert not _coprime_mod_p(a, b)
+    assert poly_gcd(a, b) == _euclid(a, b) == Poly([1])
+    a, b = (Z - 1) * (Z + 3), (Z - 1 + P61) * (Z + 3) * (Z + 5)
+    assert not _coprime_mod_p(a, b)
+    assert poly_gcd(a, b) == _euclid(a, b) == Z + 3
+    # Rational inputs scale to the same integer pair.
+    a, b = Z * Fraction(1, 3), (Z + P61) * Fraction(2, 7)
+    assert not _coprime_mod_p(a, b)
+    assert poly_gcd(a, b) == Poly([1])
+
+
+def test_certificate_fallback_when_p_divides_a_leading_coefficient():
+    from slicereg.poly import _coprime_mod_p
+    for a, b in ((P61 * Z ** 2 + 1, Z ** 2 + 2),
+                 (Z + 1, Fraction(P61, 5) * Z ** 3 + Z - 7),
+                 (P61 * (Z - 2) * (Z + 1), (Z - 2) * (Z + 4))):
+        assert not _coprime_mod_p(a, b)
+        assert poly_gcd(a, b) == _euclid(a, b)
+        assert poly_gcd(b, a) == _euclid(a, b)
+    assert poly_gcd(P61 * (Z - 2) * (Z + 1), (Z - 2) * (Z + 4)) == Z - 2
+
+
+def test_gaussrat_products_and_gcds_keep_the_field_routes():
+    rng = random.Random(61)
+    for _ in range(30):
+        a = Poly([GaussRat(rand_fraction(rng), rand_fraction(rng))
+                  for _ in range(rng.randint(1, 6))])
+        b = Poly([GaussRat(rand_fraction(rng), rand_fraction(rng))
+                  for _ in range(rng.randint(1, 6))])
+        c = rand_poly(rng, 5)
+        assert a * b == _schoolbook(a, b)
+        assert a * c == _schoolbook(a, c) == c * a
+        if not a.is_zero and not b.is_zero:
+            assert poly_gcd(a, b) == _euclid(a, b)
+    root = Poly([-IOTA, GaussRat(1)])           # z - E
+    assert poly_gcd(Z ** 2 + 1, root * (Z + 2)) == root
+    assert poly_gcd(root * root, root * (Z - 1)) == root
+    assert poly_gcd(root, Poly([IOTA, GaussRat(1)])) == Poly([GaussRat(1)])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
                       Quaternion, R3Elem, R3StemPoly, SlicePreservingError,
@@ -12,6 +14,10 @@ from support import (conjugate_stem, rand_fraction, rand_nonzero_quaternion,
                      rand_quaternion, rand_stem, rand_stem_nonslice)
 
 IOTA = GaussRat(0, 1)
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+quaternions = st.builds(Quaternion, fractions, fractions, fractions, fractions)
+stems = st.builds(StemPoly, st.lists(quaternions, max_size=8))
 
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
 G_PAIR = parse_stem("(1 + (1/2)*z^2)*i")
@@ -63,6 +69,31 @@ def test_norm_agrees_with_split_formula():
         split_route = (parts.center * parts.center + parts.w1 * parts.w1
                        + parts.w2 * parts.w2 + parts.w3 * parts.w3)
         assert stem.norm() == split_route
+
+
+def test_norm_matches_sympy_sum_of_component_squares():
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    rng = random.Random(1971)
+    for max_degree in (0, 1, 2, 7, 20):
+        for _ in range(4):
+            stem = rand_stem(rng, max_degree)
+            squares = 0
+            for m in range(4):
+                component = sum(sp.Rational(x.numerator, x.denominator) * z ** k
+                                for k, x in enumerate(c.components()[m]
+                                                      for c in stem.coeffs))
+                squares += component ** 2
+            want = sp.Poly(squares, z, domain=sp.QQ).all_coeffs()
+            assert stem.norm() == Poly([Fraction(int(c.p), int(c.q))
+                                        for c in reversed(want)])
+
+
+@given(stems)
+def test_norm_is_the_central_part_of_star_with_conj(stem):
+    product = stem.star(stem.conj())
+    assert stem.norm() == Poly([c.c0 for c in product.coeffs])
+    assert all(not (c.c1 or c.c2 or c.c3) for c in product.coeffs)
 
 
 def test_hat():
