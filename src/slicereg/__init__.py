@@ -19,8 +19,9 @@ from .equiv import (ConjugatorReport, EquivVerdict, InvariantBundle,
                     classify_orbit, equivalent, find_intertwiner, invariants,
                     normalize_intertwiner, orbit_equivalent,
                     pointwise_orbit_scan, r3_equivalent, verify_conjugator)
-from .errors import (BothZeroError, NearSingularSampleError, NotInWError,
-                     ParseError, PolyDivisionByZeroError, SliceRegError,
+from .errors import (BothZeroError, LimitExceededError,
+                     NearSingularSampleError, NotInWError, ParseError,
+                     PolyDivisionByZeroError, SliceRegError,
                      SlicePreservingError, UnitNotAllowedError,
                      VariableInPointError, ZeroAlphaError, ZeroDivisorError,
                      ZeroFunctionError, ZeroInputError, ZeroInverseError,
@@ -53,8 +54,9 @@ __all__ = [
     "parse_stem", "pointwise_orbit_scan", "poly_gcd", "poly_gcd_many",
     "r3_equivalent", "render_cquat", "render_poly", "render_quat",
     "render_stem", "taylor_series", "vanishing_order", "verify_conjugator",
-    "BothZeroError", "NearSingularSampleError", "NotInWError",
-    "PolyDivisionByZeroError", "UnitNotAllowedError", "VariableInPointError",
-    "ZeroAlphaError", "ZeroDivisorError", "ZeroFunctionError",
-    "ZeroInputError", "ZeroInverseError", "ZeroPolynomialError",
+    "BothZeroError", "LimitExceededError", "NearSingularSampleError",
+    "NotInWError", "PolyDivisionByZeroError", "UnitNotAllowedError",
+    "VariableInPointError", "ZeroAlphaError", "ZeroDivisorError",
+    "ZeroFunctionError", "ZeroInputError", "ZeroInverseError",
+    "ZeroPolynomialError",
 ]

@@ -45,6 +45,18 @@ def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
     )
 
 
+# The same product as a sign pattern on the basis units (1, i, j, k):
+# e_s * e_t = sign * e_r with (r, sign) = UNIT_PRODUCTS[s][t].  Kernels
+# that multiply whole component lists (stem products, the linear system
+# of an intertwiner) read it instead of spelling the product out again.
+UNIT_PRODUCTS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
+
+
 class Quaternion:
     """A quaternion with exact rational coordinates."""
 

@@ -23,7 +23,12 @@ stems alpha satisfying the intertwining relation in both orders,
     F * alpha = alpha * H   and   alpha * F = H * alpha,
 
 which is linear in alpha's coefficients, so all candidates up to a degree
-bound come out of one exact rational nullspace.  When trace(F) = trace(H)
+bound come out of one exact rational nullspace.  The system is assembled
+on integers: F and H are scaled by one common denominator, each pair of
+coefficients (F_q, H_q) gives the 4x4 integer blocks of a -> F_q a - a H_q
+and a -> H_q a - a F_q once, from the sign pattern of the quaternion unit
+products, and the rows are block-Toeplitz strips of those blocks, which
+`Matrix.nullspace` eliminates fraction-free.  When trace(F) = trace(H)
 the two relations are exchanged by alpha -> alpha^c, so the solution
 space is the conjugation-stable part of either one-sided kernel; the
 one-sided kernels alone are strictly larger (they admit mixed-symmetry
@@ -38,11 +43,10 @@ inverse exists only away from the norm's zero set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import CQuat, Quaternion, bform
-from .errors import ZeroAlphaError, ZeroInputError
-from .poly import Matrix, Poly
+from .algebra import UNIT_PRODUCTS, CQuat, Quaternion, bform
+from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
+from .poly import Matrix, Poly, _integer_scaled
 from .scalars import GaussRat
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
 
@@ -220,20 +224,22 @@ def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
     return OrbitScanReport(tuple(checks))
 
 
-def _right_mul_matrix(c: Quaternion):
-    """Columns: images of the basis under a -> a * c."""
-    basis = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
-             Quaternion(0, 0, 0, 1))
-    cols = [(e * c).components() for e in basis]
-    return [[cols[t][r] for t in range(4)] for r in range(4)]
+# The largest intertwiner search accepted: 4 * (dmax + 1) unknowns, so
+# dmax <= 63.  The README's worked pair at dmax 12 has 52.
+MAX_INTERTWINER_UNKNOWNS = 256
 
 
-def _left_mul_matrix(c: Quaternion):
-    """Columns: images of the basis under a -> c * a."""
-    basis = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
-             Quaternion(0, 0, 0, 1))
-    cols = [(c * e).components() for e in basis]
-    return [[cols[t][r] for t in range(4)] for r in range(4)]
+def _relation_block(c, d):
+    """The integer 4x4 matrix of a -> c * a - a * d on the components
+    (1, i, j, k) of a, for c and d given by their components."""
+    block = [[0] * 4 for _ in range(4)]
+    for s in range(4):
+        for t in range(4):
+            r, sign = UNIT_PRODUCTS[s][t]     # c_s e_s * e_t
+            block[r][t] += sign * c[s]
+            r, sign = UNIT_PRODUCTS[t][s]     # e_t * d_s e_s
+            block[r][t] -= sign * d[s]
+    return block
 
 
 def find_intertwiner(first: StemPoly, second: StemPoly,
@@ -245,32 +251,42 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     solution at this degree bound).  Basis vectors are normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
     (component order 1, i, j, k) equal to 1, and are re-verified by
-    multiplication before being returned.
+    multiplication before being returned.  More than
+    MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
         raise ValueError("degree bound must be nonnegative")
     unknowns = 4 * (dmax + 1)
+    if unknowns > MAX_INTERTWINER_UNKNOWNS:
+        raise LimitExceededError(
+            f"degree bound {dmax} gives {unknowns} unknowns, above the limit "
+            f"of {MAX_INTERTWINER_UNKNOWNS} (degree bound "
+            f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
+    # Both relations are linear in (F, H) jointly, so scaling both stems
+    # by one common denominator leaves the solution space unchanged.
+    nums, _ = _integer_scaled([c for stem in (first, second)
+                               for q in stem.coeffs for c in q.components()])
+    split = 4 * len(first.coeffs)
+    width = 4 * max(len(first.coeffs), len(second.coeffs))
+    f = nums[:split] + [0] * (width - split)
+    h = nums[split:] + [0] * (width - len(nums) + split)
+    # blocks[q] maps alpha's coefficient of z^p to the coefficient of
+    # z^(p+q) in first * alpha - alpha * second, and in
+    # second * alpha - alpha * first (the second relation, negated).
+    offsets = range(0, width, 4)
+    relations = ([_relation_block(f[k:k + 4], h[k:k + 4]) for k in offsets],
+                 [_relation_block(h[k:k + 4], f[k:k + 4]) for k in offsets])
+    zero = [0] * 4
     top = dmax + max(first.degree, second.degree, 0)
     rows = []
-    for flipped in (False, True):
+    for blocks in relations:
         for n in range(top + 1):
-            block = [[Fraction(0)] * unknowns for _ in range(4)]
-            for p in range(dmax + 1):
-                q = n - p
-                if q < 0:
-                    continue
-                if flipped:
-                    # alpha * first - second * alpha, coefficient of z^n
-                    plus = _right_mul_matrix(first.coeff(q))
-                    minus = _left_mul_matrix(second.coeff(q))
-                else:
-                    # first * alpha - alpha * second, coefficient of z^n
-                    plus = _left_mul_matrix(first.coeff(q))
-                    minus = _right_mul_matrix(second.coeff(q))
-                for r in range(4):
-                    for t in range(4):
-                        block[r][4 * p + t] += plus[r][t] - minus[r][t]
-            rows.extend(block)
+            for r in range(4):
+                row = []
+                for p in range(dmax + 1):
+                    q = n - p
+                    row += blocks[q][r] if 0 <= q < len(blocks) else zero
+                rows.append(row)
     kernel = Matrix(rows).nullspace()
     out = []
     for vec in kernel:

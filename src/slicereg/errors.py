@@ -60,6 +60,12 @@ class NearSingularSampleError(SliceRegError, ArithmeticError):
     is too close to zero for the requested tolerance."""
 
 
+class LimitExceededError(SliceRegError, ValueError):
+    """An input whose cost would exceed one of the package's fixed limits
+    (nesting depth, exponent, degree, intertwiner unknowns).  The message
+    names the limit."""
+
+
 class ParseError(SliceRegError, ValueError):
     """Malformed expression text.  `position` is a 0-based offset."""
 

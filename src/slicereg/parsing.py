@@ -35,10 +35,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CQuat, Quaternion, R3Elem
-from .errors import ParseError, UnitNotAllowedError, VariableInPointError
+from .errors import (LimitExceededError, ParseError, UnitNotAllowedError,
+                     VariableInPointError)
 from .poly import Poly
 from .scalars import GaussRat
 from .stem import R3StemPoly, StemPoly
+
+# -- limits ---------------------------------------------------------------
+
+# Parentheses and unary minus nest by recursion, a few frames per level;
+# 100 levels stay far inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+# Caps on a power's exponent and on the degree of any power or product,
+# checked before the multiplication runs.
+MAX_EXPONENT = 1000
+MAX_DEGREE = 1000
 
 # -- tokens ---------------------------------------------------------------
 
@@ -136,6 +147,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -151,6 +163,16 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                              tok.pos)
         return self.advance()
+
+    def nested(self, parse, tok: _Token):
+        """parse() one nesting level deeper than here; tok opens the level."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels of "
+                             "parentheses and unary minus", tok.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -176,8 +198,7 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor, self.advance()))
         node = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -203,8 +224,7 @@ class _Parser:
                 return Var(tok.text, tok.pos)
             return Unit(tok.text, tok.pos)
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, self.advance())
             self.expect(")")
             return node
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
@@ -256,23 +276,40 @@ class _Normalizer:
             return [CQuat(), CQuat(1)]
         if isinstance(node, Neg):
             return [-c for c in self.run(node.child)]
-        if isinstance(node, (Add, Sub)):
-            left = self.run(node.left)
-            right = self.run(node.right)
-            if isinstance(node, Sub):
-                right = [-c for c in right]
-            n = max(len(left), len(right))
-            left += [CQuat()] * (n - len(left))
-            right += [CQuat()] * (n - len(right))
-            return [a + b for a, b in zip(left, right)]
-        if isinstance(node, Mul):
-            return self._convolve(self.run(node.left), self.run(node.right))
+        if isinstance(node, (Add, Sub, Mul)):
+            # Sums and products parse as left-deep chains, as long as the
+            # text; fold the chain in a loop, not one recursion per term.
+            chain = []
+            while isinstance(node, (Add, Sub, Mul)):
+                chain.append(node)
+                node = node.left
+            acc = self.run(node)
+            for node in reversed(chain):
+                acc = self._combine(node, acc, self.run(node.right))
+            return acc
         if isinstance(node, Pow):
+            if node.exponent > MAX_EXPONENT:
+                raise LimitExceededError(
+                    f"exponent {node.exponent} is above the limit of "
+                    f"{MAX_EXPONENT}")
+            base = self.run(node.base)
+            _check_degree((len(base) - 1) * node.exponent)
             out = [CQuat(1)]
             for _ in range(node.exponent):
-                out = self._convolve(out, self.run(node.base))
+                out = self._convolve(out, base)
             return out
         raise TypeError(f"unknown node {node!r}")
+
+    def _combine(self, node, left, right):
+        if isinstance(node, Mul):
+            _check_degree(len(left) + len(right) - 2)
+            return self._convolve(left, right)
+        if isinstance(node, Sub):
+            right = [-c for c in right]
+        n = max(len(left), len(right))
+        left += [CQuat()] * (n - len(left))
+        right += [CQuat()] * (n - len(right))
+        return [a + b for a, b in zip(left, right)]
 
     @staticmethod
     def _convolve(left, right):
@@ -283,6 +320,12 @@ class _Normalizer:
             for b, cb in enumerate(right):
                 out[a + b] += ca * cb
         return out
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise LimitExceededError(
+            f"degree {degree} is above the limit of {MAX_DEGREE}")
 
 
 def parse_expr(text: str, mode: str):

@@ -18,12 +18,17 @@ divides both inputs in Z[z], its leading coefficient divides theirs and so
 survives reduction mod p, and its image mod p divides the gcd mod p with
 the same degree.  Every other input, and every GaussRat polynomial, takes
 the monic Euclidean scheme over the field.
+
+`Matrix` row reduction is fraction-free as well: rows are scaled to
+integers and eliminated with integer row operations that divide out each
+row's content, and only the final reduced rows are divided by their
+pivots (see the class docstring).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
@@ -212,6 +217,8 @@ def _integer_scaled(coeffs):
     if not all(isinstance(c, (int, Fraction)) for c in coeffs):
         return None
     den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -345,13 +352,24 @@ def vanishing_order(p: Poly, z0) -> int:
 
 
 class Matrix:
-    """A dense matrix of exact rationals, sized for desk-scale systems."""
+    """A dense matrix of exact rationals, sized for desk-scale systems.
+
+    Elimination runs on integers: each row is scaled by the lcm of its
+    denominators, and Gauss-Jordan clears a column from a row r with
+    r <- (p/g) * r - (a/g) * pivot_row (p the pivot, a the entry, g their
+    gcd), then divides r by its content.  No fraction is formed until the
+    end, when each pivot row is divided by its pivot.  The reduced row
+    echelon form of a matrix is unique, so this is the same RREF, rank
+    and nullspace that elimination over Q gives.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(e) if isinstance(e, int) else e
-                              for e in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
+        if not all(isinstance(e, (int, Fraction))
+                   for row in entries for e in row):
+            raise TypeError("matrix entries must be ints or Fractions")
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         if any(len(r) != cols for r in entries):
@@ -363,30 +381,61 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = [list(row) for row in self.entries]
+    def _integer_echelon(self):
+        """(rows, pivots): the nonzero rows of the reduced echelon form,
+        each a primitive integer row, in pivot order.  Row i divided by
+        rows[i][pivots[i]] is row i of the RREF."""
+        m = []
+        for row in self.entries:
+            ints = _integer_scaled(row)[0]
+            content = gcd(*ints)
+            if content > 1:
+                ints = [e // content for e in ints]
+            if content:
+                m.append(ints)
         pivots = []
         r = 0
         for c in range(self.cols):
-            pivot_row = next((k for k in range(r, self.rows) if m[k][c]), None)
+            # Any nonzero entry gives the same RREF; the smallest one keeps
+            # the multipliers, and so the integers, small.
+            pivot_row = None
+            for k in range(r, len(m)):
+                if m[k][c] and (pivot_row is None
+                                or abs(m[k][c]) < abs(m[pivot_row][c])):
+                    pivot_row = k
+                    if abs(m[k][c]) == 1:
+                        break
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [e * inv for e in m[r]]
-            for k in range(self.rows):
-                if k != r and m[k][c]:
-                    factor = m[k][c]
-                    m[k] = [e - factor * mr for e, mr in zip(m[k], m[r])]
+            prow = m[r]
+            p = prow[c]
+            for k, row in enumerate(m):
+                a = row[c]
+                if k == r or not a:
+                    continue
+                g = gcd(p, a)
+                s, t = p // g, a // g
+                row = [s * e - t * f for e, f in zip(row, prow)]
+                content = gcd(*row)
+                m[k] = [e // content for e in row] if content > 1 else row
             pivots.append(c)
             r += 1
-            if r == self.rows:
+            if r == len(m):
                 break
-        return m, pivots
+        return m[:r], pivots
+
+    def rref(self):
+        """Reduced row echelon form; returns (rows, pivot column list)."""
+        m, pivots = self._integer_echelon()
+        reduced = [[Fraction(e, row[c]) for e in row]
+                   for row, c in zip(m, pivots)]
+        reduced += [[Fraction(0)] * self.cols
+                    for _ in range(self.rows - len(reduced))]
+        return reduced, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._integer_echelon()[1])
 
     def nullspace(self):
         """Exact basis of the right kernel {v : M v = 0}.
@@ -395,15 +444,15 @@ class Matrix:
         other free coordinates, so the result is deterministic.  Empty list
         iff the kernel is trivial.
         """
-        reduced, pivots = self.rref()
+        m, pivots = self._integer_echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for row, pc in zip(reduced, pivots):
-                v[pc] = -row[fc]
+            for row, pc in zip(m, pivots):
+                v[pc] = Fraction(-row[fc], row[pc])
             basis.append(tuple(v))
         return basis
 

@@ -8,8 +8,13 @@ with a quaternionic variable it is the slice regular polynomial
 f(q) = sum_k q^k * a_k, coefficients on the right.
 
 The product is coefficient convolution (`star`), which is exactly the
-pointwise product of the stem functions since z is central.  From the
-coefficientwise quaternionic conjugation F^c one gets
+pointwise product of the stem functions since z is central.  It is
+computed on components: each operand becomes four integer polynomials
+over one common denominator (its 1, i, j, k parts), the sixteen component
+products run as big-integer Kronecker products and are summed with the
+signs of the quaternion unit table, and the four sums are divided once
+by the product of the two denominators.  From the coefficientwise
+quaternionic conjugation F^c one gets
 
     trace(F) = F + F^c        (a rational polynomial)
     norm(F)  = F * F^c        (a rational polynomial, multiplicative)
@@ -38,9 +43,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CQuat, Quaternion
+from .algebra import UNIT_PRODUCTS, CQuat, Quaternion
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import Poly, poly_gcd_many, vanishing_order
+from .poly import (Poly, _integer_scaled, _kronecker, poly_gcd_many,
+                   vanishing_order)
 from .scalars import GaussRat
 
 _SCALARS = (int, Fraction)
@@ -207,20 +213,31 @@ class StemPoly:
         return other + (-self)
 
     def star(self, other) -> "StemPoly":
-        """The product: coefficient convolution with quaternion products
-        taken in operand order (equals the pointwise stem product)."""
+        """The product, with quaternion products taken in operand order
+        (equals the pointwise stem product); computed on integer-scaled
+        component lists as the module docstring describes."""
         other = _stem_operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
         if self.is_zero or other.is_zero:
             return StemPoly()
-        out = [Quaternion()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
+        left, left_den = _integer_components(self.coeffs)
+        right, right_den = _integer_components(other.coeffs)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        out = [[0] * n for _ in range(4)]
+        for s, a in enumerate(left):
+            if not any(a):
                 continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] += ca * cb
-        return StemPoly(out)
+            for t, b in enumerate(right):
+                if not any(b):
+                    continue
+                r, sign = UNIT_PRODUCTS[s][t]
+                acc = out[r]
+                for k, x in enumerate(_kronecker(a, b)):
+                    acc[k] += sign * x
+        den = left_den * right_den
+        return StemPoly(Quaternion(*(Fraction(comp[k], den) for comp in out))
+                        for k in range(n))
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -373,6 +390,13 @@ class StemPoly:
     def __str__(self):
         from .parsing import render_stem
         return render_stem(self)
+
+
+def _integer_components(coeffs):
+    """The four component lists (1, i, j, k) of a coefficient sequence,
+    scaled to integers over one common denominator: (lists, denominator)."""
+    nums, den = _integer_scaled([c for q in coeffs for c in q.components()])
+    return [nums[r::4] for r in range(4)], den
 
 
 def _stem_operand(value):

@@ -71,3 +71,15 @@ def conjugate_stem(alpha: Quaternion, stem: StemPoly) -> StemPoly:
     """alpha * F * alpha**-1 coefficientwise (constant conjugator)."""
     inv = alpha.inverse()
     return StemPoly([alpha * c * inv for c in stem.coeffs])
+
+
+def convolve_stems(left: StemPoly, right: StemPoly) -> StemPoly:
+    """The stem product as a coefficient convolution of Quaternion
+    products: the reference that `StemPoly.star` is checked against."""
+    if left.is_zero or right.is_zero:
+        return StemPoly()
+    out = [Quaternion()] * (len(left.coeffs) + len(right.coeffs) - 1)
+    for a, ca in enumerate(left.coeffs):
+        for b, cb in enumerate(right.coeffs):
+            out[a + b] += ca * cb
+    return StemPoly(out)

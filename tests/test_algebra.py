@@ -238,3 +238,12 @@ def test_r3_rejects_mixed_kinds():
         R3Elem(QI, CQuat(0, 1))
     with pytest.raises(ValueError):
         R3Elem(CQuat(0, 1), CQuat(0, IOTA)).in_quadratic_cone()
+
+
+def test_unit_products_table_matches_the_quaternion_product():
+    from slicereg.algebra import UNIT_PRODUCTS
+    units = (Quaternion(1), QI, QJ, QK)
+    for s, es in enumerate(units):
+        for t, et in enumerate(units):
+            r, sign = UNIT_PRODUCTS[s][t]
+            assert es * et == units[r] * sign

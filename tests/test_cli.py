@@ -172,3 +172,17 @@ def test_module_entry_point_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "cdiv mismatch" in proc.stdout
+
+
+def test_inputs_beyond_the_limits_exit_2_with_one_error_line(capsys):
+    for argv, message in (
+            (("invariants", "(" * 3000 + "z" + ")" * 3000), "deeper than"),
+            (("invariants", "--", "-" * 3000 + "z"), "deeper than"),
+            (("invariants", "z^99999999999999999999"), "limit of"),
+            (("intertwine", "i", "j", "--degree-max", str(10 ** 12)), "limit of")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]

@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
-                      Quaternion, R3StemPoly, StemPoly, ZeroAlphaError,
-                      ZeroInputError, classify_orbit, conj_by_unit,
-                      equivalent, find_intertwiner, invariants,
+from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat,
+                      LimitExceededError, Poly, Quaternion, R3StemPoly,
+                      StemPoly, ZeroAlphaError, ZeroInputError,
+                      classify_orbit, conj_by_unit, equivalent,
+                      find_intertwiner, invariants,
                       normalize_intertwiner, orbit_equivalent, parse_stem,
                       pointwise_orbit_scan, r3_equivalent, verify_conjugator)
 from slicereg.algebra import QI, QJ, QK
@@ -15,8 +17,9 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE)
 
-from support import (conjugate_stem, rand_pure_imaginary_quaternion,
-                     rand_stem, rand_stem_nonslice)
+from support import (conjugate_stem, convolve_stems,
+                     rand_pure_imaginary_quaternion, rand_stem,
+                     rand_stem_nonslice)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -251,3 +254,63 @@ def test_verdict_invariance_under_constant_conjugation():
         direct = equivalent(first, second)
         moved = equivalent(conjugate_stem(alpha, first), second)
         assert direct.equivalent == moved.equivalent
+
+
+# -- intertwiners against a system assembled independently, in sympy ------------
+
+def _sympy_intertwiners(sp, first, second, dmax):
+    """Basis of the solutions of both relations, from sympy's nullspace of
+    a system whose columns are the relations applied to z^p * e_t,
+    multiplied out by the reference convolution; each vector scaled so its
+    first nonzero entry is 1 (the documented normalization)."""
+    top = dmax + max(first.degree, second.degree, 0)
+    columns = []
+    for p in range(dmax + 1):
+        for t in range(4):
+            unit = [0] * 4
+            unit[t] = 1
+            alpha = StemPoly([0] * p + [Quaternion(*unit)])
+            column = []
+            for diff in (convolve_stems(first, alpha) - convolve_stems(alpha, second),
+                         convolve_stems(alpha, first) - convolve_stems(second, alpha)):
+                for n in range(top + 1):
+                    column += [sp.Rational(x.numerator, x.denominator)
+                               for x in diff.coeff(n).components()]
+            columns.append(column)
+    basis = []
+    for v in sp.Matrix(columns).T.nullspace():
+        v = [Fraction(int(x.p), int(x.q)) for x in v]
+        lead = next(x for x in v if x)
+        v = [x / lead for x in v]
+        basis.append(StemPoly([Quaternion(*v[4 * p:4 * p + 4])
+                               for p in range(dmax + 1)]))
+    return basis
+
+
+def test_find_intertwiner_matches_sympy_bases():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(1968)
+    cases = [(F_PAIR, G_PAIR, 2), (F_PAIR, G_PAIR, 8), (F_PAIR, G_PAIR, 12),
+             (F_PAIR, F_PAIR, 3), (G_PAIR, F_PAIR, 5),
+             (StemPoly.constant(QI), StemPoly.constant(QJ), 0),
+             (StemPoly.constant(QI), StemPoly.constant(2 * QI), 1)]
+    for degree, dmax in ((0, 2), (2, 4), (3, 3)):
+        f = rand_stem(rng, degree)
+        u = rand_pure_imaginary_quaternion(rng)
+        cases.append((f, conjugate_stem(u, f), dmax))          # solvable
+        cases.append((f, rand_stem(rng, degree), dmax))        # usually not
+    for f, h, dmax in cases:
+        assert find_intertwiner(f, h, dmax) == _sympy_intertwiners(sp, f, h, dmax)
+
+
+def test_find_intertwiner_refuses_huge_searches_at_once():
+    from slicereg.equiv import MAX_INTERTWINER_UNKNOWNS
+    cap = MAX_INTERTWINER_UNKNOWNS // 4 - 1
+    # alpha * z^k for k <= dmax - 2 all intertwine the worked pair.
+    assert len(find_intertwiner(F_PAIR, G_PAIR, cap)) == cap - 1
+    start = time.perf_counter()
+    for dmax in (cap + 1, 10 ** 12):
+        with pytest.raises(LimitExceededError,
+                           match=str(MAX_INTERTWINER_UNKNOWNS)):
+            find_intertwiner(F_PAIR, G_PAIR, dmax)
+    assert time.perf_counter() - start < 1.0

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from slicereg import (CQuat, GaussRat, ParseError, Poly, Quaternion, R3Elem,
-                      StemPoly, UnitNotAllowedError, VariableInPointError,
-                      parse_point, parse_r3_point, parse_r3_stem, parse_stem,
-                      render_cquat, render_poly, render_quat, render_stem)
+from slicereg import (CQuat, GaussRat, LimitExceededError, ParseError, Poly,
+                      Quaternion, R3Elem, StemPoly, UnitNotAllowedError,
+                      VariableInPointError, parse_point, parse_r3_point,
+                      parse_r3_stem, parse_stem, render_cquat, render_poly,
+                      render_quat, render_stem)
 from slicereg.algebra import QI, QJ, QK
 
 IOTA = GaussRat(0, 1)
@@ -138,3 +139,43 @@ def test_render_poly_golden():
 def test_render_quat():
     assert render_quat(Quaternion(1, -1, 0, Fraction(2, 3))) == "1 - i + 2/3*k"
     assert render_quat(Quaternion()) == "0"
+
+
+# -- limits ------------------------------------------------------------------------
+
+def test_nesting_beyond_the_cap_is_a_parse_error():
+    from slicereg.parsing import MAX_NESTING
+    z = parse_stem("z")
+    cap = MAX_NESTING
+    assert parse_stem("(" * cap + "z" + ")" * cap) == z
+    assert parse_stem("-" * cap + "z") == z * (-1) ** cap
+    half = cap // 2
+    assert parse_stem("-(" * half + "z" + ")" * half) == z * (-1) ** half
+    # Depth is nesting, not the count of parentheses in the text.
+    assert parse_stem(" + ".join(["(" * cap + "z" + ")" * cap] * 3)) == z * 3
+    for text in ("(" * (cap + 1) + "z" + ")" * (cap + 1), "-" * (cap + 1) + "z",
+                 "-(" * (half + 1) + "z" + ")" * (half + 1),
+                 "(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z"):
+        with pytest.raises(ParseError, match=f"deeper than {cap} levels"):
+            parse_stem(text)
+
+
+def test_long_sums_and_products_parse_without_deep_recursion():
+    assert parse_stem(" + ".join(["z"] * 3000)) == parse_stem("3000*z")
+    assert parse_stem(" - ".join(["z"] * 3001)) == parse_stem("-2999*z")
+    assert parse_stem("*".join(["i"] * 3001)) == parse_stem("i")
+    assert parse_stem("1 - z*i*j + 2*(z - 1)*k") == parse_stem("1 - 2*k + z*k")
+
+
+def test_exponents_and_degrees_beyond_the_caps_are_refused():
+    from slicereg.parsing import MAX_DEGREE, MAX_EXPONENT
+    assert parse_stem(f"2^{MAX_EXPONENT}") == StemPoly.constant(2 ** MAX_EXPONENT)
+    power = "(" * 9 + "z" + "^2)" * 9                   # z^512, by squaring
+    assert parse_stem(power).degree == 512
+    with pytest.raises(LimitExceededError, match=f"limit of {MAX_EXPONENT}"):
+        parse_stem("z^99999999999999999999")
+    with pytest.raises(LimitExceededError, match=f"limit of {MAX_EXPONENT}"):
+        parse_point(f"i^{MAX_EXPONENT + 1}")
+    for text in ("(z^30)^34", f"({power})^2", f"{power} * {power}"):
+        with pytest.raises(LimitExceededError, match=f"limit of {MAX_DEGREE}"):
+            parse_stem(text)

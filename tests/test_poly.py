@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
-                      PolyDivisionByZeroError, ZeroPolynomialError, poly_gcd,
-                      poly_gcd_many, vanishing_order)
+                      PolyDivisionByZeroError, ZeroPolynomialError,
+                      find_intertwiner, parse_stem, poly_gcd, poly_gcd_many,
+                      vanishing_order)
 
 from support import rand_fraction, rand_poly
 
@@ -276,3 +277,97 @@ def test_gaussrat_products_and_gcds_keep_the_field_routes():
     assert poly_gcd(Z ** 2 + 1, root * (Z + 2)) == root
     assert poly_gcd(root * root, root * (Z - 1)) == root
     assert poly_gcd(root, Poly([IOTA, GaussRat(1)])) == Poly([GaussRat(1)])
+
+
+# -- integer elimination against sympy -------------------------------------------
+
+entries = st.one_of(
+    st.just(Fraction(0)), st.integers(-3, 3), fractions,
+    st.fractions(min_value=-10 ** 15, max_value=10 ** 15,
+                 max_denominator=10 ** 15))
+
+
+@st.composite
+def matrices(draw):
+    """Random rational matrices, with rows that are combinations of
+    earlier rows (rank deficiency) and zero rows mixed in."""
+    cols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                           st.integers(0, len(rows) - 1),
+                                           fractions), max_size=3)):
+        rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return Matrix(rows)
+
+
+def _check_against_sympy(sp, m: Matrix):
+    def rat(x):
+        return sp.Rational(x.numerator, x.denominator)
+
+    oracle = sp.Matrix([[rat(e) for e in row] for row in m.entries])
+    want, want_pivots = oracle.rref()
+    reduced, pivots = m.rref()
+    assert tuple(pivots) == want_pivots
+    assert [[rat(e) for e in row] for row in reduced] == want.tolist()
+    assert all(type(e) is Fraction for row in reduced for e in row)
+    assert m.rank() == oracle.rank()
+    basis = m.nullspace()
+    assert [[rat(e) for e in v] for v in basis] == [list(v) for v in oracle.nullspace()]
+    assert all(type(e) is Fraction for v in basis for e in v)
+
+
+@given(matrices())
+def test_rref_rank_and_nullspace_match_sympy(m):
+    sp = pytest.importorskip("sympy")
+    _check_against_sympy(sp, m)
+
+
+def test_rref_rank_and_nullspace_edge_cases_match_sympy():
+    sp = pytest.importorskip("sympy")
+    big = Fraction(10 ** 40 + 1, 3 ** 50)
+    for rows in ([[0, 0, 0]], [[0], [0]], [[Fraction(1, 7)]], [[5, 10, 15]],
+                 [[big, 1], [2 * big, 2], [0, 0]],
+                 [[Fraction(1, 10 ** 20), Fraction(-1, 3)],
+                  [Fraction(1, 7), Fraction(10 ** 20, 9)]],
+                 [[1, 2, 3], [2, 4, 6], [1, 0, -1], [0, 2, 4]]):
+        _check_against_sympy(sp, Matrix(rows))
+
+
+def _intertwiner_system(monkeypatch, first, second, dmax):
+    """The matrix that find_intertwiner hands to nullspace."""
+    import slicereg.equiv
+    seen = []
+
+    class Recording(Matrix):
+        __slots__ = ()
+
+        def nullspace(self):
+            seen.append(self)
+            return super().nullspace()
+
+    monkeypatch.setattr(slicereg.equiv, "Matrix", Recording)
+    find_intertwiner(first, second, dmax)
+    return seen[0]
+
+
+def test_intertwiner_systems_match_sympy(monkeypatch):
+    sp = pytest.importorskip("sympy")
+    first = parse_stem("i + z*j + (1/2)*z^2*k")
+    second = parse_stem("(1 + (1/2)*z^2)*i")
+    planted = parse_stem("1/3*i - 2/5*z*j + z^2*(1/7 + k)")
+    conjugated = parse_stem("1/3*j - 2/5*z*i + z^2*(1/7 - k)")    # by i + j
+    for f, h, dmax in ((first, second, 2), (first, second, 8),
+                       (first, second, 12), (planted, conjugated, 4)):
+        m = _intertwiner_system(monkeypatch, f, h, dmax)
+        assert m.cols == 4 * (dmax + 1)
+        _check_against_sympy(sp, m)
+
+
+def test_matrix_entries_must_be_rational():
+    with pytest.raises(TypeError):
+        Matrix([[GaussRat(0, 1)]])
+    with pytest.raises(TypeError):
+        Matrix([[0.5]])

@@ -10,14 +10,24 @@ from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
                       StemPoly, ZeroFunctionError, parse_stem)
 from slicereg.algebra import QI, QJ, QK
 
-from support import (conjugate_stem, rand_fraction, rand_nonzero_quaternion,
-                     rand_quaternion, rand_stem, rand_stem_nonslice)
+from support import (conjugate_stem, convolve_stems, rand_fraction,
+                     rand_nonzero_quaternion, rand_quaternion, rand_stem,
+                     rand_stem_nonslice)
 
 IOTA = GaussRat(0, 1)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 quaternions = st.builds(Quaternion, fractions, fractions, fractions, fractions)
 stems = st.builds(StemPoly, st.lists(quaternions, max_size=8))
+# Zero-heavy components and denominators from 1 to 10**12, so the two
+# operands of a product rarely share a denominator.
+mixed_fractions = st.one_of(
+    st.just(Fraction(0)), fractions,
+    st.fractions(min_value=-10 ** 12, max_value=10 ** 12,
+                 max_denominator=10 ** 12))
+mixed_stems = st.builds(StemPoly, st.lists(
+    st.builds(Quaternion, mixed_fractions, mixed_fractions, mixed_fractions,
+              mixed_fractions), max_size=8))
 
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
 G_PAIR = parse_stem("(1 + (1/2)*z^2)*i")
@@ -42,6 +52,35 @@ def test_star_preserves_written_factor_order():
     zj = StemPoly([0, QJ])
     assert zj.star(zi) == StemPoly([0, 0, -QK])
     assert zi.star(zj) != zj.star(zi)
+
+
+@given(mixed_stems, mixed_stems)
+def test_star_matches_the_quaternion_convolution(left, right):
+    product = left.star(right)
+    assert product == convolve_stems(left, right)
+    assert repr(product) == repr(convolve_stems(left, right))
+    assert all(type(x) is Fraction for c in product.coeffs
+               for x in c.components())
+
+
+def test_star_edge_cases_match_the_quaternion_convolution():
+    third = Quaternion(Fraction(1, 3), 0, Fraction(-2, 3))
+    seventh = Quaternion(0, Fraction(5, 7), 0, Fraction(1, 14))
+    cases = [
+        (StemPoly(), F_PAIR), (F_PAIR, StemPoly()), (StemPoly(), StemPoly()),
+        (StemPoly([third]), StemPoly([seventh])),              # degree 0
+        (StemPoly([QI]), StemPoly([QI])),                      # i * i = -1
+        (StemPoly([third, 0, seventh]), StemPoly([seventh, third])),
+        (StemPoly([0, 0, Fraction(1, 6)]), StemPoly([QK * Fraction(3, 5)])),
+        (StemPoly([Fraction(10 ** 30, 7), QJ * (2 ** 70)]),
+         StemPoly([QI * Fraction(1, 3 ** 40), Fraction(-1, 2)])),
+    ]
+    for left, right in cases:
+        assert left.star(right) == convolve_stems(left, right)
+        assert right.star(left) == convolve_stems(right, left)
+    assert StemPoly([third]).star(seventh) == StemPoly([third * seventh])
+    assert F_PAIR.star(Fraction(1, 2)) == F_PAIR * Fraction(1, 2)
+    assert F_PAIR.star(0) == StemPoly()
 
 
 def test_conj_values():
