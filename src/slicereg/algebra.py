@@ -27,10 +27,11 @@ representation.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import NotInWError, ZeroDivisorError, ZeroInverseError
-from .scalars import GaussRat, as_rat
+from .scalars import GaussRat, as_rat, power
 
 _REAL_SCALARS = (int, Fraction)
 
@@ -133,17 +134,7 @@ class Quaternion:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Quaternion(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, Quaternion(1), operator.mul)
 
     # -- conjugation, trace, norm ------------------------------------------
 
@@ -279,17 +270,7 @@ class CQuat:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = CQuat(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, CQuat(1), operator.mul)
 
     # -- involutions, trace, norm -------------------------------------------
 

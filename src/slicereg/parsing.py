@@ -21,7 +21,14 @@ expression is rejected.
 Normalization multiplies everything out, preserving the written order of
 noncommuting factors, and collects a canonical right-coefficient form
 sum_k z^k * a_k.  Since the variable is central, every expression in this
-grammar normalizes to such a form.
+grammar normalizes to such a form.  Stem expressions evaluate straight
+into `StemPoly`: literals, units and the variable are constants and the
+monomial z, sums use `+`/`-`, and products and powers (square-and-
+multiply) use `StemPoly.star`, the integer Kronecker kernel of `stem.py`.
+Point expressions have no variable, so they evaluate with plain `CQuat`
+arithmetic.  Before each product or power the degree it would have, from
+the degrees of its trimmed operands, is checked against MAX_DEGREE, and
+every exponent against MAX_EXPONENT.
 
 Pairs for the split algebra use the syntax "( <expr> ; <expr> )".
 
@@ -34,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CQuat, Quaternion, R3Elem
+from .algebra import QI, QJ, QK, CQuat, Quaternion, R3Elem
 from .errors import (LimitExceededError, ParseError, UnitNotAllowedError,
                      VariableInPointError)
 from .poly import Poly
 from .scalars import GaussRat
-from .stem import R3StemPoly, StemPoly
+from .stem import Z, R3StemPoly, StemPoly
 
 # -- limits ---------------------------------------------------------------
 
@@ -238,34 +245,31 @@ def parse_ast(text: str):
 
 # -- normalization -------------------------------------------------------------
 
-_UNIT_VALUES = {
-    "i": CQuat(GaussRat(0), GaussRat(1), GaussRat(0), GaussRat(0)),
-    "j": CQuat(GaussRat(0), GaussRat(0), GaussRat(1), GaussRat(0)),
-    "k": CQuat(GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(1)),
-    "E": CQuat(GaussRat(0, 1)),
-}
+_UNIT_VALUES = {"i": QI, "j": QJ, "k": QK, "E": CQuat(GaussRat(0, 1))}
 
 
 class _Normalizer:
-    """Evaluate an expression tree in the polynomial ring over the
-    complexified algebra (dense coefficient lists, variable central)."""
+    """Evaluate an expression tree: into `StemPoly` in stem mode, where
+    products are `star` in written order, and into `CQuat` in point mode,
+    where the tree has no variable and every value is a constant."""
 
     def __init__(self, mode: str):
         if mode not in ("stem", "point"):
             raise ValueError("mode must be 'stem' or 'point'")
-        self.mode = mode
+        self.stem = mode == "stem"
+        self.lift = StemPoly.constant if self.stem else CQuat.coerce
         self.seen_var: str | None = None
 
-    def run(self, node) -> list[CQuat]:
+    def run(self, node):
         if isinstance(node, RationalLit):
-            return [CQuat(GaussRat(node.value))]
+            return self.lift(node.value)
         if isinstance(node, Unit):
-            if node.name == "E" and self.mode == "stem":
+            if node.name == "E" and self.stem:
                 raise UnitNotAllowedError(
                     "unit E has no meaning in a stem expression", node.pos)
-            return [_UNIT_VALUES[node.name]]
+            return self.lift(_UNIT_VALUES[node.name])
         if isinstance(node, Var):
-            if self.mode == "point":
+            if not self.stem:
                 raise VariableInPointError(
                     "point expressions must be constant", node.pos)
             if self.seen_var is None:
@@ -273,9 +277,9 @@ class _Normalizer:
             elif self.seen_var != node.name:
                 raise ParseError(
                     "cannot mix the variable spellings 'z' and 'q'", node.pos)
-            return [CQuat(), CQuat(1)]
+            return Z
         if isinstance(node, Neg):
-            return [-c for c in self.run(node.child)]
+            return -self.run(node.child)
         if isinstance(node, (Add, Sub, Mul)):
             # Sums and products parse as left-deep chains, as long as the
             # text; fold the chain in a loop, not one recursion per term.
@@ -285,7 +289,15 @@ class _Normalizer:
                 node = node.left
             acc = self.run(node)
             for node in reversed(chain):
-                acc = self._combine(node, acc, self.run(node.right))
+                right = self.run(node.right)
+                if isinstance(node, Add):
+                    acc = acc + right
+                elif isinstance(node, Sub):
+                    acc = acc - right
+                else:
+                    if self.stem:
+                        _check_degree(acc.degree + right.degree)
+                    acc = acc * right
             return acc
         if isinstance(node, Pow):
             if node.exponent > MAX_EXPONENT:
@@ -293,36 +305,15 @@ class _Normalizer:
                     f"exponent {node.exponent} is above the limit of "
                     f"{MAX_EXPONENT}")
             base = self.run(node.base)
-            _check_degree((len(base) - 1) * node.exponent)
-            out = [CQuat(1)]
-            for _ in range(node.exponent):
-                out = self._convolve(out, base)
-            return out
+            if self.stem:
+                _check_degree(base.degree * node.exponent)
+            return base ** node.exponent
         raise TypeError(f"unknown node {node!r}")
-
-    def _combine(self, node, left, right):
-        if isinstance(node, Mul):
-            _check_degree(len(left) + len(right) - 2)
-            return self._convolve(left, right)
-        if isinstance(node, Sub):
-            right = [-c for c in right]
-        n = max(len(left), len(right))
-        left += [CQuat()] * (n - len(left))
-        right += [CQuat()] * (n - len(right))
-        return [a + b for a, b in zip(left, right)]
-
-    @staticmethod
-    def _convolve(left, right):
-        out = [CQuat() for _ in range(len(left) + len(right) - 1)]
-        for a, ca in enumerate(left):
-            if not ca:
-                continue
-            for b, cb in enumerate(right):
-                out[a + b] += ca * cb
-        return out
 
 
 def _check_degree(degree: int) -> None:
+    """Refuse a power or product whose degree, from the degrees of its
+    trimmed operands, is above MAX_DEGREE (a zero operand has degree -1)."""
     if degree > MAX_DEGREE:
         raise LimitExceededError(
             f"degree {degree} is above the limit of {MAX_DEGREE}")
@@ -331,16 +322,7 @@ def _check_degree(degree: int) -> None:
 def parse_expr(text: str, mode: str):
     """Parse and normalize; returns a StemPoly (stem mode) or CQuat (point
     mode)."""
-    ast = parse_ast(text)
-    coeffs = _Normalizer(mode).run(ast)
-    if mode == "point":
-        return coeffs[0] if coeffs else CQuat()
-    quats = []
-    for c in coeffs:
-        if not c.is_real_quaternion:
-            raise AssertionError("stem coefficients must be real quaternions")
-        quats.append(c.to_quaternion())
-    return StemPoly(quats)
+    return _Normalizer(mode).run(parse_ast(text))
 
 
 def parse_stem(text: str) -> StemPoly:

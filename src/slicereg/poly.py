@@ -27,12 +27,13 @@ pivots (see the class docstring).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import GaussRat
+from .scalars import GaussRat, power
 
 
 class Poly:
@@ -124,17 +125,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Poly((Fraction(1),))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, Poly((Fraction(1),)), operator.mul)
 
     def __divmod__(self, other):
         """Division with remainder: self = q*other + r, deg r < deg other."""

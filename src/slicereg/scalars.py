@@ -9,6 +9,7 @@ unrelated to the quaternion units i, j, k, with which it commutes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 Rat = Fraction
@@ -23,6 +24,23 @@ def as_rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def power(base, exponent: int, one, mul):
+    """base**exponent by square-and-multiply: `one` is the identity and
+    `mul` the product of the ring.  Every `__pow__` in the package runs
+    through here.  The base is squared only while bits remain, so no
+    product is computed and thrown away."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("only nonnegative integer powers are supported")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
 
 
 class GaussRat:
@@ -119,17 +137,7 @@ class GaussRat:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = GaussRat(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, GaussRat(1), operator.mul)
 
     # -- comparison / hashing / display -----------------------------------
 

@@ -3,7 +3,10 @@ double-precision evaluation layer used for transcendental checks.
 
 A `TruncSeries` holds the coefficients of sum_{k<N} z^k a_k modulo z^N,
 exactly (rational quaternions).  Ring operations truncate to the smaller
-operand order and agree with the full stem operations below it.
+operand order and agree with the full stem operations below it; the
+product is the stem product `StemPoly.star` of the two truncated
+coefficient lists (the integer Kronecker kernel of `stem.py`), cut back
+to that order.
 
 Floats appear in exactly one place: `eval_numeric` and the conjugation
 identity check.  Every approximate comparison carries an explicit
@@ -121,20 +124,15 @@ class TruncSeries:
         if other is None:
             raise TypeError("star expects a series or a coefficient")
         n = min(self.order, other.order)
-        out = [Quaternion() for _ in range(n)]
-        for a in range(min(self.order, n)):
-            ca = self.coeffs[a]
-            if not ca:
-                continue
-            for b in range(min(other.order, n - a)):
-                out[a + b] += ca * other.coeffs[b]
+        product = StemPoly(self.coeffs[:n]).star(StemPoly(other.coeffs[:n]))
         c1, a1 = self.majorant
         c2, a2 = other.majorant
         polynomial = False
         if self.is_polynomial and other.is_polynomial:
             deg = _poly_degree(self.coeffs) + _poly_degree(other.coeffs)
             polynomial = deg < n
-        return TruncSeries(n, out, (c1 * c2, a1 + a2), polynomial)
+        return TruncSeries(n, product.coeffs[:n], (c1 * c2, a1 + a2),
+                           polynomial)
 
     def __mul__(self, other):
         if isinstance(other, (TruncSeries, Quaternion) + _SCALARS):

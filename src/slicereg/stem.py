@@ -47,7 +47,7 @@ from .algebra import UNIT_PRODUCTS, CQuat, Quaternion
 from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (Poly, _integer_scaled, _kronecker, poly_gcd_many,
                    vanishing_order)
-from .scalars import GaussRat
+from .scalars import GaussRat, power
 
 _SCALARS = (int, Fraction)
 
@@ -254,17 +254,7 @@ class StemPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = StemPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result.star(base)
-            base = base.star(base)
-            e >>= 1
-        return result
+        return power(self, exponent, StemPoly.constant(1), StemPoly.star)
 
     # -- conjugation and invariants ----------------------------------------------
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from slicereg import CQuat, GaussRat, Poly, Quaternion, StemPoly
+from slicereg import CQuat, GaussRat, Poly, Quaternion, StemPoly, TruncSeries
+from slicereg.parsing import (Mul, Neg, Pow, RationalLit, Sub, Unit, Var,
+                              parse_ast)
 
 
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -83,3 +85,78 @@ def convolve_stems(left: StemPoly, right: StemPoly) -> StemPoly:
         for b, cb in enumerate(right.coeffs):
             out[a + b] += ca * cb
     return StemPoly(out)
+
+
+def truncated_convolution(left: TruncSeries, right: TruncSeries) -> TruncSeries:
+    """The series product as a convolution of Quaternion products cut at
+    the smaller order, with the majorant and polynomial flag derived
+    directly: the reference that `TruncSeries.star` is checked against."""
+    n = min(left.order, right.order)
+    out = [Quaternion()] * n
+    for a in range(n):
+        for b in range(n - a):
+            out[a + b] += left.coeffs[a] * right.coeffs[b]
+    degrees = [max((k for k, c in enumerate(s.coeffs) if c), default=-1)
+               for s in (left, right)]
+    polynomial = (left.is_polynomial and right.is_polynomial
+                  and sum(degrees) < n)
+    return TruncSeries(n, out, (left.majorant[0] * right.majorant[0],
+                                left.majorant[1] + right.majorant[1]),
+                       polynomial)
+
+
+_REFERENCE_UNITS = {
+    "i": CQuat(0, 1), "j": CQuat(0, 0, 1), "k": CQuat(0, 0, 0, 1),
+    "E": CQuat(GaussRat(0, 1)),
+}
+
+
+def _reference_run(node) -> list[CQuat]:
+    """Dense CQuat coefficient list of an expression tree, by recursion
+    and coefficient convolution; no mode checks and no limits."""
+    if isinstance(node, RationalLit):
+        return [CQuat(GaussRat(node.value))]
+    if isinstance(node, Unit):
+        return [_REFERENCE_UNITS[node.name]]
+    if isinstance(node, Var):
+        return [CQuat(), CQuat(1)]
+    if isinstance(node, Neg):
+        return [-c for c in _reference_run(node.child)]
+    if isinstance(node, Pow):
+        base = _reference_run(node.base)
+        out = [CQuat(1)]
+        for _ in range(node.exponent):
+            out = _reference_convolve(out, base)
+        return out
+    # Add, Sub or Mul.
+    left, right = _reference_run(node.left), _reference_run(node.right)
+    if isinstance(node, Mul):
+        return _reference_convolve(left, right)
+    if isinstance(node, Sub):
+        right = [-c for c in right]
+    n = max(len(left), len(right))
+    left += [CQuat()] * (n - len(left))
+    right += [CQuat()] * (n - len(right))
+    return [a + b for a, b in zip(left, right)]
+
+
+def _reference_convolve(left, right):
+    out = [CQuat() for _ in range(len(left) + len(right) - 1)]
+    for a, ca in enumerate(left):
+        for b, cb in enumerate(right):
+            out[a + b] += ca * cb
+    return out
+
+
+def reference_parse_stem(text: str) -> StemPoly:
+    """The stem an expression normalizes to, computed in the polynomial
+    ring over the complexified algebra with dense CQuat lists: the
+    reference that `parse_stem` is checked against."""
+    return StemPoly(c.to_quaternion() for c in _reference_run(parse_ast(text)))
+
+
+def reference_parse_point(text: str) -> CQuat:
+    """The point a constant expression evaluates to, by the same
+    reference normalizer (its list has exactly one coefficient)."""
+    (value,) = _reference_run(parse_ast(text))
+    return value

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 
@@ -186,3 +188,30 @@ def test_inputs_beyond_the_limits_exit_2_with_one_error_line(capsys):
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+
+def readme_examples():
+    """(argv, stdout) of every `$ slicereg ...` block in README.md: the
+    command line, then the output lines up to a blank line or a fence."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for n, line in enumerate(lines):
+        if line.startswith("$ slicereg "):
+            output = []
+            for follow in lines[n + 1:]:
+                if not follow.strip() or follow.startswith("```"):
+                    break
+                output.append(follow + "\n")
+            examples.append((shlex.split(line)[2:], "".join(output)))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 2
+    for argv, expected in examples:
+        code, out = run_cli(capsys, *argv)
+        assert out == expected, argv
+        # Exit 1 is a negative verdict, which the first line announces.
+        verdict = expected.splitlines()[0]
+        assert code == (1 if verdict.endswith(": false") else 0), argv

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from slicereg import (CQuat, GaussRat, LimitExceededError, ParseError, Poly,
                       Quaternion, R3Elem, StemPoly, UnitNotAllowedError,
@@ -8,6 +11,8 @@ from slicereg import (CQuat, GaussRat, LimitExceededError, ParseError, Poly,
                       parse_r3_stem, parse_stem, render_cquat, render_poly,
                       render_quat, render_stem)
 from slicereg.algebra import QI, QJ, QK
+
+from support import reference_parse_point, reference_parse_stem
 
 IOTA = GaussRat(0, 1)
 
@@ -179,3 +184,69 @@ def test_exponents_and_degrees_beyond_the_caps_are_refused():
     for text in ("(z^30)^34", f"({power})^2", f"{power} * {power}"):
         with pytest.raises(LimitExceededError, match=f"limit of {MAX_DEGREE}"):
             parse_stem(text)
+
+
+def test_degree_cap_reads_the_degrees_of_trimmed_operands():
+    from slicereg.parsing import MAX_DEGREE
+    top = f"z^{MAX_DEGREE}"
+    # A factor that cancels has degree -1 (zero) or 0, whatever it was
+    # written as, so these products stay within the cap.
+    assert parse_stem(f"(z - z)*{top}") == StemPoly()
+    assert parse_stem(f"0*{top}*{top}") == StemPoly()
+    assert parse_stem(f"(z - z)^{MAX_DEGREE}*{top}") == StemPoly()
+    assert parse_stem(f"({top} - {top} + i)*{top}") == StemPoly.monomial(
+        MAX_DEGREE, QI)
+    assert parse_stem(f"({top} - {top} + i)^2") == StemPoly.constant(-1)
+    with pytest.raises(LimitExceededError, match=f"degree {MAX_DEGREE + 1} "):
+        parse_stem(f"({top} - {top} + z)*{top}")
+
+
+def test_large_powers_match_the_binomial_coefficients():
+    assert parse_stem("z^1000") == StemPoly.monomial(1000)
+    assert parse_stem("(1+z)^200").coeffs == tuple(
+        Quaternion(math.comb(200, k)) for k in range(201))
+    units = (Quaternion(1), QI, Quaternion(-1), -QI)      # i^k, k mod 4
+    assert parse_stem("(1 + z*i)^200").coeffs == tuple(
+        units[k % 4] * math.comb(200, k) for k in range(201))
+
+
+# -- the normalizer against the CQuat reference -------------------------------------
+
+_RATIONALS = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 40),
+                       st.integers(1, 12))
+
+
+def _expressions(names):
+    """(text, degree bound) of random expression trees over the given
+    names: unit products in written order, unary minus, differences,
+    nested powers and rationals, every operand parenthesized."""
+    leaves = st.one_of(_RATIONALS.map(lambda t: (t, 0)),
+                       st.sampled_from(names).map(lambda t: (t, int(t == "z"))))
+
+    def extend(inner):
+        operands = st.lists(inner, min_size=2, max_size=4)
+        return st.one_of(
+            inner.map(lambda a: (f"-({a[0]})", a[1])),
+            operands.map(lambda xs: ("*".join(f"({x[0]})" for x in xs),
+                                     sum(x[1] for x in xs))),
+            st.tuples(operands, st.lists(st.sampled_from("+-"), min_size=3,
+                                         max_size=3)).map(
+                lambda t: (t[0][0][0] + "".join(
+                    f" {op} ({x[0]})" for op, x in zip(t[1], t[0][1:])),
+                    max(x[1] for x in t[0]))),
+            st.tuples(inner, st.integers(0, 3)).map(
+                lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] * t[1])))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@given(_expressions("ijkz"))
+def test_parse_stem_matches_the_reference_normalizer(expression):
+    text, degree = expression
+    assume(degree <= 12)
+    assert parse_stem(text) == reference_parse_stem(text)
+
+
+@given(_expressions("ijkE"))
+def test_parse_point_matches_the_reference_normalizer(expression):
+    text, _ = expression
+    assert parse_point(text) == reference_parse_point(text)

@@ -70,3 +70,28 @@ def test_immutability():
     x = GaussRat(1, 2)
     with pytest.raises(AttributeError):
         x.re = Fraction(5)
+
+
+def test_power_multiplies_once_per_bit_and_never_squares_past_the_last():
+    from slicereg.scalars import power
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for exponent in (0, 1, 2, 5, 1000, 1024):
+        calls.clear()
+        assert power(3, exponent, 1, mul) == 3 ** exponent
+        squarings = max(exponent.bit_length() - 1, 0)
+        assert len(calls) == squarings + bin(exponent).count("1")
+
+
+def test_every_pow_refuses_negative_and_non_integer_exponents():
+    from slicereg import CQuat, Poly, Quaternion, StemPoly
+    for value in (GaussRat(1, 2), Quaternion(1, 2), CQuat(IOTA),
+                  Poly([1, 1]), StemPoly([1, Quaternion(0, 1)])):
+        for exponent in (-1, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="^only nonnegative integer "
+                               "powers are supported$"):
+                value ** exponent

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slicereg import (CQuatF, NearSingularSampleError, Poly, Quaternion,
                       TruncSeries, check_conjugation_identity, numeric_roots,
@@ -10,7 +12,7 @@ from slicereg import (CQuatF, NearSingularSampleError, Poly, Quaternion,
 from slicereg.algebra import QI, QJ, QK
 from slicereg.series import DEFAULT_SAMPLES, parse_samples
 
-from support import rand_fraction, rand_stem
+from support import rand_fraction, rand_stem, truncated_convolution
 
 
 def series_triple(order):
@@ -154,3 +156,55 @@ def test_series_equality_and_padding():
     b = TruncSeries.constant(1, 4)
     assert a == b
     assert a != TruncSeries.constant(1, 5)  # orders differ
+
+
+_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                 max_denominator=10 ** 9))
+_quaternions = st.builds(Quaternion, _fractions, _fractions, _fractions,
+                         _fractions)
+
+
+@st.composite
+def _series(draw):
+    """A series of random order with some trailing zero coefficients, so
+    that the polynomial flag depends on the degrees, and a majorant."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(_quaternions, max_size=order))
+    majorant = (draw(st.floats(0, 10)), draw(st.floats(0, 2)))
+    return TruncSeries(order, coeffs, majorant, draw(st.booleans()))
+
+
+def _same_series(got, want):
+    assert got == want
+    assert got.majorant == want.majorant
+    assert got.is_polynomial == want.is_polynomial
+
+
+@given(_series(), _series())
+def test_series_star_matches_the_truncated_convolution(left, right):
+    _same_series(left.star(right), truncated_convolution(left, right))
+    _same_series(right.star(left), truncated_convolution(right, left))
+
+
+def test_series_star_matches_the_truncated_convolution_on_builders():
+    rng = random.Random(4321)
+    stem = rand_stem(rng, 9)
+    for first, second in ((taylor_series("cos", 40), taylor_series("sin", 23)),
+                          (taylor_series("exp", 7) * QI,
+                           TruncSeries.from_stem(stem, 5)),
+                          (TruncSeries.from_stem(stem), taylor_series("cos_half", 30)),
+                          (TruncSeries.from_stem(stem, 12),
+                           TruncSeries.from_stem(stem, 4)),
+                          # Polynomial operands whose degrees sum to just
+                          # below, and to exactly, the order.
+                          (TruncSeries(5, [1, QI, 2]), TruncSeries(5, [QJ, 0, 3])),
+                          (TruncSeries(4, [1, QI, 2]), TruncSeries(4, [QJ, 0, 3]))):
+        _same_series(first.star(second), truncated_convolution(first, second))
+        _same_series(second.star(first), truncated_convolution(second, first))
+    for scalar in (QJ, Fraction(-3, 7), 0):
+        series = taylor_series("sin_half", 9)
+        _same_series(series.star(scalar), truncated_convolution(
+            series, TruncSeries.constant(scalar, 9)))
