@@ -34,8 +34,7 @@ from .scalars import IOTA, GaussRat, Rat
 from .series import (DEFAULT_ORDER, DEFAULT_SAMPLES, DEFAULT_TOL,
                      ConjugationReport, CQuatF, EvalResult, TruncSeries,
                      check_conjugation_identity, numeric_roots, taylor_series)
-from .stem import (SLICE_PRESERVING, Divisor, R3StemPoly, SplitStem, StemPoly,
-                   Z)
+from .stem import SLICE_PRESERVING, Divisor, R3StemPoly, StemPoly, Z
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "Matrix", "ONE", "OrbitClass", "OrbitScanReport", "ParseError", "Poly",
     "QI", "QJ", "QK", "Quaternion", "R3Elem", "R3EquivVerdict", "R3StemPoly",
     "Rat", "SLICE_PRESERVING", "SO3Matrix", "SliceRegError",
-    "SlicePreservingError", "SplitStem", "StemPoly", "TruncSeries", "Z",
+    "SlicePreservingError", "StemPoly", "TruncSeries", "Z",
     "aut_to_matrix", "bform", "check_conjugation_identity", "classify_orbit",
     "conj_by_unit", "equivalent", "find_intertwiner", "invariants",
     "normalize_intertwiner", "numeric_roots", "orbit_equivalent",

@@ -180,7 +180,7 @@ class Quaternion:
         return f"Quaternion({self.c0}, {self.c1}, {self.c2}, {self.c3})"
 
     def __str__(self):
-        return _render_components(self.components(), ("", "i", "j", "k"))
+        return _render_components(self.components())
 
 
 class CQuat:
@@ -336,26 +336,7 @@ class CQuat:
         return (f"CQuat({self.c0!r}, {self.c1!r}, {self.c2!r}, {self.c3!r})")
 
     def __str__(self):
-        parts = []
-        for coeff, unit in zip(self.components(), ("", "i", "j", "k")):
-            if not coeff:
-                continue
-            if not unit:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(unit)
-            elif coeff == -1:
-                parts.append(f"-{unit}")
-            elif coeff.is_real:
-                parts.append(f"{coeff}*{unit}")
-            else:
-                parts.append(f"({coeff})*{unit}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _render_components(self.components())
 
 
 def _quat_operand(value):
@@ -386,9 +367,11 @@ def _r3_component(value):
     raise TypeError(f"cannot interpret {type(value).__name__} as a pair component")
 
 
-def _render_components(components, units) -> str:
+def _render_components(components) -> str:
+    """Expression text of the coordinates over (1, i, j, k); a non-real
+    GaussRat coefficient of a unit is parenthesized."""
     parts = []
-    for coeff, unit in zip(components, units):
+    for coeff, unit in zip(components, ("", "i", "j", "k")):
         if coeff == 0:
             continue
         if not unit:
@@ -397,6 +380,8 @@ def _render_components(components, units) -> str:
             parts.append(unit)
         elif coeff == -1:
             parts.append(f"-{unit}")
+        elif isinstance(coeff, GaussRat) and not coeff.is_real:
+            parts.append(f"({coeff})*{unit}")
         else:
             parts.append(f"{coeff}*{unit}")
     if not parts:

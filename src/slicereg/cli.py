@@ -10,6 +10,7 @@ validates against RESULT_SCHEMA.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -253,8 +254,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_series_check(args) -> int:
-    samples = parse_samples(args.samples) if args.samples else DEFAULT_SAMPLES
-    checks = trig_example_checks(order=args.order, tol=args.tol, samples=samples)
+    checks = trig_example_checks(order=args.order, tol=args.tol,
+                                 samples=args.samples)
     for check in checks:
         print(_check_line(check))
     return 0 if all(c.passed for c in checks) else 1
@@ -446,6 +447,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _samples(text: str) -> tuple:
+    """An argparse type: a sample list for `parse_samples`, every sample
+    finite.  An empty list keeps the default grid."""
+    if not text:
+        return DEFAULT_SAMPLES
+    try:
+        samples = parse_samples(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    for z in samples:
+        if not cmath.isfinite(z):
+            raise argparse.ArgumentTypeError(f"sample {z} is not finite")
+    return samples
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -520,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="truncated-series checks of the rotation identity")
     p.add_argument("--order", type=_int_at_least(1), default=DEFAULT_ORDER)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--samples", default=None,
+    p.add_argument("--samples", type=_samples, default=DEFAULT_SAMPLES,
                    help='complex sample list, e.g. "0.3, 1, 0.5+0.5i"')
     p.set_defaults(func=_cmd_series_check)
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import UNIT_PRODUCTS, CQuat, Quaternion, bform
+from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
 from .poly import Matrix, Poly, _integer_scaled
 from .scalars import GaussRat
@@ -264,12 +264,10 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
     # Both relations are linear in (F, H) jointly, so scaling both stems
     # by one common denominator leaves the solution space unchanged.
-    nums, _ = _integer_scaled([c for stem in (first, second)
-                               for q in stem.coeffs for c in q.components()])
-    split = 4 * len(first.coeffs)
-    width = 4 * max(len(first.coeffs), len(second.coeffs))
-    f = nums[:split] + [0] * (width - split)
-    h = nums[split:] + [0] * (width - len(nums) + split)
+    width = 4 * (max(first.degree, second.degree) + 1)
+    nums, _ = _integer_scaled([p.coeff(k) for stem in (first, second)
+                               for k in range(width // 4) for p in stem.parts])
+    f, h = nums[:width], nums[width:]
     # blocks[q] maps alpha's coefficient of z^p to the coefficient of
     # z^(p+q) in first * alpha - alpha * second, and in
     # second * alpha - alpha * first (the second relation, negated).
@@ -290,8 +288,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     kernel = Matrix(rows).nullspace()
     out = []
     for vec in kernel:
-        coeffs = [Quaternion(*vec[4 * p: 4 * p + 4]) for p in range(dmax + 1)]
-        alpha = StemPoly(coeffs)
+        alpha = StemPoly._from_parts(Poly(vec[r::4]) for r in range(4))
         if (first.star(alpha) != alpha.star(second)
                 or alpha.star(first) != second.star(alpha)):
             raise AssertionError("kernel vector failed re-verification")
@@ -303,11 +300,10 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
     """Scale so the lowest-degree nonzero coefficient has its first nonzero
     component (order 1, i, j, k) equal to 1: the canonical representative
     of the line spanned by alpha."""
-    for c in alpha.coeffs:
-        if c:
-            for comp in c.components():
-                if comp:
-                    return alpha * (1 / comp)
+    for k in range(alpha.degree + 1):
+        for part in alpha.parts:
+            if part.coeff(k):
+                return alpha * (1 / part.coeff(k))
     return alpha
 
 
@@ -331,7 +327,8 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
     nonzero constant; the norm polynomial is returned so callers can
     reason about smaller domains themselves.
     """
-    alpha = StemPoly(alpha.coeffs) if isinstance(alpha, StemPoly) else StemPoly((alpha,))
+    if not isinstance(alpha, StemPoly):
+        alpha = StemPoly((alpha,))
     if alpha.is_zero:
         raise ZeroAlphaError("conjugator candidate must be nonzero")
     intertwines = alpha.star(first) == second.star(alpha)

@@ -7,32 +7,33 @@ C -> H_C satisfying the reality condition F(conj z) = complex-conj F(z)
 with a quaternionic variable it is the slice regular polynomial
 f(q) = sum_k q^k * a_k, coefficients on the right.
 
+A stem is stored as its four component polynomials: F = c0 + c1 i +
+c2 j + c3 k with c0..c3 in Q[z], `parts = (c0, c1, c2, c3)`.  The
+quaternion coefficients a_k are a derived view (`coeffs`).  With the
+coefficientwise quaternionic conjugation F^c = c0 - c1 i - c2 j - c3 k,
+
+    trace(F) = F + F^c = 2 c0                    (a rational polynomial)
+    norm(F)  = F * F^c = c0^2 + c1^2 + c2^2 + c3^2  (multiplicative)
+    hat(F)   = (F - F^c) / 2 = c1 i + c2 j + c3 k   (the trace-free part,
+               with norm(F) = trace(F)^2/4 + norm(hat(F)))
+
+since the imaginary parts of F * F^c cancel in pairs.
+
 The product is coefficient convolution (`star`), which is exactly the
-pointwise product of the stem functions since z is central.  It is
-computed on components: each operand becomes four integer polynomials
-over one common denominator (its 1, i, j, k parts), the sixteen component
-products run as big-integer Kronecker products and are summed with the
-signs of the quaternion unit table, and the four sums are divided once
-by the product of the two denominators.  From the coefficientwise
-quaternionic conjugation F^c one gets
+pointwise product of the stem functions since z is central.  It runs on
+the parts: both operands are scaled to integer component lists over one
+common denominator, the sixteen component products run as big-integer
+Kronecker products and are summed with the signs of the quaternion unit
+table, and the four sums are divided once by the product of the two
+denominators.
 
-    trace(F) = F + F^c        (a rational polynomial)
-    norm(F)  = F * F^c        (a rational polynomial, multiplicative)
-    hat(F)   = (F - F^c) / 2  (the trace-free reduction, with
-                               norm(F) = trace(F)^2/4 + norm(hat(F)))
-
-Writing F = c0 + c1 i + c2 j + c3 k with rational polynomials c0..c3,
-the imaginary parts of F * F^c cancel in pairs and its real part is
-c0^2 + c1^2 + c2^2 + c3^2, so `norm` computes that sum of squares, four
-rational polynomial products and no quaternion convolution.
-
-Splitting values into center + trace-free part W writes F = (F', F'')
-with F' rational and F'' a triple of rational polynomials over (i, j, k).
-The central divisor of a non-slice-preserving F is the vanishing divisor
-of F'': the common zeros of the three W-components with multiplicity the
-minimum of their vanishing orders.  It is represented exactly by a monic
-polynomial, the gcd of the W-components; equality of divisors is equality
-of monic polynomials, and no root extraction is ever needed.
+The center / trace-free split F = (F', F'') is simply `parts`: F' = c0,
+and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
+non-slice-preserving F is the vanishing divisor of F'': the common zeros
+of c1, c2, c3 with multiplicity the minimum of their vanishing orders.
+It is represented exactly by a monic polynomial, gcd(c1, c2, c3);
+equality of divisors is equality of monic polynomials, and no root
+extraction is ever needed.
 
 Central divisors are *not* functorial: cdiv(F * G) need not equal
 cdiv(F) + cdiv(G) (the tests keep a witness), but they are invariant
@@ -121,48 +122,23 @@ class Divisor:
         return str(self.gcd_poly)
 
 
-class SplitStem:
-    """The center / trace-free decomposition of a stem polynomial."""
-
-    __slots__ = ("center", "w1", "w2", "w3")
-
-    def __init__(self, center: Poly, w1: Poly, w2: Poly, w3: Poly):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "w3", w3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitStem is immutable")
-
-    def w_polys(self):
-        return (self.w1, self.w2, self.w3)
-
-    def reassemble(self) -> "StemPoly":
-        n = max(len(self.center.coeffs), len(self.w1.coeffs),
-                len(self.w2.coeffs), len(self.w3.coeffs))
-        return StemPoly(Quaternion(self.center.coeff(k), self.w1.coeff(k),
-                                   self.w2.coeff(k), self.w3.coeff(k))
-                        for k in range(n))
-
-    def __eq__(self, other):
-        if isinstance(other, SplitStem):
-            return (self.center == other.center and self.w1 == other.w1
-                    and self.w2 == other.w2 and self.w3 == other.w3)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.center, self.w1, self.w2, self.w3))
-
-
 class StemPoly:
-    __slots__ = ("coeffs",)
+    """F = c0 + c1 i + c2 j + c3 k, stored as its four component
+    polynomials `parts = (c0, c1, c2, c3)` over Q."""
+
+    __slots__ = ("parts",)
 
     def __init__(self, coeffs=()):
-        coeffs = [Quaternion.coerce(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        rows = [Quaternion.coerce(c).components() for c in coeffs]
+        object.__setattr__(self, "parts", tuple(
+            Poly(tuple(row[r] for row in rows)) for r in range(4)))
+
+    @classmethod
+    def _from_parts(cls, parts) -> "StemPoly":
+        """The stem with these four component `Poly`s, unchecked."""
+        stem = object.__new__(cls)
+        object.__setattr__(stem, "parts", tuple(parts))
+        return stem
 
     def __setattr__(self, name, value):
         raise AttributeError("StemPoly is immutable")
@@ -177,14 +153,19 @@ class StemPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(p.coeffs for p in self.parts)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(len(p.coeffs) for p in self.parts) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The quaternion coefficients, ascending, with no trailing zero."""
+        return tuple(self.coeff(k) for k in range(self.degree + 1))
 
     def coeff(self, k: int) -> Quaternion:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Quaternion()
+        return Quaternion(*(p.coeff(k) for p in self.parts))
 
     # -- ring structure -------------------------------------------------------
 
@@ -192,13 +173,13 @@ class StemPoly:
         other = _stem_operand(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return StemPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return StemPoly._from_parts(
+            a + b for a, b in zip(self.parts, other.parts))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return StemPoly(-c for c in self.coeffs)
+        return StemPoly._from_parts(-p for p in self.parts)
 
     def __sub__(self, other):
         other = _stem_operand(other)
@@ -221,27 +202,26 @@ class StemPoly:
             raise TypeError("star expects a stem polynomial or a coefficient")
         if self.is_zero or other.is_zero:
             return StemPoly()
-        left, left_den = _integer_components(self.coeffs)
-        right, right_den = _integer_components(other.coeffs)
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        out = [[0] * n for _ in range(4)]
+        left, left_den = _integer_parts(self.parts)
+        right, right_den = _integer_parts(other.parts)
+        out = [[0] * (self.degree + other.degree + 1) for _ in range(4)]
         for s, a in enumerate(left):
-            if not any(a):
+            if not a:
                 continue
             for t, b in enumerate(right):
-                if not any(b):
+                if not b:
                     continue
                 r, sign = UNIT_PRODUCTS[s][t]
                 acc = out[r]
                 for k, x in enumerate(_kronecker(a, b)):
                     acc[k] += sign * x
         den = left_den * right_den
-        return StemPoly(Quaternion(*(Fraction(comp[k], den) for comp in out))
-                        for k in range(n))
+        return StemPoly._from_parts(Poly(tuple(Fraction(x, den) for x in comp))
+                                    for comp in out)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return StemPoly(c * other for c in self.coeffs)
+            return StemPoly._from_parts(p * other for p in self.parts)
         if isinstance(other, (StemPoly, Quaternion)):
             return self.star(other)
         return NotImplemented
@@ -260,39 +240,31 @@ class StemPoly:
 
     def conj(self) -> "StemPoly":
         """Coefficientwise quaternionic conjugation; (F*G)^c = G^c * F^c."""
-        return StemPoly(c.conj() for c in self.coeffs)
+        c0, c1, c2, c3 = self.parts
+        return StemPoly._from_parts((c0, -c1, -c2, -c3))
 
     def trace(self) -> Poly:
-        return Poly(tuple(2 * c.c0 for c in self.coeffs))
+        return self.parts[0] * 2
 
     def norm(self) -> Poly:
         """norm(F) = F * F^c, a central (rational) polynomial, computed as
         the sum of the squares of the four component polynomials."""
-        parts = self.split()
-        c0, (c1, c2, c3) = parts.center, parts.w_polys()
+        c0, c1, c2, c3 = self.parts
         return c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""
-        return StemPoly(c.imag() for c in self.coeffs)
-
-    def split(self) -> SplitStem:
-        return SplitStem(
-            Poly(tuple(c.c0 for c in self.coeffs)),
-            Poly(tuple(c.c1 for c in self.coeffs)),
-            Poly(tuple(c.c2 for c in self.coeffs)),
-            Poly(tuple(c.c3 for c in self.coeffs)),
-        )
+        return StemPoly._from_parts((Poly(),) + self.parts[1:])
 
     def is_slice_preserving(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
+        return not any(p.coeffs for p in self.parts[1:])
 
     def central_divisor(self) -> Divisor:
         """The vanishing divisor of the trace-free part, as a monic gcd."""
         if self.is_slice_preserving():
             raise SlicePreservingError(
                 "central divisor undefined for slice preserving functions")
-        return Divisor(poly_gcd_many(self.split().w_polys()))
+        return Divisor(poly_gcd_many(self.parts[1:]))
 
     def remove_central_divisor(self):
         """Factor F = lam * Ftilde with empty cdiv(Ftilde).
@@ -308,37 +280,30 @@ class StemPoly:
         if not self.trace().is_zero:
             raise ValueError("remove_central_divisor needs a trace-free input")
         lam = self.central_divisor().gcd_poly
-        parts = self.split()
-        reduced = []
-        for w in parts.w_polys():
-            if w.is_zero:
-                reduced.append(w)
-                continue
+        reduced = [Poly()]
+        for w in self.parts[1:]:
             q, r = divmod(w, lam)
             if not r.is_zero:
                 raise AssertionError("gcd does not divide a component")
             reduced.append(q)
-        tilde = SplitStem(Poly(), *reduced).reassemble()
-        return lam, tilde
+        return lam, StemPoly._from_parts(reduced)
 
     # -- evaluation ----------------------------------------------------------------
 
     def eval_stem(self, z0) -> CQuat:
         """Value of the stem function at a point of C."""
         z0 = GaussRat.coerce(z0)
-        acc = CQuat()
-        for c in reversed(self.coeffs):
-            acc = acc * z0 + c.complexify()
-        return acc
+        return CQuat(*(p(z0) for p in self.parts))
 
     def eval_slice(self, q) -> Quaternion:
         """Value of the slice regular polynomial at a quaternion,
         computed as the direct power sum with right coefficients."""
         q = Quaternion.coerce(q)
-        if self.is_zero:
+        coeffs = self.coeffs
+        if not coeffs:
             return Quaternion()
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = q * acc + c
         return acc
 
@@ -369,10 +334,10 @@ class StemPoly:
         other = _stem_operand(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.parts)
 
     def __repr__(self):
         return f"StemPoly({list(self.coeffs)!r})"
@@ -382,11 +347,15 @@ class StemPoly:
         return render_stem(self)
 
 
-def _integer_components(coeffs):
-    """The four component lists (1, i, j, k) of a coefficient sequence,
-    scaled to integers over one common denominator: (lists, denominator)."""
-    nums, den = _integer_scaled([c for q in coeffs for c in q.components()])
-    return [nums[r::4] for r in range(4)], den
+def _integer_parts(parts):
+    """The four component coefficient lists, scaled to integers over one
+    common denominator: (lists, denominator)."""
+    nums, den = _integer_scaled([c for p in parts for c in p.coeffs])
+    out, start = [], 0
+    for p in parts:
+        out.append(nums[start:start + len(p.coeffs)])
+        start += len(p.coeffs)
+    return out, den
 
 
 def _stem_operand(value):

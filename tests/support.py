@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from slicereg import CQuat, GaussRat, Poly, Quaternion, StemPoly, TruncSeries
+from slicereg import (CQuat, CQuatF, GaussRat, Poly, Quaternion, StemPoly,
+                      TruncSeries)
 from slicereg.parsing import (Mul, Neg, Pow, RationalLit, Sub, Unit, Var,
                               parse_ast)
 
@@ -103,6 +104,24 @@ def truncated_convolution(left: TruncSeries, right: TruncSeries) -> TruncSeries:
     return TruncSeries(n, out, (left.majorant[0] * right.majorant[0],
                                 left.majorant[1] + right.majorant[1]),
                        polynomial)
+
+
+def reference_eval_numeric(series: TruncSeries, q: CQuatF) -> CQuatF:
+    """Horner's rule over the padded Quaternion coefficients, each turned
+    into floats as it is reached, with the quaternion product written
+    out: the bit-for-bit reference for the value of
+    `TruncSeries.eval_numeric`."""
+    acc = CQuatF(0, 0, 0, 0)
+    for c in reversed(series.coeffs):
+        a0, a1, a2, a3 = q.components()
+        b0, b1, b2, b3 = acc.components()
+        acc = CQuatF(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+        acc = acc + CQuatF(float(c.c0), float(c.c1), float(c.c2),
+                           float(c.c3))
+    return acc
 
 
 _REFERENCE_UNITS = {

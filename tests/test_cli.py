@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicereg.cli import (PAIR_ALPHA, PAIR_F, PAIR_G, RESULT_SCHEMA,
                           builtin_example_checks, main)
@@ -135,7 +139,12 @@ def test_parse_and_usage_errors(capsys):
                  ("series-check", "--tol", "inf"),
                  ("series-check", "--tol", "0"),
                  ("series-check", "--tol", "-1e-9"),
-                 ("intertwine", "i", "j", "--degree-max", "-1")):
+                 ("intertwine", "i", "j", "--degree-max", "-1"),
+                 ("series-check", "--samples", "abc"),
+                 ("series-check", "--samples", ","),
+                 ("series-check", "--samples", "inf"),
+                 ("series-check", "--samples", "nan"),
+                 ("series-check", "--samples", "1e400")):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -143,6 +152,8 @@ def test_parse_and_usage_errors(capsys):
         errors = [line for line in captured.err.splitlines()
                   if ": error: " in line]
         assert len(errors) == 1 and argv[-2] in errors[0]
+    assert main(["series-check", "--samples", "0.5, abc"]) == 2
+    assert "--samples: bad sample 'abc'" in capsys.readouterr().err
 
 
 def test_series_check_command(capsys):
@@ -152,6 +163,12 @@ def test_series_check_command(capsys):
     code, out = run_cli(capsys, "series-check", "--order", "24",
                         "--samples", "0.1, 0.5+0.5i")
     assert code == 0
+    # Far samples overflow the double-precision evaluation: a failed
+    # check, not a crash.
+    for far in ("1e10", "1e200"):
+        code, out = run_cli(capsys, "series-check", "--samples", far)
+        assert code == 1
+        assert "FAIL trig-conjugation: max pointwise error inf" in out
 
 
 def test_paper_examples_command(capsys):
@@ -215,3 +232,60 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         # Exit 1 is a negative verdict, which the first line announces.
         verdict = expected.splitlines()[0]
         assert code == (1 if verdict.endswith(": false") else 0), argv
+
+
+# -- argv fuzzing -----------------------------------------------------------------
+
+_EXPR_TOKENS = ("z", "q", "i", "j", "k", "E", "0", "1", "2", "3", "10", "/",
+                "+", "-", "*", "^", "(", ")", ";", " ")
+_SAMPLE_TOKENS = ("0", "1", "2", ".", "5", "e", "1e10", "1e200", "1e400",
+                  "+", "-", "i", "j", ",", " ", "inf", "nan")
+_expressions = st.lists(st.sampled_from(_EXPR_TOKENS), max_size=10).map("".join)
+_flag_values = {
+    "--algebra": st.sampled_from(("h", "r3", "x")),
+    # Small degree bounds, plus ones refused by the validator and the cap.
+    "--degree-max": st.sampled_from(("0", "1", "2", "-1", "64", "x")),
+    "--at": _expressions,
+    "--order": st.sampled_from(("1", "3", "17", "0", "-2", "x")),
+    "--tol": st.sampled_from(("1e-9", "1e-3", "0", "nan", "inf", "x")),
+    "--samples": st.lists(st.sampled_from(_SAMPLE_TOKENS), max_size=8)
+                   .map("".join),
+}
+_COMMANDS = {
+    "invariants": (1, ("--algebra", "--json")),
+    "cdiv": (1, ("--roots",)),
+    "equiv": (2, ("--algebra", "--allow-swap", "--json")),
+    "r3-equiv": (2, ("--allow-swap", "--json")),
+    "orbit": (2, ("--json",)),
+    "classify": (1, ("--json",)),
+    "intertwine": (2, ("--degree-max", "--json")),
+    "verify": (3, ("--json",)),
+    "eval": (1, ("--at", "--slice", "--stem")),
+    "series-check": (0, ("--order", "--tol", "--samples")),
+    "paper-examples": (0, ("--json",)),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, its positional expressions (sometimes one too many or
+    too few) and a subset of its flags, in drawn order."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    arity, flags = _COMMANDS[command]
+    arity = max(0, arity + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+    argv = [command] + [draw(_expressions) for _ in range(arity)]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)):
+        argv.append(flag)
+        if flag in _flag_values:
+            argv.append(draw(_flag_values[flag]))
+    return argv
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(_argv())
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -132,6 +132,21 @@ def test_point_round_trip(text):
     assert parse_point(render_cquat(value)) == value
 
 
+def test_render_cquat_golden():
+    # A non-real coefficient of a unit is parenthesized, so the text
+    # reparses to the same point.
+    cases = [
+        (CQuat(1, GaussRat(1, 1), 0, GaussRat(0, 1)), "1 + (1 + E)*i + (E)*k"),
+        (CQuat(0, GaussRat(0, -2), 3, GaussRat(-1, 1)),
+         "(-2*E)*i + 3*j + (-1 + E)*k"),
+        (CQuat(GaussRat(1, 1), -1, 1, GaussRat(0, -1)), "1 + E - i + j + (-E)*k"),
+        (CQuat(Fraction(1, 2), Fraction(-3, 4)), "1/2 - 3/4*i"),
+    ]
+    for value, text in cases:
+        assert render_cquat(value) == text
+        assert parse_point(text) == value
+
+
 def test_render_poly_golden():
     quartic = Poly([1, 0, 1, 0, Fraction(1, 4)])
     assert render_poly(quartic) == "1 + z^2 + 1/4*z^4"

@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicereg import (CQuatF, NearSingularSampleError, Poly, Quaternion,
-                      TruncSeries, check_conjugation_identity, numeric_roots,
-                      taylor_series)
+                      StemPoly, TruncSeries, check_conjugation_identity,
+                      numeric_roots, taylor_series)
 from slicereg.algebra import QI, QJ, QK
 from slicereg.series import DEFAULT_SAMPLES, parse_samples
 
-from support import rand_fraction, rand_stem, truncated_convolution
+from support import (rand_fraction, rand_stem, reference_eval_numeric,
+                     truncated_convolution)
 
 
 def series_triple(order):
@@ -65,6 +66,7 @@ def test_truncation_coherence_with_stem_operations():
         total = sf + sg
         assert all(total.coeff(k) == (f + g).coeff(k) for k in range(order))
         assert all(sf.conj().coeff(k) == f.conj().coeff(k) for k in range(order))
+        assert all(sf.trace().coeff(k) == f.trace().coeff(k) for k in range(order))
 
 
 def test_eval_numeric_hyperbolic_values():
@@ -92,6 +94,8 @@ def test_tail_bound_is_honest_for_builders():
     actual_error = abs(value.c0 - math.cos(z))
     assert actual_error <= tail
     assert tail < 1e-3
+    # Far radii overflow the bound: it is infinite, not an error.
+    assert taylor_series("cos", 40).tail_bound(1e10) == math.inf
 
 
 def test_polynomial_series_evaluates_exactly():
@@ -156,6 +160,18 @@ def test_series_equality_and_padding():
     b = TruncSeries.constant(1, 4)
     assert a == b
     assert a != TruncSeries.constant(1, 5)  # orders differ
+    assert a.coeffs == (Quaternion(1), Quaternion(), Quaternion(), Quaternion())
+    assert TruncSeries(3, [0, QI]).coeffs == (Quaternion(), QI, Quaternion())
+    assert a.coeff(3) == a.coeff(7) == a.coeff(-1) == Quaternion()
+
+
+def test_too_many_coefficients_are_refused_even_when_zero():
+    for coeffs in ([1, 2, 3], [1, 0, 0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            TruncSeries(2, coeffs)
+    with pytest.raises(ValueError):
+        TruncSeries(2, StemPoly([1, 0, QI]))
+    assert TruncSeries(2, StemPoly([1, QI, 0, 0])) == TruncSeries(2, [1, QI])
 
 
 _fractions = st.one_of(
@@ -208,3 +224,40 @@ def test_series_star_matches_the_truncated_convolution_on_builders():
         series = taylor_series("sin_half", 9)
         _same_series(series.star(scalar), truncated_convolution(
             series, TruncSeries.constant(scalar, 9)))
+
+
+@given(st.integers(1, 12), st.lists(_quaternions, max_size=12))
+def test_series_from_a_list_equals_the_series_from_its_stem(order, coeffs):
+    coeffs = coeffs[:order]
+    series = TruncSeries(order, coeffs)
+    stem = StemPoly(coeffs)
+    assert series == TruncSeries(order, stem) == TruncSeries.from_stem(stem, order)
+    assert series.stem == stem and series.to_stem() == stem
+    assert len(series.coeffs) == order
+    assert series.coeffs == stem.coeffs + (Quaternion(),) * (order - len(stem.coeffs))
+    assert hash(series) == hash(TruncSeries(order, stem))
+
+
+_floats = st.floats(-3, 3)
+_points = st.builds(CQuatF, *(st.builds(complex, _floats, _floats)
+                              for _ in range(4)))
+
+
+def _same_bits(got: CQuatF, want: CQuatF):
+    assert repr(got) == repr(want)
+
+
+@given(_series(), _points)
+def test_eval_numeric_matches_the_quaternion_horner_loop(series, q):
+    value, tail = series.eval_numeric(q)
+    _same_bits(value, reference_eval_numeric(series, q))
+
+
+def test_eval_numeric_matches_the_quaternion_horner_loop_on_builders():
+    _, rotating, conjugator = series_triple(80)
+    points = [CQuatF(complex(z)) for z in DEFAULT_SAMPLES + (20.0, -7.5j)]
+    points += [CQuatF(0, 0, t, 0) for t in (0.5, 1.0)]
+    for series in (rotating, conjugator, taylor_series("exp", 160)):
+        for q in points:
+            _same_bits(series.eval_numeric(q).value,
+                       reference_eval_numeric(series, q))

@@ -103,11 +103,84 @@ def test_trace_and_norm_of_worked_pair():
 def test_norm_agrees_with_split_formula():
     rng = random.Random(314)
     for _ in range(40):
-        stem = rand_stem(rng)
-        parts = stem.split()
-        split_route = (parts.center * parts.center + parts.w1 * parts.w1
-                       + parts.w2 * parts.w2 + parts.w3 * parts.w3)
-        assert stem.norm() == split_route
+        coeffs = [rand_quaternion(rng) for _ in range(rng.randint(1, 6))]
+        stem = StemPoly(coeffs)
+        assert stem.parts == tuple(Poly([c.components()[r] for c in coeffs])
+                                   for r in range(4))
+        c0, c1, c2, c3 = stem.parts
+        assert stem.norm() == c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+
+
+# Four component polynomials of independent lengths, so a stem's parts
+# rarely end at the same degree.
+component_polys = st.lists(st.one_of(st.just(Fraction(0)), fractions),
+                           max_size=7).map(Poly)
+stems_from_parts = st.tuples(component_polys, component_polys,
+                             component_polys,
+                             component_polys).map(StemPoly._from_parts)
+
+
+def _expected_repr(parts):
+    n = max(len(p.coeffs) for p in parts)
+    quats = ", ".join("Quaternion({}, {}, {}, {})".format(
+        *(p.coeff(k) for p in parts)) for k in range(n))
+    return f"StemPoly([{quats}])"
+
+
+@given(stems_from_parts)
+def test_coeffs_and_parts_round_trip(stem):
+    assert type(stem.coeffs) is tuple
+    assert len(stem.coeffs) == stem.degree + 1
+    assert not stem.coeffs or stem.coeffs[-1]
+    again = StemPoly(stem.coeffs)
+    assert again == stem and again.parts == stem.parts
+    assert hash(again) == hash(stem)
+    assert StemPoly._from_parts(stem.parts) == stem
+    assert all(type(x) is Fraction for p in again.parts for x in p.coeffs)
+    assert repr(stem) == repr(again) == _expected_repr(stem.parts)
+    assert [stem.coeff(k) for k in range(-1, stem.degree + 3)] == (
+        [Quaternion()] + list(stem.coeffs) + [Quaternion()] * 2)
+
+
+def test_parts_of_unequal_length_and_the_zero_stem():
+    c0 = Poly([1, 0, Fraction(1, 2)])
+    c3 = Poly([0, 0, 0, 0, 0, -3])
+    stem = StemPoly._from_parts((c0, Poly(), Poly(), c3))
+    assert stem.degree == 5
+    assert stem.coeffs == (Quaternion(1), Quaternion(), Quaternion(Fraction(1, 2)),
+                           Quaternion(), Quaternion(), Quaternion(0, 0, 0, -3))
+    assert stem == StemPoly(stem.coeffs)
+    assert stem == parse_stem("1 + (1/2)*z^2 - 3*z^5*k")
+    assert repr(stem) == ("StemPoly([Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0), "
+                          "Quaternion(1/2, 0, 0, 0), Quaternion(0, 0, 0, 0), "
+                          "Quaternion(0, 0, 0, 0), Quaternion(0, 0, 0, -3)])")
+    zero = StemPoly._from_parts((Poly(),) * 4)
+    assert zero == StemPoly() == StemPoly([0, Quaternion(), 0])
+    assert zero.is_zero and zero.degree == -1 and zero.coeffs == ()
+    assert repr(zero) == "StemPoly([])"
+    assert hash(zero) == hash(StemPoly())
+    assert StemPoly([1, QI, 0, 0]).parts == (Poly([1]), Poly([0, 1]), Poly(), Poly())
+
+
+def test_invariants_and_products_build_no_quaternion(monkeypatch):
+    from slicereg import CQuatF, taylor_series
+    rotating = taylor_series("cos", 12) * QI + taylor_series("sin", 12) * QJ
+    stems = [F_PAIR, G_PAIR, parse_stem("(1 + z*i + z^2*j)^3")]
+    built = []
+    init = Quaternion.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    for f in stems:
+        for g in stems:
+            f.star(g)
+        f.norm(), f.trace(), f.hat(), f.conj(), f.central_divisor()
+    rotating.star(rotating)
+    rotating.eval_numeric(CQuatF(0.5))
+    assert built == []
 
 
 def test_norm_matches_sympy_sum_of_component_squares():
