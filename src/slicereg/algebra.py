@@ -2,12 +2,15 @@
 
 Conventions
 -----------
-* `Quaternion` has exact rational coordinates over the basis (1, i, j, k)
-  with i*i = j*j = k*k = -1, i*j = k, j*k = i, k*i = j.
-* `CQuat` is the complexification: same basis, Gaussian-rational
-  coordinates.  Its center is exactly the set of elements with zero
-  i, j, k parts; complex conjugation (E -> -E, componentwise) and
-  quaternionic conjugation commute.
+* `QuaternionBase` is the quaternion ring over a commutative field: four
+  coordinates over the basis (1, i, j, k) with i*i = j*j = k*k = -1,
+  i*j = k, j*k = i, k*i = j.  Each subclass states only its field:
+  `Quaternion` exact rationals, `CQuat` (the complexification) Gaussian
+  rationals, `series.CQuatF` complex floats.  Mixed operands promote
+  along Quaternion -> CQuat -> CQuatF.
+* The center is exactly the set of elements with zero i, j, k parts; in
+  `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
+  conjugation commute.
 * Conjugation x -> conj(x) negates the i, j, k parts.  From it,
   trace(x) = x + conj(x) and norm(x) = x * conj(x); both are central,
   and norm is multiplicative: norm(x*y) = norm(x)*norm(y).
@@ -15,10 +18,10 @@ Conventions
   invertible element; `conj_by_unit` realizes it and `aut_to_matrix`
   returns its matrix on span(i, j, k), a special orthogonal 3x3 matrix
   for the bilinear form `bform` extending the euclidean product.
-* `R3Elem` is an element of the split algebra realized as an ordered
-  pair of (complexified) quaternions; every structural operation acts
-  componentwise and `swap` is the extra automorphism generator that
-  componentwise maps cannot produce.
+* `Pair` acts componentwise on an ordered pair.  `R3Elem` (the split
+  algebra H + H as pairs of (complexified) quaternions) and
+  `stem.R3StemPoly` derive from it; `swap` is the extra automorphism
+  generator that componentwise maps cannot produce.
 
 The reduced trace/norm of the 2x2 complex matrix realization are not
 computed anywhere; the matrix model is deliberately not a runtime
@@ -28,12 +31,9 @@ representation.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .errors import NotInWError, ZeroDivisorError, ZeroInverseError
-from .scalars import GaussRat, as_rat, power
-
-_REAL_SCALARS = (int, Fraction)
+from .scalars import EXACT_SCALARS, RATIONAL_TYPES, GaussRat, as_rat, power
 
 
 def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
@@ -58,155 +58,46 @@ UNIT_PRODUCTS = (
 )
 
 
-class Quaternion:
-    """A quaternion with exact rational coordinates."""
+class QuaternionBase:
+    """Four coordinates over (1, i, j, k).  A subclass states its field:
+    `_coord` coerces a coordinate, `_scalars` are the scalars it multiplies
+    by, `_promotes` the quaternion types it converts into itself (those
+    in `_eq_promotes` exactly, so `==` may use them), and `_coord_repr`
+    writes a coordinate in `repr`."""
 
     __slots__ = ("c0", "c1", "c2", "c3")
+    _promotes = ()
+    _eq_promotes = ()
+    _coord_repr = staticmethod(repr)
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "c0", as_rat(c0))
-        object.__setattr__(self, "c1", as_rat(c1))
-        object.__setattr__(self, "c2", as_rat(c2))
-        object.__setattr__(self, "c3", as_rat(c3))
+        coord = self._coord
+        object.__setattr__(self, "c0", coord(c0))
+        object.__setattr__(self, "c1", coord(c1))
+        object.__setattr__(self, "c2", coord(c2))
+        object.__setattr__(self, "c3", coord(c3))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def coerce(cls, value) -> "Quaternion":
-        if isinstance(value, Quaternion):
+    def _operand(cls, value):
+        """`value` as an element of this algebra, or None."""
+        if isinstance(value, cls):
             return value
-        if isinstance(value, _REAL_SCALARS):
+        if isinstance(value, cls._promotes):
+            return cls(*value.components())
+        if isinstance(value, cls._scalars):
             return cls(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as Quaternion")
-
-    def components(self):
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    # -- predicates -------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.c0) or bool(self.c1) or bool(self.c2) or bool(self.c3)
-
-    @property
-    def is_real(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _quat_operand(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(self.c0 + other.c0, self.c1 + other.c1,
-                          self.c2 + other.c2, self.c3 + other.c3)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quaternion(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __sub__(self, other):
-        other = _quat_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _quat_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, _REAL_SCALARS):
-            return Quaternion(self.c0 * other, self.c1 * other,
-                              self.c2 * other, self.c3 * other)
-        if isinstance(other, Quaternion):
-            return Quaternion(*_mul_components(*self.components(),
-                                               *other.components()))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # Scalars commute, so only they land here.
-        if isinstance(other, _REAL_SCALARS):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        return power(self, exponent, Quaternion(1), operator.mul)
-
-    # -- conjugation, trace, norm ------------------------------------------
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.c0, -self.c1, -self.c2, -self.c3)
-
-    def trace(self) -> Fraction:
-        return 2 * self.c0
-
-    def norm(self) -> Fraction:
-        return (self.c0 * self.c0 + self.c1 * self.c1
-                + self.c2 * self.c2 + self.c3 * self.c3)
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0:
-            raise ZeroInverseError("cannot invert the zero quaternion")
-        return self.conj() * (1 / n)
-
-    def imag(self) -> "Quaternion":
-        """The pure-imaginary part (coordinates over i, j, k)."""
-        return Quaternion(0, self.c1, self.c2, self.c3)
-
-    def complexify(self) -> "CQuat":
-        return CQuat(GaussRat(self.c0), GaussRat(self.c1),
-                     GaussRat(self.c2), GaussRat(self.c3))
-
-    # -- comparison / display ------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, _REAL_SCALARS):
-            return self.is_real and self.c0 == other
-        if isinstance(other, Quaternion):
-            return self.components() == other.components()
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_real:
-            return hash(self.c0)
-        return hash(self.components())
-
-    def __repr__(self):
-        return f"Quaternion({self.c0}, {self.c1}, {self.c2}, {self.c3})"
-
-    def __str__(self):
-        return _render_components(self.components())
-
-
-class CQuat:
-    """An element of the complexified quaternions: GaussRat coordinates
-    over (1, i, j, k), with the scalar unit E commuting with i, j, k."""
-
-    __slots__ = ("c0", "c1", "c2", "c3")
-
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "c0", GaussRat.coerce(c0))
-        object.__setattr__(self, "c1", GaussRat.coerce(c1))
-        object.__setattr__(self, "c2", GaussRat.coerce(c2))
-        object.__setattr__(self, "c3", GaussRat.coerce(c3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CQuat is immutable")
+        return None
 
     @classmethod
-    def coerce(cls, value) -> "CQuat":
-        if isinstance(value, CQuat):
-            return value
-        if isinstance(value, Quaternion):
-            return value.complexify()
-        if isinstance(value, (GaussRat,) + _REAL_SCALARS):
-            return cls(GaussRat.coerce(value))
-        raise TypeError(f"cannot interpret {type(value).__name__} as CQuat")
+    def coerce(cls, value):
+        out = cls._operand(value)
+        if out is None:
+            raise TypeError(
+                f"cannot interpret {type(value).__name__} as {cls.__name__}")
+        return out
 
     def components(self):
         return (self.c0, self.c1, self.c2, self.c3)
@@ -220,110 +111,88 @@ class CQuat:
     def is_central(self) -> bool:
         return not (self.c1 or self.c2 or self.c3)
 
-    @property
-    def is_real_quaternion(self) -> bool:
-        return (self.c0.is_real and self.c1.is_real
-                and self.c2.is_real and self.c3.is_real)
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _cquat_operand(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
-        return CQuat(self.c0 + other.c0, self.c1 + other.c1,
-                     self.c2 + other.c2, self.c3 + other.c3)
+        return type(self)(self.c0 + other.c0, self.c1 + other.c1,
+                          self.c2 + other.c2, self.c3 + other.c3)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CQuat(-self.c0, -self.c1, -self.c2, -self.c3)
+        return type(self)(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __sub__(self, other):
-        other = _cquat_operand(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _cquat_operand(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussRat,) + _REAL_SCALARS):
-            s = GaussRat.coerce(other)
-            return CQuat(self.c0 * s, self.c1 * s, self.c2 * s, self.c3 * s)
-        if isinstance(other, Quaternion):
-            other = other.complexify()
-        if isinstance(other, CQuat):
-            return CQuat(*_mul_components(*self.components(),
-                                          *other.components()))
-        return NotImplemented
+        if isinstance(other, self._scalars):
+            return type(self)(self.c0 * other, self.c1 * other,
+                              self.c2 * other, self.c3 * other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(*_mul_components(*self.components(),
+                                           *other.components()))
 
     def __rmul__(self, other):
-        if isinstance(other, (GaussRat,) + _REAL_SCALARS):
+        # Scalars commute with everything; a promoted operand goes first.
+        if isinstance(other, self._scalars):
             return self * other
-        if isinstance(other, Quaternion):
-            return other.complexify() * self
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, CQuat(1), operator.mul)
+        return power(self, exponent, type(self)(1), operator.mul)
 
-    # -- involutions, trace, norm -------------------------------------------
+    # -- conjugation, trace, norm ------------------------------------------
 
-    def conj(self) -> "CQuat":
-        """Quaternionic conjugation, extended linearly over E (fixes E)."""
-        return CQuat(self.c0, -self.c1, -self.c2, -self.c3)
+    def conj(self):
+        """Quaternionic conjugation (over CQuat it fixes E)."""
+        return type(self)(self.c0, -self.c1, -self.c2, -self.c3)
 
-    def complex_conjugate(self) -> "CQuat":
-        """Complex conjugation E -> -E, componentwise.  Commutes with conj."""
-        return CQuat(self.c0.conjugate(), self.c1.conjugate(),
-                     self.c2.conjugate(), self.c3.conjugate())
+    def imag(self):
+        """The pure-imaginary part (coordinates over i, j, k)."""
+        return type(self)(0, self.c1, self.c2, self.c3)
 
-    def trace(self) -> GaussRat:
+    def trace(self):
         return self.c0 * 2
 
-    def norm(self) -> GaussRat:
+    def norm(self):
         return (self.c0 * self.c0 + self.c1 * self.c1
                 + self.c2 * self.c2 + self.c3 * self.c3)
 
-    def inverse(self) -> "CQuat":
+    def inverse(self):
         n = self.norm()
         if not n:
             if not self:
                 raise ZeroInverseError("cannot invert zero")
             raise ZeroDivisorError(
                 "cannot invert a zero divisor (nonzero element of zero norm)")
-        return self.conj() * (GaussRat(1) / n)
-
-    # -- center / W decomposition ---------------------------------------------
-
-    def split(self):
-        """x = center*1 + wpart with wpart trace-free; center = trace(x)/2."""
-        return self.c0, CQuat(GaussRat(0), self.c1, self.c2, self.c3)
-
-    def center_part(self) -> GaussRat:
-        return self.c0
-
-    def w_part(self) -> "CQuat":
-        return CQuat(GaussRat(0), self.c1, self.c2, self.c3)
-
-    def to_quaternion(self) -> Quaternion:
-        if not self.is_real_quaternion:
-            raise ValueError("element has nonzero E-parts")
-        return Quaternion(self.c0.re, self.c1.re, self.c2.re, self.c3.re)
+        return self.conj() * (1 / n)
 
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (GaussRat,) + _REAL_SCALARS):
+        if isinstance(other, self._scalars):
             return self.is_central and self.c0 == other
-        if isinstance(other, Quaternion):
-            other = other.complexify()
-        if isinstance(other, CQuat):
+        if isinstance(other, self._eq_promotes):
+            other = self.coerce(other)
+        if isinstance(other, type(self)):
             return self.components() == other.components()
         return NotImplemented
 
@@ -333,37 +202,70 @@ class CQuat:
         return hash(self.components())
 
     def __repr__(self):
-        return (f"CQuat({self.c0!r}, {self.c1!r}, {self.c2!r}, {self.c3!r})")
+        text = ", ".join(map(self._coord_repr, self.components()))
+        return f"{type(self).__name__}({text})"
 
     def __str__(self):
         return _render_components(self.components())
 
 
-def _quat_operand(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, _REAL_SCALARS):
-        return Quaternion(value)
-    return None
+class Quaternion(QuaternionBase):
+    """A quaternion with exact rational coordinates."""
+
+    __slots__ = ()
+    _coord = staticmethod(as_rat)
+    _scalars = RATIONAL_TYPES
+    _coord_repr = staticmethod(str)
+    # Own binding: bench/tracing.py counts products via Quaternion.__dict__.
+    __mul__ = QuaternionBase.__mul__
+
+    is_real = QuaternionBase.is_central  # a central quaternion is real
+
+    def complexify(self) -> "CQuat":
+        return CQuat(*self.components())
 
 
-def _cquat_operand(value):
-    if isinstance(value, CQuat):
-        return value
-    if isinstance(value, Quaternion):
-        return value.complexify()
-    if isinstance(value, (GaussRat,) + _REAL_SCALARS):
-        return CQuat(GaussRat.coerce(value))
-    return None
+class CQuat(QuaternionBase):
+    """An element of the complexified quaternions: GaussRat coordinates
+    over (1, i, j, k), with the scalar unit E commuting with i, j, k."""
+
+    __slots__ = ()
+    _coord = staticmethod(GaussRat.coerce)
+    _scalars = EXACT_SCALARS
+    _promotes = _eq_promotes = (Quaternion,)
+    # Own binding: bench/tracing.py counts products via CQuat.__dict__.
+    __mul__ = QuaternionBase.__mul__
+
+    @property
+    def is_real_quaternion(self) -> bool:
+        return all(c.is_real for c in self.components())
+
+    def complex_conjugate(self) -> "CQuat":
+        """Complex conjugation E -> -E, componentwise.  Commutes with conj."""
+        return CQuat(*(c.conjugate() for c in self.components()))
+
+    # -- center / W decomposition ---------------------------------------------
+
+    def split(self):
+        """x = center*1 + wpart with wpart trace-free; center = trace(x)/2."""
+        return self.c0, self.imag()
+
+    def center_part(self) -> GaussRat:
+        return self.c0
+
+    w_part = QuaternionBase.imag
+
+    def to_quaternion(self) -> Quaternion:
+        if not self.is_real_quaternion:
+            raise ValueError("element has nonzero E-parts")
+        return Quaternion(*(c.re for c in self.components()))
 
 
 def _r3_component(value):
-    if isinstance(value, (Quaternion, CQuat)):
-        return value
-    if isinstance(value, _REAL_SCALARS):
-        return Quaternion(value)
-    if isinstance(value, GaussRat):
-        return CQuat(value)
+    for kind in (Quaternion, CQuat):
+        out = kind._operand(value)
+        if out is not None:
+            return out
     raise TypeError(f"cannot interpret {type(value).__name__} as a pair component")
 
 
@@ -500,10 +402,62 @@ def aut_to_matrix(alpha) -> SO3Matrix:
                  for r in range(3))
     return SO3Matrix(rows)
 
-
 # -- the split algebra H + H ----------------------------------------------------
 
-class R3Elem:
+class Pair:
+    """An ordered pair, acted on componentwise.  A subclass checks its
+    components in `__init__` and adds its own product."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            return type(self)(self.first + other.first, self.second + other.second)
+        return NotImplemented
+
+    def __neg__(self):
+        return type(self)(-self.first, -self.second)
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return type(self)(self.first - other.first, self.second - other.second)
+        return NotImplemented
+
+    def conj(self):
+        return type(self)(self.first.conj(), self.second.conj())
+
+    def trace(self):
+        return (self.first.trace(), self.second.trace())
+
+    def norm(self):
+        return (self.first.norm(), self.second.norm())
+
+    def swap(self):
+        return type(self)(self.second, self.first)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.first == other.first and self.second == other.second
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.first, self.second))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.first!r}, {self.second!r})"
+
+    def __str__(self):
+        return f"({self.first} ; {self.second})"
+
+
+class R3Elem(Pair):
     """An ordered pair of quaternions (or complexified quaternions).
 
     Both components must have the same scalar kind.  Multiplication,
@@ -512,55 +466,26 @@ class R3Elem:
     of a ring without zero divisors).
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = ()
 
     def __init__(self, first, second):
         first = _r3_component(first)
         second = _r3_component(second)
         if isinstance(first, Quaternion) != isinstance(second, Quaternion):
             raise ValueError("components must share the same scalar kind")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("R3Elem is immutable")
+        super().__init__(first, second)
 
     @property
     def is_real(self) -> bool:
         return isinstance(self.first, Quaternion)
-
-    def __add__(self, other):
-        if isinstance(other, R3Elem):
-            return R3Elem(self.first + other.first, self.second + other.second)
-        return NotImplemented
-
-    def __neg__(self):
-        return R3Elem(-self.first, -self.second)
-
-    def __sub__(self, other):
-        if isinstance(other, R3Elem):
-            return R3Elem(self.first - other.first, self.second - other.second)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, R3Elem):
             return R3Elem(self.first * other.first, self.second * other.second)
         return NotImplemented
 
-    def conj(self) -> "R3Elem":
-        return R3Elem(self.first.conj(), self.second.conj())
-
-    def trace(self):
-        return (self.first.trace(), self.second.trace())
-
-    def norm(self):
-        return (self.first.norm(), self.second.norm())
-
     def inverse(self) -> "R3Elem":
         return R3Elem(self.first.inverse(), self.second.inverse())
-
-    def swap(self) -> "R3Elem":
-        return R3Elem(self.second, self.first)
 
     def in_quadratic_cone(self) -> bool:
         """True iff trace and norm are real, i.e. both componentwise values
@@ -569,17 +494,3 @@ class R3Elem:
             raise ValueError("quadratic cone membership applies to real pairs")
         return (self.first.trace() == self.second.trace()
                 and self.first.norm() == self.second.norm())
-
-    def __eq__(self, other):
-        if isinstance(other, R3Elem):
-            return self.first == other.first and self.second == other.second
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.first, self.second))
-
-    def __repr__(self):
-        return f"R3Elem({self.first!r}, {self.second!r})"
-
-    def __str__(self):
-        return f"({self.first} ; {self.second})"

@@ -449,9 +449,7 @@ def _tolerance(text: str) -> float:
 
 def _samples(text: str) -> tuple:
     """An argparse type: a sample list for `parse_samples`, every sample
-    finite.  An empty list keeps the default grid."""
-    if not text:
-        return DEFAULT_SAMPLES
+    finite."""
     try:
         samples = parse_samples(text)
     except ValueError as exc:

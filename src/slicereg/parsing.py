@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import QI, QJ, QK, CQuat, Quaternion, R3Elem
+from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem,
+                      _render_components)
 from .errors import (LimitExceededError, ParseError, UnitNotAllowedError,
                      VariableInPointError)
 from .poly import Poly
@@ -419,10 +420,11 @@ def render_stem(stem: StemPoly, var: str = "z") -> str:
     if stem.is_zero:
         return "0"
     parts = []
-    for k, coeff in enumerate(stem.coeffs):
-        if not coeff:
+    for k in range(stem.degree + 1):
+        coeff = tuple(p.coeff(k) for p in stem.parts)
+        if not any(coeff):
             continue
-        body = f"({coeff})"
+        body = f"({_render_components(coeff)})"
         if k == 0:
             parts.append(body)
         elif k == 1:

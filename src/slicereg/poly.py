@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import GaussRat, power
+from .scalars import EXACT_SCALARS, RATIONAL_TYPES, power
 
 
 class Poly:
@@ -100,7 +100,7 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, EXACT_SCALARS):
             if not other:
                 return Poly()
             return Poly(tuple(c * other for c in self.coeffs))
@@ -175,7 +175,7 @@ class Poly:
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, EXACT_SCALARS):
             other = Poly((other,))
         if isinstance(other, Poly):
             if len(self.coeffs) != len(other.coeffs):
@@ -197,7 +197,7 @@ class Poly:
 def _poly_operand(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction, GaussRat)):
+    if isinstance(value, EXACT_SCALARS):
         return Poly((value,))
     return None
 
@@ -205,7 +205,7 @@ def _poly_operand(value):
 def _integer_scaled(coeffs):
     """(numerators, denominator) with coeffs[k] = numerators[k] / denominator,
     or None unless every coefficient is an int or a Fraction."""
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+    if not all(isinstance(c, RATIONAL_TYPES) for c in coeffs):
         return None
     den = lcm(*(c.denominator for c in coeffs))
     if den == 1:
@@ -358,7 +358,7 @@ class Matrix:
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
-        if not all(isinstance(e, (int, Fraction))
+        if not all(isinstance(e, RATIONAL_TYPES)
                    for row in entries for e in row):
             raise TypeError("matrix entries must be ints or Fractions")
         rows = len(entries)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 Rat = Fraction
 
-_COERCIBLE = (int, Fraction)
+# The exact rational types: every module tests for them through this name.
+RATIONAL_TYPES = (int, Fraction)
 
 
 def as_rat(value) -> Fraction:
@@ -63,7 +64,7 @@ class GaussRat:
     def coerce(cls, value) -> "GaussRat":
         if isinstance(value, GaussRat):
             return value
-        if isinstance(value, _COERCIBLE):
+        if isinstance(value, RATIONAL_TYPES):
             return cls(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as GaussRat")
 
@@ -85,7 +86,7 @@ class GaussRat:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(self.re + other, self.im)
         if isinstance(other, GaussRat):
             return GaussRat(self.re + other.re, self.im + other.im)
@@ -97,19 +98,19 @@ class GaussRat:
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(self.re - other, self.im)
         if isinstance(other, GaussRat):
             return GaussRat(self.re - other.re, self.im - other.im)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(other - self.re, -self.im)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(self.re * other, self.im * other)
         if isinstance(other, GaussRat):
             return GaussRat(
@@ -121,7 +122,7 @@ class GaussRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(self.re / other, self.im / other)
         if isinstance(other, GaussRat):
             den = other.re * other.re + other.im * other.im
@@ -132,7 +133,7 @@ class GaussRat:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return GaussRat(other) / self
         return NotImplemented
 
@@ -142,7 +143,7 @@ class GaussRat:
     # -- comparison / hashing / display -----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, _COERCIBLE):
+        if isinstance(other, RATIONAL_TYPES):
             return self.im == 0 and self.re == other
         if isinstance(other, GaussRat):
             return self.re == other.re and self.im == other.im
@@ -172,3 +173,6 @@ class GaussRat:
 
 
 IOTA = GaussRat(0, 1)
+
+# Every exact scalar: a rational or a Gaussian rational.
+EXACT_SCALARS = RATIONAL_TYPES + (GaussRat,)

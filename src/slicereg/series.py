@@ -8,7 +8,8 @@ component kernels as `stem.py`, and cut the result to the smaller operand
 order, so they agree with the full stem operations below it.
 
 Floats appear in exactly one place: `eval_numeric` and the conjugation
-identity check.  Every approximate comparison carries an explicit
+identity check, whose values are `CQuatF`, the float instance of the
+quaternion class.  Every approximate comparison carries an explicit
 tolerance, and evaluations report a truncation tail bound
 
     |tail| <= sum_{k>=N} |a_k| |q|^k
@@ -28,17 +29,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CQuat, Quaternion, _mul_components
+from .algebra import CQuat, Quaternion, QuaternionBase
 from .errors import NearSingularSampleError
 from .poly import Poly
+from .scalars import RATIONAL_TYPES
 from .stem import StemPoly
 
 DEFAULT_ORDER = 40
 DEFAULT_TOL = 1e-9
 # Published sample grid for identity checks: 5 points, |z| <= 1.5.
 DEFAULT_SAMPLES = (0.3 + 0j, 1.0 + 0j, -0.7 + 0j, 0.5 + 0.5j, -1.2j)
-
-_SCALARS = (int, Fraction)
 
 
 class TruncSeries:
@@ -83,8 +83,9 @@ class TruncSeries:
             return cls(order, stem)
         # Truncating below the degree: the dropped part is still a polynomial,
         # so a factorial majorant over the original coefficients stays valid.
-        c = max((_euclid(a) * math.factorial(k)
-                 for k, a in enumerate(stem.coeffs)), default=0.0)
+        c = max((math.sqrt(sum(float(p.coeff(k)) ** 2 for p in stem.parts))
+                 * math.factorial(k) for k in range(stem.degree + 1)),
+                default=0.0)
         return cls(order, _cut(stem, order), (c, 1.0), False)
 
     @property
@@ -143,12 +144,12 @@ class TruncSeries:
                            polynomial)
 
     def __mul__(self, other):
-        if isinstance(other, (TruncSeries, Quaternion) + _SCALARS):
+        if isinstance(other, (TruncSeries, Quaternion) + RATIONAL_TYPES):
             return self.star(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, RATIONAL_TYPES):
             return self.star(other)
         if isinstance(other, Quaternion):
             return TruncSeries.constant(other, self.order).star(self)
@@ -193,7 +194,7 @@ class TruncSeries:
         for c in reversed(list(zip(*parts))):
             acc = q * acc + CQuatF(*c)
         radius = q.euclid()
-        if not (q.is_central or q.is_real):
+        if not (q.is_central or q.is_real_quaternion):
             radius *= math.sqrt(2.0)
         return EvalResult(acc, self.tail_bound(radius))
 
@@ -221,14 +222,9 @@ def _cut(stem: StemPoly, order: int) -> StemPoly:
 def _series_operand(value, order):
     if isinstance(value, TruncSeries):
         return value
-    if isinstance(value, (Quaternion,) + _SCALARS):
+    if isinstance(value, (Quaternion,) + RATIONAL_TYPES):
         return TruncSeries.constant(value, order)
     return None
-
-
-def _euclid(q: Quaternion) -> float:
-    return math.sqrt(float(q.c0) ** 2 + float(q.c1) ** 2
-                     + float(q.c2) ** 2 + float(q.c3) ** 2)
 
 
 _BUILDERS = ("cos", "sin", "exp", "cos_half", "sin_half")
@@ -256,84 +252,24 @@ def taylor_series(kind: str, order: int) -> TruncSeries:
     return TruncSeries(order, coeffs, (1.0, 0.5 if half else 1.0), False)
 
 
-class CQuatF:
-    """A quaternion with double-precision complex components: the numeric
-    image of the complexified algebra for evaluation purposes only."""
+class CQuatF(QuaternionBase):
+    """A quaternion with double-precision complex coordinates: the
+    numeric image of the complexified algebra, for evaluation only.
+    Exact quaternions promote into it coordinate by coordinate."""
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+    __slots__ = ()
+    _coord = staticmethod(complex)
+    _scalars = (int, float, complex, Fraction)
+    # Promotion rounds, so `==` takes only CQuatF and scalars (exactly).
+    _promotes = (Quaternion, CQuat)
 
-    def __init__(self, c0=0j, c1=0j, c2=0j, c3=0j):
-        object.__setattr__(self, "c0", complex(c0))
-        object.__setattr__(self, "c1", complex(c1))
-        object.__setattr__(self, "c2", complex(c2))
-        object.__setattr__(self, "c3", complex(c3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CQuatF is immutable")
-
-    @classmethod
-    def coerce(cls, value) -> "CQuatF":
-        if isinstance(value, CQuatF):
-            return value
-        if isinstance(value, Quaternion):
-            return cls.from_quaternion(value)
-        if isinstance(value, CQuat):
-            return cls(complex(value.c0), complex(value.c1),
-                       complex(value.c2), complex(value.c3))
-        if isinstance(value, (int, float, complex, Fraction)):
-            return cls(complex(value))
-        raise TypeError(f"cannot interpret {type(value).__name__} as CQuatF")
+    @property
+    def is_real_quaternion(self) -> bool:
+        return all(c.imag == 0.0 for c in self.components())
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "CQuatF":
-        return cls(float(q.c0), float(q.c1), float(q.c2), float(q.c3))
-
-    def components(self):
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    @property
-    def is_central(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0 and self.c3 == 0
-
-    @property
-    def is_real(self) -> bool:
-        return all(c.imag == 0.0 for c in self.components())
-
-    def __add__(self, other):
-        if isinstance(other, CQuatF):
-            return CQuatF(self.c0 + other.c0, self.c1 + other.c1,
-                          self.c2 + other.c2, self.c3 + other.c3)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, CQuatF):
-            return CQuatF(self.c0 - other.c0, self.c1 - other.c1,
-                          self.c2 - other.c2, self.c3 - other.c3)
-        return NotImplemented
-
-    def __neg__(self):
-        return CQuatF(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, other):
-        if isinstance(other, CQuatF):
-            return CQuatF(*_mul_components(*self.components(),
-                                           *other.components()))
-        return NotImplemented
-
-    def conj(self) -> "CQuatF":
-        return CQuatF(self.c0, -self.c1, -self.c2, -self.c3)
-
-    def norm(self) -> complex:
-        return (self.c0 * self.c0 + self.c1 * self.c1
-                + self.c2 * self.c2 + self.c3 * self.c3)
-
-    def inverse(self) -> "CQuatF":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("numerically singular element")
-        inv = 1.0 / n
-        c = self.conj()
-        return CQuatF(c.c0 * inv, c.c1 * inv, c.c2 * inv, c.c3 * inv)
+        return cls(*q.components())
 
     def euclid(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.components()))
@@ -341,9 +277,6 @@ class CQuatF:
     def distance(self, other: "CQuatF") -> float:
         return max(abs(a - b) for a, b in zip(self.components(),
                                               other.components()))
-
-    def __repr__(self):
-        return (f"CQuatF({self.c0!r}, {self.c1!r}, {self.c2!r}, {self.c3!r})")
 
 
 @dataclass(frozen=True)
@@ -419,8 +352,7 @@ def numeric_roots(p: Poly) -> list[complex]:
 
     if p.degree < 1:
         return []
-    desc = [complex(c) if not isinstance(c, (int, Fraction)) else complex(float(c))
-            for c in reversed(p.coeffs)]
+    desc = [complex(c) for c in reversed(p.coeffs)]
     roots = np.roots(desc)
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 

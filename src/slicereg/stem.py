@@ -44,13 +44,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import UNIT_PRODUCTS, CQuat, Quaternion
+from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (Poly, _integer_scaled, _kronecker, poly_gcd_many,
                    vanishing_order)
-from .scalars import GaussRat, power
-
-_SCALARS = (int, Fraction)
+from .scalars import RATIONAL_TYPES, GaussRat, power
 
 
 class _SlicePreservingMarker:
@@ -220,14 +218,14 @@ class StemPoly:
                                     for comp in out)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, RATIONAL_TYPES):
             return StemPoly._from_parts(p * other for p in self.parts)
         if isinstance(other, (StemPoly, Quaternion)):
             return self.star(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, RATIONAL_TYPES):
             return self * other
         if isinstance(other, Quaternion):
             return StemPoly.constant(other).star(self)
@@ -361,7 +359,7 @@ def _integer_parts(parts):
 def _stem_operand(value):
     if isinstance(value, StemPoly):
         return value
-    if isinstance(value, (Quaternion,) + _SCALARS):
+    if isinstance(value, (Quaternion,) + RATIONAL_TYPES):
         return StemPoly((value,))
     return None
 
@@ -369,37 +367,20 @@ def _stem_operand(value):
 Z = StemPoly.monomial(1)
 
 
-class R3StemPoly:
+class R3StemPoly(Pair):
     """A pair of stem polynomials: a stem function into H_C + H_C.
 
     All structure is componentwise; invariants come out as ordered pairs.
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = ()
 
     def __init__(self, first, second):
         first = _stem_operand(first)
         second = _stem_operand(second)
         if first is None or second is None:
             raise TypeError("R3StemPoly components must be stem polynomials")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("R3StemPoly is immutable")
-
-    def __add__(self, other):
-        if isinstance(other, R3StemPoly):
-            return R3StemPoly(self.first + other.first, self.second + other.second)
-        return NotImplemented
-
-    def __neg__(self):
-        return R3StemPoly(-self.first, -self.second)
-
-    def __sub__(self, other):
-        if isinstance(other, R3StemPoly):
-            return R3StemPoly(self.first - other.first, self.second - other.second)
-        return NotImplemented
+        super().__init__(first, second)
 
     def star(self, other) -> "R3StemPoly":
         if not isinstance(other, R3StemPoly):
@@ -408,15 +389,6 @@ class R3StemPoly:
                           self.second.star(other.second))
 
     __mul__ = star
-
-    def conj(self) -> "R3StemPoly":
-        return R3StemPoly(self.first.conj(), self.second.conj())
-
-    def trace(self):
-        return (self.first.trace(), self.second.trace())
-
-    def norm(self):
-        return (self.first.norm(), self.second.norm())
 
     def is_slice_preserving(self):
         return (self.first.is_slice_preserving(),
@@ -429,9 +401,6 @@ class R3StemPoly:
             SLICE_PRESERVING if f.is_slice_preserving() else f.central_divisor()
             for f in (self.first, self.second))
 
-    def swap(self) -> "R3StemPoly":
-        return R3StemPoly(self.second, self.first)
-
     def eval_stem(self, z0):
         return (self.first.eval_stem(z0), self.second.eval_stem(z0))
 
@@ -443,7 +412,6 @@ class R3StemPoly:
         is a point of the classical function domain rather than of its
         natural extension.
         """
-        from .algebra import R3Elem
         if not isinstance(point, R3Elem):
             raise TypeError("evaluation point must be an R3Elem")
         if not point.is_real:
@@ -452,17 +420,3 @@ class R3StemPoly:
             raise ValueError("point lies outside the quadratic cone")
         return R3Elem(self.first.eval_slice(point.first),
                       self.second.eval_slice(point.second))
-
-    def __eq__(self, other):
-        if isinstance(other, R3StemPoly):
-            return self.first == other.first and self.second == other.second
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.first, self.second))
-
-    def __repr__(self):
-        return f"R3StemPoly({self.first!r}, {self.second!r})"
-
-    def __str__(self):
-        return f"({self.first} ; {self.second})"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicereg import (CQuat, GaussRat, NotInWError, Quaternion, R3Elem,
-                      SO3Matrix, ZeroDivisorError, ZeroInverseError,
-                      aut_to_matrix, bform, conj_by_unit)
+from slicereg import (CQuat, CQuatF, GaussRat, NotInWError, Quaternion,
+                      R3Elem, R3StemPoly, SO3Matrix, StemPoly,
+                      ZeroDivisorError, ZeroInverseError, aut_to_matrix,
+                      bform, conj_by_unit)
 from slicereg.algebra import QI, QJ, QK
 
 from support import rand_cquat, rand_invertible_cquat
@@ -197,10 +198,46 @@ def test_trace_norm_central_and_conj_commutes(x):
     assert x.complex_conjugate().conj() == x.conj().complex_conjugate()
 
 
-@given(quaternions)
-def test_embedding_preserves_trace_and_norm(q):
-    assert q.complexify().trace() == GaussRat(q.trace())
-    assert q.complexify().norm() == GaussRat(q.norm())
+@given(quaternions, quaternions)
+def test_complexification_is_a_ring_homomorphism(a, b):
+    ca, cb = CQuat.coerce(a), CQuat.coerce(b)
+    assert ca == a.complexify()
+    assert CQuat.coerce(a + b) == ca + cb
+    assert CQuat.coerce(a - b) == ca - cb
+    assert CQuat.coerce(a * b) == ca * cb
+    assert CQuat.coerce(a.conj()) == ca.conj()
+    assert ca.trace() == GaussRat(a.trace())
+    assert ca.norm() == GaussRat(a.norm())
+    if a:
+        assert CQuat.coerce(a.inverse()) == ca.inverse()
+    # A Quaternion operand promotes to the complexification, either side.
+    for mixed in (a * cb, cb * a, a + cb, a - cb, cb - a):
+        assert type(mixed) is CQuat
+    assert a * cb == ca * cb and cb * a == cb * ca
+    assert a + cb == ca + cb and a - cb == ca - cb and cb - a == cb - ca
+    assert a == ca and ca == a and hash(a) == hash(ca)
+    assert CQuatF.coerce(a) == CQuatF.coerce(ca)
+    assert hash(CQuatF.coerce(a)) == hash(CQuatF.coerce(ca))
+    assert type(CQuatF.coerce(a) * ca) is CQuatF
+    # Equal values hash equally across the three types and their scalars.
+    values = (a, ca, CQuatF.coerce(a), a.c0, ca.c0, float(a.c0), complex(a.c0))
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_cquatf_equality_is_exact():
+    # Promotion into CQuatF rounds, so an exact operand never equals one;
+    # scalars compare exactly, as Python's own numbers do.
+    third = Fraction(1, 3)
+    assert CQuatF(1 / 3) != third and CQuatF(1 / 3) != Quaternion(third)
+    assert CQuatF(1 + 1j) != CQuat(GaussRat(1, 1))
+    assert CQuatF(1) != Quaternion(1) and Quaternion(1) != CQuatF(1)
+    assert CQuatF(0.5) == Fraction(1, 2) == CQuatF(0.5)
+    assert CQuatF(2) == 2 and hash(CQuatF(2)) == hash(2)
+    assert CQuatF(1, 2) == CQuatF(1.0, 2.0)
+    assert hash(CQuatF(1, 2)) == hash(CQuatF(1.0, 2.0))
 
 
 def test_conjugation_preserves_trace_and_norm():
@@ -238,6 +275,34 @@ def test_r3_rejects_mixed_kinds():
         R3Elem(QI, CQuat(0, 1))
     with pytest.raises(ValueError):
         R3Elem(CQuat(0, 1), CQuat(0, IOTA)).in_quadratic_cone()
+
+
+def test_repr_str_and_immutability_are_pinned():
+    q = Quaternion(Fraction(1, 2), -1, 0, 3)
+    cases = [
+        (q, "Quaternion(1/2, -1, 0, 3)", "1/2 - i + 3*k"),
+        (CQuat(GaussRat(1, -2), 1, 0, GaussRat(0, Fraction(1, 3))),
+         "CQuat(GaussRat(Fraction(1, 1), Fraction(-2, 1)), "
+         "GaussRat(Fraction(1, 1), Fraction(0, 1)), "
+         "GaussRat(Fraction(0, 1), Fraction(0, 1)), "
+         "GaussRat(Fraction(0, 1), Fraction(1, 3)))",
+         "1 - 2*E + i + (1/3*E)*k"),
+        (CQuatF(1 + 2j, 0.5, 0, -1),
+         "CQuatF((1+2j), (0.5+0j), 0j, (-1+0j))",
+         "(1+2j) + (0.5+0j)*i - k"),
+        (R3Elem(q, QI), "R3Elem(Quaternion(1/2, -1, 0, 3), "
+         "Quaternion(0, 1, 0, 0))", "(1/2 - i + 3*k ; i)"),
+        (R3StemPoly(StemPoly([q, 1]), QJ),
+         "R3StemPoly(StemPoly([Quaternion(1/2, -1, 0, 3), "
+         "Quaternion(1, 0, 0, 0)]), StemPoly([Quaternion(0, 0, 1, 0)]))",
+         "((1/2 - i + 3*k) + z*(1) ; (j))"),
+    ]
+    for value, want_repr, want_str in cases:
+        assert repr(value) == want_repr
+        assert str(value) == want_str
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            value.c0 = 0
 
 
 def test_unit_products_table_matches_the_quaternion_product():

@@ -142,6 +142,7 @@ def test_parse_and_usage_errors(capsys):
                  ("intertwine", "i", "j", "--degree-max", "-1"),
                  ("series-check", "--samples", "abc"),
                  ("series-check", "--samples", ","),
+                 ("series-check", "--samples", ""),
                  ("series-check", "--samples", "inf"),
                  ("series-check", "--samples", "nan"),
                  ("series-check", "--samples", "1e400")):

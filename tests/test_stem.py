@@ -163,7 +163,7 @@ def test_parts_of_unequal_length_and_the_zero_stem():
 
 
 def test_invariants_and_products_build_no_quaternion(monkeypatch):
-    from slicereg import CQuatF, taylor_series
+    from slicereg import CQuatF, TruncSeries, render_stem, taylor_series
     rotating = taylor_series("cos", 12) * QI + taylor_series("sin", 12) * QJ
     stems = [F_PAIR, G_PAIR, parse_stem("(1 + z*i + z^2*j)^3")]
     built = []
@@ -178,6 +178,7 @@ def test_invariants_and_products_build_no_quaternion(monkeypatch):
         for g in stems:
             f.star(g)
         f.norm(), f.trace(), f.hat(), f.conj(), f.central_divisor()
+        render_stem(f), TruncSeries.from_stem(f, 2)
     rotating.star(rotating)
     rotating.eval_numeric(CQuatF(0.5))
     assert built == []
