@@ -7,7 +7,8 @@ Conventions
   i*j = k, j*k = i, k*i = j.  Each subclass states only its field:
   `Quaternion` exact rationals, `CQuat` (the complexification) Gaussian
   rationals, `series.CQuatF` complex floats.  Mixed operands promote
-  along Quaternion -> CQuat -> CQuatF.
+  along Quaternion -> CQuat -> CQuatF, and a Gaussian scalar takes a
+  `Quaternion` into `CQuat`, so every exact mix computes in `CQuat`.
 * The center is exactly the set of elements with zero i, j, k parts; in
   `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
   conjugation commute.
@@ -113,12 +114,17 @@ class QuaternionBase:
 
     # -- ring structure ----------------------------------------------------
 
+    def _widened(self, op, other):
+        """op(self, other) in the quaternions over the wider field of the
+        scalar `other`; NotImplemented when no wider field holds both."""
+        return NotImplemented
+
     def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return type(self)(self.c0 + other.c0, self.c1 + other.c1,
-                          self.c2 + other.c2, self.c3 + other.c3)
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(operator.add, other)
+        return type(self)(self.c0 + operand.c0, self.c1 + operand.c1,
+                          self.c2 + operand.c2, self.c3 + operand.c3)
 
     __radd__ = __add__
 
@@ -126,35 +132,35 @@ class QuaternionBase:
         return type(self)(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(operator.sub, other)
+        return self + (-operand)
 
     def __rsub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(lambda wide, g: g - wide, other)
+        return operand + (-self)
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):
             return type(self)(self.c0 * other, self.c1 * other,
                               self.c2 * other, self.c3 * other)
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(operator.mul, other)
         return type(self)(*_mul_components(*self.components(),
-                                           *other.components()))
+                                           *operand.components()))
 
     def __rmul__(self, other):
         # Scalars commute with everything; a promoted operand goes first.
         if isinstance(other, self._scalars):
             return self * other
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(operator.mul, other)
+        return operand * self
 
     def __pow__(self, exponent: int):
         return power(self, exponent, type(self)(1), operator.mul)
@@ -194,7 +200,7 @@ class QuaternionBase:
             other = self.coerce(other)
         if isinstance(other, type(self)):
             return self.components() == other.components()
-        return NotImplemented
+        return self._widened(operator.eq, other)
 
     def __hash__(self):
         if self.is_central:
@@ -223,6 +229,12 @@ class Quaternion(QuaternionBase):
 
     def complexify(self) -> "CQuat":
         return CQuat(*self.components())
+
+    def _widened(self, op, other):
+        # A Gaussian scalar takes a rational quaternion into CQuat.
+        if isinstance(other, GaussRat):
+            return op(self.complexify(), other)
+        return NotImplemented
 
 
 class CQuat(QuaternionBase):

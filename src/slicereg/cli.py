@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QI, QJ, QK
@@ -25,6 +23,7 @@ from .errors import SliceRegError
 from .parsing import (parse_point, parse_r3_stem, parse_stem, render_cquat,
                       render_poly, render_quat, render_stem)
 from .poly import Poly
+from .scalars import Record
 from .series import (DEFAULT_ORDER, DEFAULT_SAMPLES, DEFAULT_TOL, CQuatF,
                      TruncSeries, check_conjugation_identity, numeric_roots,
                      parse_samples, taylor_series)
@@ -82,6 +81,8 @@ def _render_cdiv(value) -> str:
 
 def _emit(args, document: dict, text_lines) -> None:
     if getattr(args, "json", False):
+        # Imported here: text-mode commands never pay for loading json.
+        import json
         print(json.dumps(document, indent=2))
     else:
         for line in text_lines:
@@ -283,8 +284,7 @@ CAVEAT_F = "1 + i*z"
 CAVEAT_G = "1 + j*(1 + z)"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

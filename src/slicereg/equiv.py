@@ -42,12 +42,10 @@ inverse exists only away from the norm's zero set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
 from .poly import Matrix, Poly, _integer_scaled
-from .scalars import GaussRat
+from .scalars import GaussRat, Record
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
@@ -62,8 +60,7 @@ ISOTROPY_ADDITIVE = "AdditiveC"
 ISOTROPY_TORUS = "TorusCstar"
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(Record):
     """The complete invariant triple of a stem polynomial."""
 
     trace: Poly
@@ -81,8 +78,7 @@ def invariants(stem: StemPoly) -> InvariantBundle:
     return InvariantBundle(stem.trace(), stem.norm(), cdiv)
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(Record):
     equivalent: bool
     branch: str
     reason: str | None = None  # first failing invariant when not equivalent
@@ -103,8 +99,7 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     return EquivVerdict(True, BRANCH_NOT_SLICE_PRESERVING)
 
 
-@dataclass(frozen=True)
-class R3EquivVerdict:
+class R3EquivVerdict(Record):
     """Componentwise verdicts for a pair, with the optional swapped pairing.
 
     `pairing` names the pairing that succeeded ("direct" or "swapped"),
@@ -162,8 +157,7 @@ def orbit_equivalent(p, q) -> bool:
     return _orbit_obstruction(p, q) is None
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     kind: str
     lam: GaussRat  # B(v'', v''); the orbit level for the generic stratum
     isotropy: str
@@ -181,15 +175,13 @@ def classify_orbit(v) -> OrbitClass:
     return OrbitClass(KIND_GENERIC, lam, ISOTROPY_TORUS)
 
 
-@dataclass(frozen=True)
-class SampleCheck:
+class SampleCheck(Record):
     sample: GaussRat
     passed: bool
     reason: str | None
 
 
-@dataclass(frozen=True)
-class OrbitScanReport:
+class OrbitScanReport(Record):
     checks: tuple
 
     @property
@@ -307,8 +299,7 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
     return alpha
 
 
-@dataclass(frozen=True)
-class ConjugatorReport:
+class ConjugatorReport(Record):
     """Outcome of checking a conjugator candidate alpha against (F, H)."""
 
     intertwines: bool                 # alpha * F = H * alpha, exactly

@@ -38,7 +38,6 @@ coefficients parenthesized; their output reparses to an equal value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem,
@@ -46,7 +45,7 @@ from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem,
 from .errors import (LimitExceededError, ParseError, UnitNotAllowedError,
                      VariableInPointError)
 from .poly import Poly
-from .scalars import GaussRat
+from .scalars import GaussRat, Record
 from .stem import Z, R3StemPoly, StemPoly
 
 # -- limits ---------------------------------------------------------------
@@ -65,8 +64,7 @@ _PUNCT = set("+-*^()/;")
 _NAMES = set("ijkEzq")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # "num", "name", one of the punct chars, "end"
     text: str
     pos: int
@@ -104,48 +102,40 @@ def _tokenize(text: str):
 
 # -- abstract syntax ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalLit:
+class RationalLit(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     name: str
     pos: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
     pos: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     child: object
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: int
 

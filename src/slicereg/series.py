@@ -26,13 +26,12 @@ only sqrt(2)-submultiplicative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CQuat, Quaternion, QuaternionBase
 from .errors import NearSingularSampleError
 from .poly import Poly
-from .scalars import RATIONAL_TYPES
+from .scalars import RATIONAL_TYPES, GaussRat, Record
 from .stem import StemPoly
 
 DEFAULT_ORDER = 40
@@ -263,6 +262,14 @@ class CQuatF(QuaternionBase):
     # Promotion rounds, so `==` takes only CQuatF and scalars (exactly).
     _promotes = (Quaternion, CQuat)
 
+    @classmethod
+    def _operand(cls, value):
+        # A Gaussian scalar enters arithmetic as complex(re, im); it
+        # rounds, so `==` does not take it.
+        if isinstance(value, GaussRat):
+            return cls(value)
+        return super()._operand(value)
+
     @property
     def is_real_quaternion(self) -> bool:
         return all(c.imag == 0.0 for c in self.components())
@@ -279,8 +286,7 @@ class CQuatF(QuaternionBase):
                                               other.components()))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     value: CQuatF
     tail_bound: float
 
@@ -288,8 +294,7 @@ class EvalResult:
         return iter((self.value, self.tail_bound))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     sample: complex
     value_error: float
     trace_error: float
@@ -298,8 +303,7 @@ class IdentityCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(Record):
     tol: float
     checks: tuple
 

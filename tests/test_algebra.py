@@ -227,6 +227,32 @@ def test_complexification_is_a_ring_homomorphism(a, b):
                 assert hash(x) == hash(y), (x, y)
 
 
+@given(quaternions, gaussrats, st.sampled_from([0, 1]))
+def test_a_gaussian_scalar_promotes_a_quaternion_to_cquat(a, g, real):
+    if real:
+        g = GaussRat(g.re)  # central quaternions may then equal g
+        a = Quaternion(a.c0)
+    ca = a.complexify()
+    # Either side, under + - * and ==, the result is the CQuat computation.
+    for mixed, want in ((a * g, ca * g), (g * a, g * ca), (a + g, ca + g),
+                        (g + a, g + ca), (a - g, ca - g), (g - a, g - ca)):
+        assert type(mixed) is CQuat and mixed == want
+    assert (a == g) == (ca == g) == (g == a)
+    # CQuatF takes the Gaussian scalar as complex(re, im) in arithmetic.
+    fa, z = CQuatF.coerce(a), complex(g)
+    for mixed, want in ((fa * g, fa * z), (g * fa, z * fa), (fa + g, fa + z),
+                        (g + fa, z + fa), (fa - g, fa - z), (g - fa, z - fa)):
+        assert type(mixed) is CQuatF and mixed == want
+    # Equal values hash equally, so == stays transitive through hashing.
+    values = (a, ca, g, a.c0, ca.c0, fa, float(a.c0), complex(g))
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    if a.c0 == g and a.is_central:
+        assert a == g == ca and g == a
+
+
 def test_cquatf_equality_is_exact():
     # Promotion into CQuatF rounds, so an exact operand never equals one;
     # scalars compare exactly, as Python's own numbers do.

@@ -194,6 +194,22 @@ def test_module_entry_point_smoke():
     assert "cdiv mismatch" in proc.stdout
 
 
+def test_import_pulls_in_no_heavy_standard_modules():
+    # Start-up sets the wait for every CLI command, so importing the
+    # package and its CLI must not load `dataclasses` (with `inspect`
+    # behind it) or `json` (loaded only when --json prints).  `-S` keeps
+    # site customizations, which may import these themselves, out.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import slicereg, slicereg.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_inputs_beyond_the_limits_exit_2_with_one_error_line(capsys):
     for argv, message in (
             (("invariants", "(" * 3000 + "z" + ")" * 3000), "deeper than"),

@@ -1,0 +1,138 @@
+"""The contract every result and syntax record of the package keeps:
+construction, defaults, value equality and hashing, immutability, repr.
+
+The table lists all twenty records, the private ones too, with their
+fields in order and the fields that have defaults.
+"""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from slicereg import cli, equiv, parsing, series
+
+RECORDS = [
+    (equiv.InvariantBundle, ("trace", "norm", "central_divisor"), {}),
+    (equiv.EquivVerdict, ("equivalent", "branch", "reason"),
+     {"reason": None}),
+    (equiv.R3EquivVerdict, ("equivalent", "pairing", "direct", "swapped"),
+     {"swapped": None}),
+    (equiv.OrbitClass, ("kind", "lam", "isotropy"), {}),
+    (equiv.SampleCheck, ("sample", "passed", "reason"), {}),
+    (equiv.OrbitScanReport, ("checks",), {}),
+    (equiv.ConjugatorReport, ("intertwines", "norm_alpha", "invertible_on_C",
+                              "conjugation_identity"), {}),
+    (parsing._Token, ("kind", "text", "pos", "value"), {"value": 0}),
+    (parsing.RationalLit, ("value",), {}),
+    (parsing.Unit, ("name", "pos"), {}),
+    (parsing.Var, ("name", "pos"), {}),
+    (parsing.Neg, ("child",), {}),
+    (parsing.Add, ("left", "right"), {}),
+    (parsing.Sub, ("left", "right"), {}),
+    (parsing.Mul, ("left", "right"), {}),
+    (parsing.Pow, ("base", "exponent"), {}),
+    (series.EvalResult, ("value", "tail_bound"), {}),
+    (series.IdentityCheck, ("sample", "value_error", "trace_error",
+                            "norm_error", "tail_bound", "passed"), {}),
+    (series.ConjugationReport, ("tol", "checks"), {}),
+    (cli.CheckResult, ("name", "passed", "detail"), {}),
+]
+
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def _values(fields, offset=0):
+    """Distinct hashable values, one per field."""
+    return tuple(f"{name}-{offset}" for name in fields)
+
+
+def test_the_table_covers_twenty_records():
+    assert len({cls for cls, _, _ in RECORDS}) == 20
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_construction_and_defaults(cls, fields, defaults):
+    values = _values(fields)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    for name, value in zip(fields, values):
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+    assert by_position == by_keyword
+    assert cls.__match_args__ == fields
+    required = [name for name in fields if name not in defaults]
+    record = cls(*_values(required))
+    for name, default in defaults.items():
+        assert getattr(record, name) == default
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_missing_and_unknown_fields_raise_type_error(cls, fields, defaults):
+    required = [name for name in fields if name not in defaults]
+    with pytest.raises(TypeError):
+        cls(*_values(required)[:-1])
+    with pytest.raises(TypeError):
+        cls(*_values(fields), "one too many")
+    with pytest.raises(TypeError):
+        cls(*_values(fields), no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*_values(fields), **{fields[0]: "twice"})
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_value_equality_and_hash(cls, fields, defaults):
+    a = cls(*_values(fields))
+    b = cls(*_values(fields))
+    c = cls(*_values(fields, offset=1))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c
+    assert a != _values(fields) and a != object()
+    assert {a, b, c} == {a, c}
+
+
+def test_records_with_the_same_fields_are_not_equal_across_classes():
+    left, right = parsing.RationalLit(Fraction(1)), parsing.Var("z", 0)
+    nodes = [kind(left, right)
+             for kind in (parsing.Add, parsing.Sub, parsing.Mul)]
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            assert (x == y) == (i == j)
+    assert parsing.Unit("i", 0) != parsing.Var("i", 0)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_records_are_immutable(cls, fields, defaults):
+    record = cls(*_values(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], "changed")
+    with pytest.raises(AttributeError):
+        setattr(record, "new_attribute", 1)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert getattr(record, fields[0]) == _values(fields)[0]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_records_survive_pickling(cls, fields, defaults):
+    record = cls(*_values(fields))
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_golden_reprs():
+    assert (repr(equiv.EquivVerdict(False, "x", "trace"))
+            == "EquivVerdict(equivalent=False, branch='x', reason='trace')")
+    assert (repr(parsing._Token("num", "12", 3, 12))
+            == "_Token(kind='num', text='12', pos=3, value=12)")
+    assert (repr(parsing.Add(parsing.RationalLit(Fraction(1, 2)),
+                             parsing.Var("z", 4)))
+            == "Add(left=RationalLit(value=Fraction(1, 2)), "
+               "right=Var(name='z', pos=4))")
+
+
+def test_eval_result_unpacks_as_value_and_tail_bound():
+    result = series.EvalResult(series.CQuatF(1, 2), 0.25)
+    value, tail = result
+    assert value == series.CQuatF(1, 2) and tail == 0.25
+    assert tuple(result) == (result.value, result.tail_bound)
+
