@@ -28,7 +28,14 @@ on integers: F and H are scaled by one common denominator, each pair of
 coefficients (F_q, H_q) gives the 4x4 integer blocks of a -> F_q a - a H_q
 and a -> H_q a - a F_q once, from the sign pattern of the quaternion unit
 products, and the rows are block-Toeplitz strips of those blocks, which
-`Matrix.nullspace` eliminates fraction-free.  When trace(F) = trace(H)
+`Matrix.nullspace` eliminates fraction-free.  The kernel is then checked
+by multiplication, independently of the rows: the kernel vectors, each
+scaled to integers, are stacked into one integer stem A, vector i at
+z^(i*step), with step one more than the highest degree a product of F or
+H with one vector can reach.  Each relation is then two integer stem
+products (F A against A H, and A F against H A, through `_star_ints`).
+Since z is central and the blocks of a product never meet, A satisfies
+a relation exactly when every kernel vector does.  When trace(F) = trace(H)
 the two relations are exchanged by alpha -> alpha^c, so the solution
 space is the conjugation-stable part of either one-sided kernel; the
 one-sided kernels alone are strictly larger (they admit mixed-symmetry
@@ -46,7 +53,7 @@ from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
 from .poly import Matrix, Poly, _integer_scaled
 from .scalars import GaussRat, Record
-from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
+from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _star_ints
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -243,7 +250,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     solution at this degree bound).  Basis vectors are normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
     (component order 1, i, j, k) equal to 1, and are re-verified by
-    multiplication before being returned.  More than
+    multiplication before being returned, all at once in the stacked
+    integer products of the module docstring.  More than
     MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
@@ -278,14 +286,21 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
                     row += blocks[q][r] if 0 <= q < len(blocks) else zero
                 rows.append(row)
     kernel = Matrix(rows).nullspace()
-    out = []
+    # The stacked check of the module docstring, with step = top + 1: a
+    # product of first or second with one vector has degree at most top.
+    stacked = [[], [], [], []]
     for vec in kernel:
-        alpha = StemPoly._from_parts(Poly(vec[r::4]) for r in range(4))
-        if (first.star(alpha) != alpha.star(second)
-                or alpha.star(first) != second.star(alpha)):
-            raise AssertionError("kernel vector failed re-verification")
-        out.append(normalize_intertwiner(alpha))
-    return out
+        nums = _integer_scaled(vec)[0]
+        for r, comp in enumerate(stacked):
+            comp += nums[r::4] + [0] * (top - dmax)
+    f_parts = [f[r::4] for r in range(4)]
+    h_parts = [h[r::4] for r in range(4)]
+    if (_star_ints(f_parts, stacked) != _star_ints(stacked, h_parts)
+            or _star_ints(stacked, f_parts) != _star_ints(h_parts, stacked)):
+        raise AssertionError("kernel vector failed re-verification")
+    return [normalize_intertwiner(StemPoly._from_parts(Poly(vec[r::4])
+                                                       for r in range(4)))
+            for vec in kernel]
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:

@@ -24,7 +24,8 @@ sum_k z^k * a_k.  Since the variable is central, every expression in this
 grammar normalizes to such a form.  Stem expressions evaluate straight
 into `StemPoly`: literals, units and the variable are constants and the
 monomial z, sums use `+`/`-`, and products and powers (square-and-
-multiply) use `StemPoly.star`, the integer Kronecker kernel of `stem.py`.
+multiply) use `StemPoly.star`, the integer Kronecker kernel of `stem.py`,
+except that a power z^n of the variable is built as that monomial.
 Point expressions have no variable, so they evaluate with plain `CQuat`
 arithmetic.  Before each product or power the degree it would have, from
 the degrees of its trimmed operands, is checked against MAX_DEGREE, and
@@ -298,6 +299,9 @@ class _Normalizer:
             base = self.run(node.base)
             if self.stem:
                 _check_degree(base.degree * node.exponent)
+                if isinstance(node.base, Var):
+                    return StemPoly._from_parts(
+                        (Poly.monomial(node.exponent), Poly(), Poly(), Poly()))
             return base ** node.exponent
         raise TypeError(f"unknown node {node!r}")
 

@@ -9,10 +9,12 @@ Rational polynomials run on scaled integers, and stay exact.  A product
 scales each operand to integers over its common denominator, multiplies
 once as big integers by Kronecker substitution (each operand packed into
 one integer, a digit per coefficient, wide enough that no digit of the
-product overflows), unpacks and divides by the two denominators.  `poly_gcd`
-first tries a coprimality certificate modulo the prime p = 2**61 - 1: if p
-divides neither leading coefficient of the integer-scaled inputs and their
-gcd mod p is a constant, they are coprime over Q.  That is a proof: a
+product overflows), unpacks and divides by the two denominators.  The
+packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
+`poly_gcd` first tries a coprimality certificate modulo the prime
+p = 2**61 - 1: if p divides neither leading coefficient of the
+integer-scaled inputs and their gcd mod p is a constant, they are coprime
+over Q.  That is a proof: a
 common factor over Q can be taken primitive in Z[z] (Gauss's lemma), it
 divides both inputs in Z[z], its leading coefficient divides theirs and so
 survives reduction mod p, and its image mod p divides the gcd mod p with
@@ -54,7 +56,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, degree: int, coeff=Fraction(1)) -> "Poly":
-        return cls((0,) * degree + (coeff,))
+        return cls((Fraction(0),) * degree + (coeff,))
 
     @property
     def is_zero(self) -> bool:
@@ -213,31 +215,49 @@ def _integer_scaled(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _kronecker(a, b):
-    """The coefficients of the product of two nonzero integer polynomials.
+def _digit_width(bound: int) -> int:
+    """Bytes per Kronecker digit for values v with |v| < 2**bound: the
+    smallest w with 2**bound <= 2**(8*w - 1)."""
+    return bound // 8 + 1
 
-    Each operand is packed into one integer, sum x_k * 2**(8*w*k), with
-    digits of w bytes: wide enough that every product coefficient c has
-    |c| < 2**(8*w - 1) = half.  Offsetting every digit by half makes it
-    nonnegative, so packing and unpacking are byte copies, and the single
-    big-integer multiply between them does the convolution.
-    """
-    bound = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-             + min(len(a), len(b)).bit_length())
-    width = bound // 8 + 1
+
+def _pack(xs, width: int) -> int:
+    """The integer sum x_k * 2**(8*width*k), for |x_k| < 2**(8*width - 1).
+
+    Offsetting every digit by half = 2**(8*width - 1) makes it
+    nonnegative, so packing is a byte copy, and the offsets are taken off
+    again in one subtraction."""
     half = 1 << (8 * width - 1)
-    offset = half.to_bytes(width, "little")
+    digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+    offset = half.to_bytes(width, "little") * len(xs)
+    return int.from_bytes(digits, "little") - int.from_bytes(offset, "little")
 
-    def pack(xs):
-        digits = b"".join((x + half).to_bytes(width, "little") for x in xs)
-        return (int.from_bytes(digits, "little")
-                - int.from_bytes(offset * len(xs), "little"))
 
-    n = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + int.from_bytes(offset * n, "little")
-    digits = product.to_bytes(n * width, "little")
+def _unpack(value: int, n: int, width: int) -> list:
+    """The n signed digits of a packed integer: the inverse of `_pack`,
+    for values whose every digit v has |v| < 2**(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    offset = half.to_bytes(width, "little") * n
+    digits = (value + int.from_bytes(offset, "little")).to_bytes(
+        n * width, "little")
     return [int.from_bytes(digits[k:k + width], "little") - half
             for k in range(0, n * width, width)]
+
+
+def _max_bits(xs) -> int:
+    """The largest bit length of the integers xs (0 when there are none)."""
+    return max(map(abs, xs), default=0).bit_length()
+
+
+def _kronecker(a, b):
+    """The coefficients of the product of two nonzero integer polynomials:
+    one big-integer multiply of the packed operands.  A product
+    coefficient is a sum of at most min(len a, len b) products of an
+    entry of a and an entry of b, which bounds its bit length."""
+    width = _digit_width(_max_bits(a) + _max_bits(b)
+                         + min(len(a), len(b)).bit_length())
+    return _unpack(_pack(a, width) * _pack(b, width),
+                   len(a) + len(b) - 1, width)
 
 
 # The prime of the coprimality certificate (a Mersenne prime, 2**61 - 1).

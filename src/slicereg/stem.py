@@ -21,11 +21,13 @@ since the imaginary parts of F * F^c cancel in pairs.
 
 The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
-the parts: both operands are scaled to integer component lists over one
-common denominator, the sixteen component products run as big-integer
-Kronecker products and are summed with the signs of the quaternion unit
-table, and the four sums are divided once by the product of the two
-denominators.
+the parts (`_star_ints`): both operands are scaled to integer component
+lists over one common denominator, and each of the eight components is
+packed once into one big integer (Kronecker substitution, at one digit
+width wide enough for every digit of the result).  The sixteen products
+of packed components are accumulated, with the signs of the quaternion
+unit table, into four packed sums; each sum is unpacked once, and the
+four results are divided once by the product of the two denominators.
 
 The center / trace-free split F = (F', F'') is simply `parts`: F' = c0,
 and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
@@ -43,11 +45,12 @@ under pointwise conjugation by invertible elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (Poly, _integer_scaled, _kronecker, poly_gcd_many,
-                   vanishing_order)
+from .poly import (Poly, _digit_width, _integer_scaled, _max_bits, _pack,
+                   _unpack, poly_gcd_many, vanishing_order)
 from .scalars import RATIONAL_TYPES, GaussRat, power
 
 
@@ -198,24 +201,12 @@ class StemPoly:
         other = _stem_operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
-        if self.is_zero or other.is_zero:
-            return StemPoly()
         left, left_den = _integer_parts(self.parts)
         right, right_den = _integer_parts(other.parts)
-        out = [[0] * (self.degree + other.degree + 1) for _ in range(4)]
-        for s, a in enumerate(left):
-            if not a:
-                continue
-            for t, b in enumerate(right):
-                if not b:
-                    continue
-                r, sign = UNIT_PRODUCTS[s][t]
-                acc = out[r]
-                for k, x in enumerate(_kronecker(a, b)):
-                    acc[k] += sign * x
         den = left_den * right_den
-        return StemPoly._from_parts(Poly(tuple(Fraction(x, den) for x in comp))
-                                    for comp in out)
+        return StemPoly._from_parts(
+            Poly(tuple(Fraction(x, den) if x else _ZERO for x in comp))
+            for comp in _star_ints(left, right))
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -354,6 +345,42 @@ def _integer_parts(parts):
         out.append(nums[start:start + len(p.coeffs)])
         start += len(p.coeffs)
     return out, den
+
+
+def _star_ints(left, right):
+    """The product of two stems given as integer component lists
+    (c0, c1, c2, c3): four integer lists, each of length m + n - 1 for the
+    longest components m of `left` and n of `right` (untrimmed), or four
+    empty lists when a side has no coefficient.
+
+    A digit of an output component is a sum of four signed convolution
+    coefficients, each a sum of at most min(m, n) products of an entry of
+    each side; the digit width covers that bound, the 2 extra bits the
+    sum of four.
+    """
+    m, n = max(map(len, left)), max(map(len, right))
+    if not m or not n:
+        return [[], [], [], []]
+    width = _digit_width(_max_bits(chain.from_iterable(left))
+                         + _max_bits(chain.from_iterable(right))
+                         + min(m, n).bit_length() + 2)
+    packed = [_pack(b, width) for b in right]
+    sums = [0, 0, 0, 0]
+    for s, a in enumerate(left):
+        if not a:
+            continue
+        a = _pack(a, width)
+        for t, b in enumerate(packed):
+            if b:
+                r, sign = UNIT_PRODUCTS[s][t]
+                if sign > 0:
+                    sums[r] += a * b
+                else:
+                    sums[r] -= a * b
+    return [_unpack(acc, m + n - 1, width) for acc in sums]
+
+
+_ZERO = Fraction(0)
 
 
 def _stem_operand(value):

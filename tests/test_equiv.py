@@ -16,6 +16,7 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             BRANCH_SLICE_PRESERVING, ISOTROPY_ADDITIVE,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE)
+from slicereg.poly import Matrix
 
 from support import (conjugate_stem, convolve_stems,
                      rand_pure_imaginary_quaternion, rand_stem,
@@ -166,6 +167,50 @@ def test_find_intertwiner_identity_and_constants():
 def test_find_intertwiner_none_for_distinct_norms():
     assert find_intertwiner(StemPoly.constant(QI),
                             StemPoly.constant(2 * QI), 1) == []
+
+
+@pytest.mark.parametrize("first, second, dmax, index, dim", [
+    (F_PAIR, G_PAIR, 12, 0, 11), (F_PAIR, G_PAIR, 12, 5, 11),
+    (F_PAIR, G_PAIR, 12, 10, 11),
+    (StemPoly.constant(QI), StemPoly.constant(QJ), 0, 0, 1)])
+@pytest.mark.parametrize("entry", [0, -1])
+def test_find_intertwiner_re_verifies_every_kernel_vector(
+        monkeypatch, first, second, dmax, index, dim, entry):
+    """One entry of one kernel vector, the lowest or the highest, of the
+    first, a middle or the last vector, is off by one: the check by
+    multiplication must refuse it."""
+    assert len(find_intertwiner(first, second, dmax)) == dim
+    nullspace = Matrix.nullspace
+
+    def perturbed(self):
+        basis = nullspace(self)
+        vec = list(basis[index])
+        vec[entry] += 1
+        basis[index] = tuple(vec)
+        return basis
+
+    monkeypatch.setattr(Matrix, "nullspace", perturbed)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(first, second, dmax)
+
+
+def test_find_intertwiner_re_verification_keeps_the_blocks_apart(monkeypatch):
+    """Two kernel vectors that intertwine nothing, 4*i*z^dmax and
+    (1/2)*j + (1/4)*(i + k)*z, scaled to integers and stacked only
+    dmax + 1 apart, would add up to z^dmax * 4*beta with beta an
+    intertwiner: the products of the blocks must not meet."""
+    beta = StemPoly([QI, QJ * Fraction(1, 2), (QI + QK) * Fraction(1, 4)])
+    assert F_PAIR.star(beta) == beta.star(G_PAIR)
+    assert beta.star(F_PAIR) == G_PAIR.star(beta)
+    dmax = 12
+    low = [Fraction(0)] * (4 * dmax + 4)
+    low[4 * dmax + 1] = Fraction(4)
+    high = [Fraction(0)] * (4 * dmax + 4)
+    high[2], high[5], high[7] = Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)
+    monkeypatch.setattr(Matrix, "nullspace",
+                        lambda self: [tuple(low), tuple(high)])
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(F_PAIR, G_PAIR, dmax)
 
 
 def test_verify_conjugator_worked_pair():

@@ -225,6 +225,22 @@ def test_large_powers_match_the_binomial_coefficients():
         units[k % 4] * math.comb(200, k) for k in range(201))
 
 
+def test_a_power_of_the_variable_is_the_monomial():
+    from slicereg.parsing import MAX_DEGREE
+    from slicereg.stem import Z
+    for n in [*range(41), MAX_DEGREE]:
+        power = Z ** n
+        for text in (f"z^{n}", f"q^{n}", f"(z)^{n}"):
+            assert parse_stem(text) == power
+            assert repr(parse_stem(text).parts) == repr(power.parts)
+    with pytest.raises(LimitExceededError, match=f"limit of {MAX_DEGREE}"):
+        parse_stem(f"z^{MAX_DEGREE + 1}")
+    # Powers of anything else still multiply out.
+    assert parse_stem("(2*z)^3") == StemPoly([0, 0, 0, 8])
+    assert parse_stem("(1+z)^3") == StemPoly([1, 3, 3, 1])
+    assert parse_stem("(z*i)^3") == StemPoly([0, 0, 0, -QI])
+
+
 # -- the normalizer against the CQuat reference -------------------------------------
 
 _RATIONALS = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 40),

@@ -83,6 +83,48 @@ def test_star_edge_cases_match_the_quaternion_convolution():
     assert F_PAIR.star(0) == StemPoly()
 
 
+# (1 + i + j + k) times each of these right-hand sign patterns makes all
+# four signed products of component r (1, i, j, k in turn) equal to +1,
+# e.g. (1 + i + j + k)(1 - i - j - k) = 4.
+_ALIGNED_SIGNS = ((1, -1, -1, -1), (1, 1, -1, 1), (1, 1, 1, -1), (1, -1, 1, 1))
+
+
+def _ints(stem):
+    return [[int(x) for x in p.coeffs] for p in stem.parts]
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+def test_star_digit_width_holds_at_the_worst_case(bits):
+    """Every coefficient +-(2**bits - 1), signed so that the four products
+    of one component add: the largest digits the packed product can have,
+    against the quaternion convolution."""
+    from slicereg.stem import _star_ints
+    c = 2 ** bits - 1
+    lengths = (1, 2, 3, 4, 7, 8)
+    for r, signs in enumerate(_ALIGNED_SIGNS):
+        sign = -1 if r % 2 else 1      # the most negative digits as well
+        lcoef = Quaternion(*(sign * c,) * 4)
+        rcoef = Quaternion(*(s * c for s in signs))
+        top = sign * 4 * c * c
+        assert (lcoef * rcoef).components()[r] == top
+        for m, n in ([(m, n) for m in lengths for n in lengths]
+                     + [(256, 1), (1, 256)]):
+            left, right = StemPoly([lcoef] * m), StemPoly([rcoef] * n)
+            expected = convolve_stems(left, right)
+            assert left.star(right) == expected
+            assert _star_ints(_ints(left), _ints(right)) == [
+                [p.coeff(k) for k in range(m + n - 1)] for p in expected.parts]
+        # Up to 256 products add in one digit here; the convolution is
+        # taken in closed form, as the reference would take seconds.
+        for m, n in ((256, 8), (7, 256), (256, 256)):
+            left, right = StemPoly([lcoef] * m), StemPoly([rcoef] * n)
+            expected = [[top * (min(k, m - 1, n - 1, m + n - 2 - k) + 1)
+                         if t == r else 0 for k in range(m + n - 1)]
+                        for t in range(4)]
+            assert _star_ints(_ints(left), _ints(right)) == expected
+            assert left.star(right).parts == tuple(map(Poly, expected))
+
+
 def test_conj_values():
     assert F_PAIR.conj() == -F_PAIR
     real = StemPoly([1, 2, Fraction(1, 3)])
