@@ -97,7 +97,8 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
-    if first.trace() != second.trace():
+    # The trace is 2*c0, so comparing c0 compares traces.
+    if first.parts[0] != second.parts[0]:
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
     if first.norm() != second.norm():
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "norm")

@@ -11,15 +11,19 @@ once as big integers by Kronecker substitution (each operand packed into
 one integer, a digit per coefficient, wide enough that no digit of the
 product overflows), unpacks and divides by the two denominators.  The
 packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
-`poly_gcd` first tries a coprimality certificate modulo the prime
-p = 2**61 - 1: if p divides neither leading coefficient of the
-integer-scaled inputs and their gcd mod p is a constant, they are coprime
-over Q.  That is a proof: a
-common factor over Q can be taken primitive in Z[z] (Gauss's lemma), it
-divides both inputs in Z[z], its leading coefficient divides theirs and so
-survives reduction mod p, and its image mod p divides the gcd mod p with
-the same degree.  Every other input, and every GaussRat polynomial, takes
-the monic Euclidean scheme over the field.
+`poly_gcd_many` takes the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet, JSC 1989) on primitive integer lists a, b.  At xi = 2**(8*w),
+evaluation at xi is `_pack` and the balanced xi-adic digits of an integer
+(`_unpack`) read a polynomial h back.  From h(xi) = gcd(a(xi), b(xi)) the
+candidate g = h / cont(h) is accepted only when, for x = a and b, the
+cofactor read back from x(xi) // g(xi) times g is exactly x.  With
+xi > 2*min(|a|, |b|) + 2 (max-norms; w makes xi > 2*max(|a|, |b|) + 2)
+an accepted g is the gcd d: g divides d = g*q in Z[z], so q(xi) divides
+cont(h) <= xi/2.  A root of q is a root of a and b, of modulus below
+1 + min(|a|, |b|) (Cauchy's bound), so a q of positive degree would have
+|q(xi)| > (xi - 1 - min(|a|, |b|)) > xi/2.  A constant g is 1 and needs
+no check.  A failed candidate doubles w; after `_HEU_ATTEMPTS` points
+the gcd falls back to monic Euclid over Q, as GaussRat inputs always do.
 
 `Matrix` row reduction is fraction-free as well: rows are scaled to
 integers and eliminated with integer row operations that divide out each
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
@@ -260,75 +265,82 @@ def _kronecker(a, b):
                    len(a) + len(b) - 1, width)
 
 
-# The prime of the coprimality certificate (a Mersenne prime, 2**61 - 1).
-_P = (1 << 61) - 1
+# Evaluation points a heuristic gcd tries before it falls back to Euclid.
+_HEU_ATTEMPTS = 6
 
 
-def _rem_mod_p(a, b):
-    """Remainder of a by b over Z/pZ; coefficient lists in ascending order
-    with nonzero last entries, and the result trimmed the same way."""
-    a = list(a)
-    inv = pow(b[-1], -1, _P)
-    db = len(b) - 1
-    while len(a) > db:
-        factor = a.pop() * inv % _P
-        shift = len(a) - db
-        for k in range(db):
-            a[shift + k] = (a[shift + k] - factor * b[k]) % _P
-        while a and not a[-1]:
-            a.pop()
+def _primitive(coeffs):
+    """The primitive integer list proportional to nonzero coefficients, or
+    None unless every coefficient is an int or a Fraction."""
+    scaled = _integer_scaled(coeffs)
+    if scaled is None:
+        return None
+    content = gcd(*scaled[0])
+    return [c // content for c in scaled[0]] if content > 1 else scaled[0]
+
+
+def _digits(value: int, width: int) -> list:
+    """The integer polynomial h with h(xi) = value, xi = 2**(8*width), and
+    balanced digits |h_k| <= xi/2 (trailing zeros dropped)."""
+    digits = _unpack(value, abs(value).bit_length() // (8 * width) + 2, width)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _monic(ints) -> Poly:
+    """The monic rational Poly proportional to a nonzero integer list."""
+    return Poly(tuple(Fraction(c, ints[-1]) for c in ints))
+
+
+def _heu_gcd(a, b):
+    """The primitive gcd of two nonzero primitive integer lists: GCDHEU,
+    then the Euclidean fallback (see the module docstring)."""
+    width = _digit_width(max(_max_bits(a), _max_bits(b)) + 1)
+    for _ in range(_HEU_ATTEMPTS):
+        at_a, at_b = _pack(a, width), _pack(b, width)
+        at_h = gcd(at_a, at_b)
+        h = _digits(at_h, width)
+        content = gcd(*h)
+        g = [c // content for c in h]
+        if len(g) == 1:
+            return [1]
+        at_g = at_h // content
+        if all(_kronecker(_digits(at_x // at_g, width), g) == x
+               for x, at_x in ((a, at_a), (b, at_b))):
+            return g
+        width *= 2
+    return _primitive(_euclid(_monic(a), _monic(b)).coeffs)
+
+
+def _euclid(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of nonzero a and b by the Euclidean scheme over the
+    coefficient field, with remainders renormalized to monic at every
+    step so Fraction sizes stay tame at desk scale."""
+    a, b = a.monic(), b.monic()
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
     return a
 
 
-def _coprime_mod_p(a: Poly, b: Poly) -> bool:
-    """True only when the nonzero a and b share no factor of positive
-    degree over Q (the certificate of the module docstring).  False means
-    "not shown", never "not coprime"."""
-    left = _integer_scaled(a.coeffs)
-    right = _integer_scaled(b.coeffs)
-    if left is None or right is None:
-        return False
-    x = [c % _P for c in left[0]]
-    y = [c % _P for c in right[0]]
-    if not x[-1] or not y[-1]:
-        return False
-    while y:
-        x, y = y, _rem_mod_p(x, y)
-    return len(x) == 1
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor.
-
-    Inputs that the mod-p certificate shows coprime return 1 at once.
-    All others take the Euclidean scheme, with remainders renormalized
-    to monic at every step so Fraction sizes stay tame at desk scale;
-    coefficient arithmetic is exact regardless.
-    """
+    """Monic greatest common divisor (see `poly_gcd_many`)."""
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd(0, 0) is undefined")
-    if not a.is_zero and not b.is_zero and _coprime_mod_p(a, b):
-        return Poly((Fraction(1),))
-    a, b = a.monic() if not a.is_zero else a, b.monic() if not b.is_zero else b
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
+    return poly_gcd_many((a, b))
 
 
 def poly_gcd_many(polys) -> Poly:
-    """gcd of an iterable of polynomials; zero entries are ignored."""
-    acc = None
-    for p in polys:
-        if p.is_zero:
-            continue
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.degree == 0:
-            break
-    if acc is None:
+    """Monic gcd of an iterable of polynomials; zero entries are ignored.
+    Rational inputs take `_heu_gcd` on primitive integer lists, others
+    the Euclidean scheme."""
+    polys = [p for p in polys if not p.is_zero]
+    if not polys:
         raise BothZeroError("gcd of all-zero family is undefined")
-    return acc.monic()
+    ints = [_primitive(p.coeffs) for p in polys]
+    if None in ints:
+        return reduce(_euclid, polys[1:], polys[0].monic())
+    return _monic(reduce(_heu_gcd, ints))
 
 
 def _divide_linear(coeffs, z0):
@@ -398,7 +410,8 @@ class Matrix:
         rows[i][pivots[i]] is row i of the RREF."""
         m = []
         for row in self.entries:
-            ints = _integer_scaled(row)[0]
+            ints = (row if all(type(e) is int for e in row)
+                    else _integer_scaled(row)[0])
             content = gcd(*ints)
             if content > 1:
                 ints = [e // content for e in ints]

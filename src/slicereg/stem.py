@@ -236,10 +236,22 @@ class StemPoly:
         return self.parts[0] * 2
 
     def norm(self) -> Poly:
-        """norm(F) = F * F^c, a central (rational) polynomial, computed as
-        the sum of the squares of the four component polynomials."""
-        c0, c1, c2, c3 = self.parts
-        return c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+        """norm(F) = F * F^c, a central (rational) polynomial: the sum of
+        the squares of the four integer-scaled parts, each packed once at
+        one digit width, added as packed squares, unpacked once and divided
+        once by den**2.  A digit of a square of a part of length at most n
+        is a sum of at most n products of two entries; the width covers
+        that, and 2 more bits the sum of four squares."""
+        parts, den = _integer_parts(self.parts)
+        n = max(map(len, parts))
+        if not n:
+            return Poly()
+        width = _digit_width(2 * _max_bits(chain.from_iterable(parts))
+                             + n.bit_length() + 2)
+        total = sum(_pack(p, width) ** 2 for p in parts)
+        den *= den
+        return Poly(tuple(Fraction(x, den) if x else _ZERO
+                          for x in _unpack(total, 2 * n - 1, width)))
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""

@@ -208,6 +208,13 @@ def test_products_of_int_and_fraction_coefficients_are_fractions():
     assert all(type(c) is Fraction for c in product.coeffs)
 
 
+def test_gcds_of_int_coefficients_are_fractions():
+    pair = poly_gcd(Poly([-2, 2]), Poly([-4, 4]))
+    family = poly_gcd_many([Poly([3, 6]), Poly([0, 1, 2]), Poly([5, 10])])
+    assert pair == Z - 1 and family == Z + Fraction(1, 2)
+    assert all(type(c) is Fraction for c in pair.coeffs + family.coeffs)
+
+
 def test_gcd_matches_sympy_on_coprime_and_planted_inputs():
     sp = pytest.importorskip("sympy")
     rng = random.Random(1971)
@@ -235,30 +242,108 @@ def test_gcd_many_matches_sympy_on_coprime_and_planted_inputs():
             assert poly_gcd_many(polys) == want
 
 
+# Roots and leading coefficients at the prime P61, which defeat a
+# coprimality test modulo P61, kept as gcd regressions against Euclid.
+
 def test_certificate_fallback_when_coprime_over_q_but_not_mod_p():
-    from slicereg.poly import _coprime_mod_p
-    # z and z + p are coprime over Q, but equal mod p.
     a, b = Z, Z + P61
-    assert not _coprime_mod_p(a, b)
     assert poly_gcd(a, b) == _euclid(a, b) == Poly([1])
     a, b = (Z - 1) * (Z + 3), (Z - 1 + P61) * (Z + 3) * (Z + 5)
-    assert not _coprime_mod_p(a, b)
     assert poly_gcd(a, b) == _euclid(a, b) == Z + 3
     # Rational inputs scale to the same integer pair.
     a, b = Z * Fraction(1, 3), (Z + P61) * Fraction(2, 7)
-    assert not _coprime_mod_p(a, b)
-    assert poly_gcd(a, b) == Poly([1])
+    assert poly_gcd(a, b) == _euclid(a, b) == Poly([1])
 
 
 def test_certificate_fallback_when_p_divides_a_leading_coefficient():
-    from slicereg.poly import _coprime_mod_p
     for a, b in ((P61 * Z ** 2 + 1, Z ** 2 + 2),
                  (Z + 1, Fraction(P61, 5) * Z ** 3 + Z - 7),
                  (P61 * (Z - 2) * (Z + 1), (Z - 2) * (Z + 4))):
-        assert not _coprime_mod_p(a, b)
         assert poly_gcd(a, b) == _euclid(a, b)
         assert poly_gcd(b, a) == _euclid(a, b)
     assert poly_gcd(P61 * (Z - 2) * (Z + 1), (Z - 2) * (Z + 4)) == Z - 2
+
+
+def _planted_family(rng, degree: int, bits: int, count: int = 3):
+    """`count` integer polynomials of degree `degree` with coefficients of
+    up to `bits` bits, plus a planted factor of degree 1-8 (repeated roots
+    included) to multiply them by."""
+    family = [Poly([rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
+                   + [rng.randint(1, 2 ** bits)]) for _ in range(count)]
+    root = Poly([rng.randint(-9, 9), rng.randint(1, 4)])
+    planted = rng.choice((root, root ** 2, root ** 3 * (Z ** 2 + 1),
+                          _diff_poly(rng, rng.randint(1, 8))))
+    return family, planted
+
+
+@pytest.mark.parametrize("degree,bits", [(1, 4), (3, 4), (8, 7), (12, 100),
+                                         (20, 8), (64, 8), (160, 8)])
+def test_gcd_matches_sympy_on_planted_repeated_and_large_inputs(degree, bits):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(degree * 1000 + bits)
+    for _ in range(6 if degree < 64 else 2):
+        family, planted = _planted_family(rng, degree, bits)
+        for polys in (family, [p * planted for p in family],
+                      [family[0] * planted ** 2, family[1] * planted,
+                       family[2] * planted * Fraction(1, 10 ** 30)]):
+            want = _from_sympy(reduce(sp.Poly.gcd, [_to_sympy(sp, p)
+                                                    for p in polys]).monic())
+            assert poly_gcd_many(polys) == want
+            assert poly_gcd(polys[0], polys[1]) == _from_sympy(
+                sp.gcd(_to_sympy(sp, polys[0]), _to_sympy(sp, polys[1])).monic())
+
+
+def test_gcd_of_coefficients_near_ten_to_the_thirty_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(1030)
+    big = 10 ** 30
+    for _ in range(10):
+        g = Poly([rng.randint(-big, big), rng.randint(1, big)])
+        a = Poly([Fraction(rng.randint(-big, big), rng.randint(1, big))
+                  for _ in range(rng.randint(1, 6))] + [1])
+        b = Poly([rng.randint(-big, big) for _ in range(rng.randint(1, 6))]
+                 + [big])
+        for x, y in ((a, b), (a * g, b * g), (a * g * g, b * g * g)):
+            want = _from_sympy(sp.gcd(_to_sympy(sp, x), _to_sympy(sp, y)).monic())
+            assert poly_gcd(x, y) == want
+
+
+@pytest.fixture
+def euclid_calls(monkeypatch):
+    """The argument pairs of every Euclidean fallback, in call order."""
+    import slicereg.poly as poly
+    calls = []
+    euclid = poly._euclid
+
+    def counting_euclid(a, b):
+        calls.append((a, b))
+        return euclid(a, b)
+
+    monkeypatch.setattr(poly, "_euclid", counting_euclid)
+    return calls
+
+
+def test_gcd_falls_back_to_euclid_when_no_point_is_tried(monkeypatch,
+                                                         euclid_calls):
+    monkeypatch.setattr("slicereg.poly._HEU_ATTEMPTS", 0)
+    rng = random.Random(0)
+    for degree in (1, 4, 9):
+        family, planted = _planted_family(rng, degree, 6, count=2)
+        for a, b in (family, [p * planted for p in family],
+                     (family[0] * planted ** 2, family[1] * planted)):
+            assert poly_gcd(a, b) == _euclid(a, b)
+    assert poly_gcd(Z + P61, Z) == _euclid(Z + P61, Z) == Poly([1])
+    assert len(euclid_calls) == 10
+
+
+def test_gcd_widens_the_point_after_a_failed_candidate(monkeypatch,
+                                                       euclid_calls):
+    # (2z - 1) times two coprime cubics: the candidate read back at
+    # xi = 2**8 fails its check, the one at xi = 2**16 passes.
+    a, b = Poly([-2, 6, -2, -5, 2]), Poly([-2, 3, 0, 2, 4])
+    assert poly_gcd(a, b) == Z - Fraction(1, 2) and not euclid_calls
+    monkeypatch.setattr("slicereg.poly._HEU_ATTEMPTS", 1)
+    assert poly_gcd(a, b) == Z - Fraction(1, 2) and len(euclid_calls) == 1
 
 
 def test_gaussrat_products_and_gcds_keep_the_field_routes():

@@ -153,6 +153,26 @@ def test_norm_agrees_with_split_formula():
         assert stem.norm() == c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
 
 
+@pytest.mark.parametrize("bits", (7, 8, 15, 16, 63, 64))
+def test_norm_at_the_worst_case_digit_width(bits):
+    # Coefficients of +-(2**bits - 1), all of one sign in a part or
+    # alternating, make every digit of the packed sum of squares as large
+    # as its width allows.
+    top = 2 ** bits - 1
+    lengths = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(256, 256)]
+    for m, n in lengths:
+        for signs in ((1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, "alt", "alt")):
+            parts = []
+            for r, sign in enumerate(signs):
+                length = m if r % 2 else n
+                parts.append(Poly([top * (-1) ** k if sign == "alt" else top * sign
+                                   for k in range(length)]))
+            stem = StemPoly([Quaternion(*(p.coeff(k) for p in parts))
+                             for k in range(max(m, n))])
+            c0, c1, c2, c3 = stem.parts
+            assert stem.norm() == c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+
+
 # Four component polynomials of independent lengths, so a stem's parts
 # rarely end at the same degree.
 component_polys = st.lists(st.one_of(st.just(Fraction(0)), fractions),
@@ -230,9 +250,12 @@ def test_norm_matches_sympy_sum_of_component_squares():
     sp = pytest.importorskip("sympy")
     z = sp.Symbol("z")
     rng = random.Random(1971)
-    for max_degree in (0, 1, 2, 7, 20):
+    big = Fraction(10 ** 30 + 7, 10 ** 12 + 1)
+    for max_degree in (0, 1, 2, 7, 20, 64):
         for _ in range(4):
             stem = rand_stem(rng, max_degree)
+            if rng.random() < 0.5:
+                stem = stem * big + StemPoly.monomial(max_degree, QJ * big)
             squares = 0
             for m in range(4):
                 component = sum(sp.Rational(x.numerator, x.denominator) * z ** k
