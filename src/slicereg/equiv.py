@@ -51,9 +51,10 @@ from __future__ import annotations
 
 from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import Matrix, Poly, _integer_scaled
+from .poly import Matrix, Poly, _gcd_ints, _integer_scaled, _max_bits
 from .scalars import GaussRat, Record
-from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _star_ints
+from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _integer_parts,
+                   _packed_norm, _star_ints)
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -92,7 +93,10 @@ class EquivVerdict(Record):
 
 
 def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
-    """Decide equivalence under pointwise automorphism conjugation."""
+    """Decide equivalence under pointwise automorphism conjugation.  Past
+    the trace each stem is scaled once to integers over its denominator d:
+    N_F * d_H**2 = N_H * d_F**2 for `_packed_norm` at a width covering the
+    parts times the other d, and c1..c3 of both share `_gcd_ints`."""
     if first.is_slice_preserving() or second.is_slice_preserving():
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
@@ -100,9 +104,15 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     # The trace is 2*c0, so comparing c0 compares traces.
     if first.parts[0] != second.parts[0]:
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
-    if first.norm() != second.norm():
+    f, f_den = _integer_parts(first.parts)
+    h, h_den = _integer_parts(second.parts)
+    bits = max(max(map(_max_bits, f)) + h_den.bit_length(),
+               max(map(_max_bits, h)) + f_den.bit_length())
+    n = max(map(len, f + h))
+    if (_packed_norm(f, bits, n)[0] * h_den ** 2
+            != _packed_norm(h, bits, n)[0] * f_den ** 2):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "norm")
-    if first.central_divisor() != second.central_divisor():
+    if _gcd_ints(f[1:]) != _gcd_ints(h[1:]):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "cdiv")
     return EquivVerdict(True, BRANCH_NOT_SLICE_PRESERVING)
 

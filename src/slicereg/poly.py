@@ -11,8 +11,9 @@ once as big integers by Kronecker substitution (each operand packed into
 one integer, a digit per coefficient, wide enough that no digit of the
 product overflows), unpacks and divides by the two denominators.  The
 packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
-`poly_gcd_many` takes the heuristic gcd GCDHEU (Char, Geddes and
-Gonnet, JSC 1989) on primitive integer lists a, b.  At xi = 2**(8*w),
+`_gcd_ints`, behind `poly_gcd_many` and the equivalence decision, takes
+the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) on
+primitive integer lists a, b.  At xi = 2**(8*w),
 evaluation at xi is `_pack` and the balanced xi-adic digits of an integer
 (`_unpack`) read a polynomial h back.  From h(xi) = gcd(a(xi), b(xi)) the
 candidate g = h / cont(h) is accepted only when, for x = a and b, the
@@ -145,12 +146,12 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        lead = other.coeffs[-1]
+        inv = Fraction(1) / other.coeffs[-1]   # exact for int coefficients
         quot = [Fraction(0)] * (dq + 1)
         for shift in range(dq, -1, -1):
             top = rem[shift + len(other.coeffs) - 1]
             if top:
-                factor = top / lead
+                factor = top * inv
                 quot[shift] = factor
                 for m, cm in enumerate(other.coeffs):
                     rem[shift + m] -= factor * cm
@@ -177,7 +178,8 @@ class Poly:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return Poly(tuple(c / lead for c in self.coeffs))
+        inv = Fraction(1) / lead   # exact for int coefficients
+        return Poly(tuple(c * inv for c in self.coeffs))
 
     # -- comparison / display ----------------------------------------------------
 
@@ -214,10 +216,11 @@ def _integer_scaled(coeffs):
     or None unless every coefficient is an int or a Fraction."""
     if not all(isinstance(c, RATIONAL_TYPES) for c in coeffs):
         return None
-    den = lcm(*(c.denominator for c in coeffs))
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = lcm(*[d for _, d in ratios])
     if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _digit_width(bound: int) -> int:
@@ -269,14 +272,10 @@ def _kronecker(a, b):
 _HEU_ATTEMPTS = 6
 
 
-def _primitive(coeffs):
-    """The primitive integer list proportional to nonzero coefficients, or
-    None unless every coefficient is an int or a Fraction."""
-    scaled = _integer_scaled(coeffs)
-    if scaled is None:
-        return None
-    content = gcd(*scaled[0])
-    return [c // content for c in scaled[0]] if content > 1 else scaled[0]
+def _primitive(ints):
+    """A nonzero integer list divided by its content."""
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
 
 
 def _digits(value: int, width: int) -> list:
@@ -294,8 +293,8 @@ def _monic(ints) -> Poly:
 
 
 def _heu_gcd(a, b):
-    """The primitive gcd of two nonzero primitive integer lists: GCDHEU,
-    then the Euclidean fallback (see the module docstring)."""
+    """The primitive gcd of two nonzero primitive integer lists: GCDHEU, then
+    the Euclidean fallback, whose monic result scales to a primitive list."""
     width = _digit_width(max(_max_bits(a), _max_bits(b)) + 1)
     for _ in range(_HEU_ATTEMPTS):
         at_a, at_b = _pack(a, width), _pack(b, width)
@@ -310,7 +309,14 @@ def _heu_gcd(a, b):
                for x, at_x in ((a, at_a), (b, at_b))):
             return g
         width *= 2
-    return _primitive(_euclid(_monic(a), _monic(b)).coeffs)
+    return _integer_scaled(_euclid(_monic(a), _monic(b)).coeffs)[0]
+
+
+def _gcd_ints(lists):
+    """The primitive gcd, leading coefficient positive, of the nonempty
+    integer lists: equal for two families iff their monic gcds are."""
+    g = reduce(_heu_gcd, [_primitive(x) for x in lists if x])
+    return g if g[-1] > 0 else [-c for c in g]
 
 
 def _euclid(a: Poly, b: Poly) -> Poly:
@@ -332,15 +338,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_gcd_many(polys) -> Poly:
     """Monic gcd of an iterable of polynomials; zero entries are ignored.
-    Rational inputs take `_heu_gcd` on primitive integer lists, others
-    the Euclidean scheme."""
+    Rational inputs take `_gcd_ints` on their integer-scaled coefficients,
+    others the Euclidean scheme."""
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         raise BothZeroError("gcd of all-zero family is undefined")
-    ints = [_primitive(p.coeffs) for p in polys]
-    if None in ints:
+    scaled = [_integer_scaled(p.coeffs) for p in polys]
+    if None in scaled:
         return reduce(_euclid, polys[1:], polys[0].monic())
-    return _monic(reduce(_heu_gcd, ints))
+    return _monic(_gcd_ints([ints for ints, _ in scaled]))
 
 
 def _divide_linear(coeffs, z0):

@@ -33,9 +33,9 @@ The center / trace-free split F = (F', F'') is simply `parts`: F' = c0,
 and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
 non-slice-preserving F is the vanishing divisor of F'': the common zeros
 of c1, c2, c3 with multiplicity the minimum of their vanishing orders.
-It is represented exactly by a monic polynomial, gcd(c1, c2, c3);
-equality of divisors is equality of monic polynomials, and no root
-extraction is ever needed.
+It is represented exactly by a monic polynomial, gcd(c1, c2, c3), which
+the decision replaces by the primitive integer gcd with positive leading
+coefficient; no root extraction is ever needed.
 
 Central divisors are *not* functorial: cdiv(F * G) need not equal
 cdiv(F) + cdiv(G) (the tests keep a witness), but they are invariant
@@ -236,19 +236,13 @@ class StemPoly:
         return self.parts[0] * 2
 
     def norm(self) -> Poly:
-        """norm(F) = F * F^c, a central (rational) polynomial: the sum of
-        the squares of the four integer-scaled parts, each packed once at
-        one digit width, added as packed squares, unpacked once and divided
-        once by den**2.  A digit of a square of a part of length at most n
-        is a sum of at most n products of two entries; the width covers
-        that, and 2 more bits the sum of four squares."""
+        """norm(F) = F * F^c, a central (rational) polynomial: the packed
+        sum of squares `_packed_norm`, unpacked and divided by den**2."""
         parts, den = _integer_parts(self.parts)
         n = max(map(len, parts))
         if not n:
             return Poly()
-        width = _digit_width(2 * _max_bits(chain.from_iterable(parts))
-                             + n.bit_length() + 2)
-        total = sum(_pack(p, width) ** 2 for p in parts)
+        total, width = _packed_norm(parts, max(map(_max_bits, parts)), n)
         den *= den
         return Poly(tuple(Fraction(x, den) if x else _ZERO
                           for x in _unpack(total, 2 * n - 1, width)))
@@ -357,6 +351,16 @@ def _integer_parts(parts):
         out.append(nums[start:start + len(p.coeffs)])
         start += len(p.coeffs)
     return out, den
+
+
+def _packed_norm(parts, bits: int, n: int):
+    """(N(xi), width): N = c0^2 + c1^2 + c2^2 + c3^2 for integer component
+    lists at xi = 2**(8*width).  With entries below 2**bits and lengths at
+    most n, a coefficient of a square sums at most n products and 2 more
+    bits cover the four squares, so every coefficient of N is below xi/2
+    in absolute value and N(xi) determines N."""
+    width = _digit_width(2 * bits + n.bit_length() + 2)
+    return sum(_pack(p, width) ** 2 for p in parts), width
 
 
 def _star_ints(left, right):

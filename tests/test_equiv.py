@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,9 +20,9 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE)
 from slicereg.poly import Matrix
 
-from support import (conjugate_stem, convolve_stems,
-                     rand_pure_imaginary_quaternion, rand_stem,
-                     rand_stem_nonslice)
+from support import (conjugate_stem, convolve_stems, rand_nonzero_quaternion,
+                     rand_pure_imaginary_quaternion, rand_quaternion,
+                     rand_stem, rand_stem_nonslice)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -291,7 +293,6 @@ def test_necessity_link_trace_or_norm_mismatch_fails_a_sample():
 
 def test_verdict_invariance_under_constant_conjugation():
     rng = random.Random(606)
-    from support import rand_nonzero_quaternion
     for _ in range(30):
         first = rand_stem(rng)
         second = rand_stem(rng)
@@ -300,6 +301,144 @@ def test_verdict_invariance_under_constant_conjugation():
         moved = equivalent(conjugate_stem(alpha, first), second)
         assert direct.equivalent == moved.equivalent
 
+
+# -- the integer decision against invariants computed in sympy ----------------
+
+def _sympy_verdict(sp, first, second):
+    """(equivalent, reason) from the definition: literal equality when
+    either stem is slice preserving, else trace, then the norm as a sum of
+    squares, then the monic gcd of c1..c3, all computed in sympy."""
+    z = sp.Symbol("z")
+
+    def parts(stem):
+        return [sp.Poly(sum((sp.Rational(c.numerator, c.denominator) * z ** k
+                             for k, c in enumerate(p.coeffs)), sp.Integer(0)),
+                        z, domain="QQ") for p in stem.parts]
+
+    f, h = parts(first), parts(second)
+    if all(p.is_zero for p in f[1:]) or all(p.is_zero for p in h[1:]):
+        return (True, None) if f == h else (False, "identity")
+    if f[0] != h[0]:
+        return False, "trace"
+    if sum(p ** 2 for p in f) != sum(p ** 2 for p in h):
+        return False, "norm"
+
+    def cdiv(ps):
+        return reduce(sp.gcd, [p for p in ps[1:] if not p.is_zero]).monic()
+
+    if cdiv(f) != cdiv(h):
+        return False, "cdiv"
+    return True, None
+
+
+def _stem_of_degree(rng, degree):
+    while True:
+        stem = StemPoly([rand_quaternion(rng) for _ in range(degree)]
+                        + [rand_nonzero_quaternion(rng)])
+        if not stem.is_slice_preserving():
+            return stem
+
+
+def _planted_pairs(rng, degree):
+    """The three planted pairs of one degree: conjugates (equivalent), a
+    trace-preserving change of the top coefficient (norm), and q v q^c
+    against N(q) v (same trace and norm, divisor N(q))."""
+    f = _stem_of_degree(rng, degree)
+    h = conjugate_stem(rand_nonzero_quaternion(rng), f)
+    top = h.coeffs[-1]
+    bumped = StemPoly(h.coeffs[:-1] + (top + (top.imag() or QI),))
+    q = _stem_of_degree(rng, degree // 2)
+    v = StemPoly([rand_pure_imaginary_quaternion(rng)])
+    planted = StemPoly([v.coeffs[0] * c for c in q.norm().coeffs])
+    return [(f, h, (True, None)), (f, bumped, (False, "norm")),
+            (q.star(v).star(q.conj()), planted, (False, "cdiv"))]
+
+
+def test_equivalent_matches_sympy_invariants():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(4376)
+    u = Quaternion(1, 2)                 # norm 5: conjugates gain denominators
+    pairs = [
+        # Denominator 1 on both sides.
+        (parse_stem("i + z*j"), parse_stem("i + 2*z*j"), None),
+        (parse_stem("(1+z*i)*j*(1-z*i)"), parse_stem("(1+z^2)*j"), None),
+        (parse_stem("3*i + z*j - 2*z^2*k"),
+         conjugate_stem(QJ, parse_stem("3*i + z*j - 2*z^2*k")), None),
+        # Norms equal only after cross-multiplying the denominators 1 and
+        # 25, and integer sums of squares equal over denominators 1 and 2.
+        (parse_stem("i + z*j + z^2*k"),
+         conjugate_stem(u, parse_stem("i + z*j + z^2*k")), None),
+        (parse_stem("i + z*j"), parse_stem("(1/2)*i + (1/2)*z*j"), None),
+        (parse_stem("(3/5)*i + (4/5)*j"), parse_stem("k"), None),
+        # Primitive gcds with negative leading coefficients, and zero
+        # components among c1..c3.
+        (parse_stem("-(1 + z)*i"), parse_stem("(1 + z)*j"), None),
+        (parse_stem("(1 - 2*z)*i"), parse_stem("(2*z - 1)*k"), None),
+        (parse_stem("-(1 + z)*i - (1 + z)*z*k"),
+         parse_stem("(1 + z)*j + (1 + z)*z*k"), None),
+        (parse_stem("(1 + z)*(2 - z)*i"), parse_stem("(1 + z)*(z - 2)*k"), None),
+        # Degree 0.
+        (StemPoly.constant(QI), StemPoly.constant(QJ), None),
+        (StemPoly.constant(QI), StemPoly.constant(2 * QI), None),
+        (StemPoly.constant(1 + QI), StemPoly.constant(1 + QK), None),
+        (StemPoly.constant(QI), StemPoly.constant(Quaternion(0, 1, 1)), None),
+        (StemPoly.constant(2), StemPoly.constant(QI), None),
+    ]
+    for _ in range(40):
+        f = rand_stem_nonslice(rng, 4)
+        pairs.append((f, conjugate_stem(rand_nonzero_quaternion(rng), f), None))
+        pairs.append((f, f + StemPoly([rand_pure_imaginary_quaternion(rng)]),
+                      None))
+        pairs.append((f, rand_stem(rng, 4), None))
+    for degree in (2, 8, 64):
+        pairs += _planted_pairs(rng, degree)
+    for first, second, planted in pairs:
+        want = _sympy_verdict(sp, first, second)
+        assert planted is None or planted == want
+        for f, h in ((first, second), (second, first)):
+            verdict = equivalent(f, h)
+            assert (verdict.equivalent, verdict.reason) == want
+
+
+def _schoolbook_norm(stem):
+    out = [0] * (2 * stem.degree + 1)
+    for p in stem.parts:
+        for m, x in enumerate(p.coeffs):
+            for n, y in enumerate(p.coeffs):
+                out[m + n] += x * y
+    return Poly(out)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+def test_norm_comparison_is_exact_at_the_digit_width(bits):
+    """Integer stems of coefficients +-(2**bits - 1), of unequal lengths,
+    all with trace 2*(2**bits - 1).  With equal signs and full-length
+    parts a norm coefficient reaches nearly 4*n*(2**bits - 1)**2 for
+    length n, the most the digit width of `_packed_norm` allows; length 1
+    (odd bit sizes) and lengths 64-127 (even ones) put that bound right at
+    a byte boundary, where a width two bits short overflows a digit.
+    Every norm must match the schoolbook sum of squares, and two of these
+    stems must compare equal in norm exactly when their norms are equal."""
+    rng = random.Random(bits)
+    top = 2 ** bits - 1
+    stems = []
+    for n in (1, 2, 3, 70, 100, 127):
+        for equal_signs in (True, False):
+            lengths = [n] * 3 if equal_signs else [rng.randint(1, n)
+                                                   for _ in range(3)]
+            lengths[rng.randrange(3)] = n
+            parts = [[top]] + [[top if equal_signs else rng.choice((-top, top))
+                                for _ in range(m)] for m in lengths]
+            flipped = [list(p) for p in parts]
+            flipped[2][len(flipped[2]) // 2] *= -1
+            stems += [StemPoly._from_parts(Poly(p) for p in ps)
+                      for ps in (parts, flipped)]
+    norms = [_schoolbook_norm(s) for s in stems]
+    for stem, norm in zip(stems, norms):
+        assert stem.norm() == norm
+        assert equivalent(stem, conjugate_stem(QJ, stem)).equivalent
+    for (f, nf), (h, nh) in itertools.product(zip(stems, norms), repeat=2):
+        assert (equivalent(f, h).reason == "norm") == (nf != nh)
 
 # -- intertwiners against a system assembled independently, in sympy ------------
 

@@ -215,6 +215,39 @@ def test_gcds_of_int_coefficients_are_fractions():
     assert all(type(c) is Fraction for c in pair.coeffs + family.coeffs)
 
 
+# Division of int coefficients is exact: it gives Fractions, never floats
+# (which compare equal to the Fractions they approximate, hence the types).
+
+def _all_fractions(*polys) -> bool:
+    return all(type(c) is Fraction for p in polys for c in p.coeffs)
+
+
+def test_monic_of_int_coefficients_is_exact():
+    p = Poly([1, 2]).monic()
+    assert p == Poly([Fraction(1, 2), 1]) and _all_fractions(p)
+
+
+def test_divmod_of_int_coefficients_is_exact():
+    q, r = divmod(Poly([1, 0, 1]), Poly([1, 2]))
+    assert q == Poly([Fraction(-1, 4), Fraction(1, 2)])
+    assert r == Poly([Fraction(5, 4)])
+    assert _all_fractions(q, r)
+
+
+def test_divisor_of_int_coefficients_is_exact():
+    from slicereg import Divisor
+    p = Divisor(Poly([2, 4])).gcd_poly
+    assert p == Poly([Fraction(1, 2), 1]) and _all_fractions(p)
+
+
+def test_gcd_of_gaussrat_and_int_coefficients_is_exact():
+    # z + i and 1 + 2z are coprime; (z + i)(1 + 2z) and 1 + 2z share z + 1/2.
+    assert poly_gcd_many([Poly([IOTA, 1]), Poly([1, 2])]) == Poly([1])
+    shared = poly_gcd_many([Poly([IOTA, 1]) * Poly([1, 2]), Poly([1, 2])])
+    assert shared == Poly([Fraction(1, 2), 1])
+    assert not any(isinstance(c, float) for c in shared.coeffs)
+
+
 def test_gcd_matches_sympy_on_coprime_and_planted_inputs():
     sp = pytest.importorskip("sympy")
     rng = random.Random(1971)
