@@ -49,12 +49,15 @@ inverse exists only away from the norm's zero set.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
 from .poly import Matrix, Poly, _gcd_ints, _integer_scaled, _max_bits
 from .scalars import GaussRat, Record
-from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _integer_parts,
-                   _packed_norm, _star_ints)
+from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _packed,
+                   _star_ints)
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -93,26 +96,29 @@ class EquivVerdict(Record):
 
 
 def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
-    """Decide equivalence under pointwise automorphism conjugation.  Past
-    the trace each stem is scaled once to integers over its denominator d:
-    N_F * d_H**2 = N_H * d_F**2 for `_packed_norm` at a width covering the
-    parts times the other d, and c1..c3 of both share `_gcd_ints`."""
+    """Decide equivalence under pointwise automorphism conjugation, on the
+    stored integer lists f, h over the denominators d_F, d_H: the traces
+    agree iff f0 * d_H = h0 * d_F, the norms iff N_F * d_H**2 = N_H * d_F**2
+    read at the point of `_packed` for the lists times the other d, and
+    the central divisors iff f1..f3 and h1..h3 share `_gcd_ints`, which
+    reuses those packs: each list is packed once per decision."""
     if first.is_slice_preserving() or second.is_slice_preserving():
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
+    f, f_den = first.nums, first.den
+    h, h_den = second.nums, second.den
     # The trace is 2*c0, so comparing c0 compares traces.
-    if first.parts[0] != second.parts[0]:
+    if [x * h_den for x in f[0]] != [x * f_den for x in h[0]]:
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
-    f, f_den = _integer_parts(first.parts)
-    h, h_den = _integer_parts(second.parts)
     bits = max(max(map(_max_bits, f)) + h_den.bit_length(),
                max(map(_max_bits, h)) + f_den.bit_length())
     n = max(map(len, f + h))
-    if (_packed_norm(f, bits, n)[0] * h_den ** 2
-            != _packed_norm(h, bits, n)[0] * f_den ** 2):
+    (f_at, width), (h_at, _) = _packed(f, bits, n), _packed(h, bits, n)
+    if (sum(x * x for x in f_at) * h_den ** 2
+            != sum(x * x for x in h_at) * f_den ** 2):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "norm")
-    if _gcd_ints(f[1:]) != _gcd_ints(h[1:]):
+    if _gcd_ints(f[1:], f_at[1:], width) != _gcd_ints(h[1:], h_at[1:], width):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "cdiv")
     return EquivVerdict(True, BRANCH_NOT_SLICE_PRESERVING)
 
@@ -275,16 +281,15 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
     # Both relations are linear in (F, H) jointly, so scaling both stems
     # by one common denominator leaves the solution space unchanged.
-    width = 4 * (max(first.degree, second.degree) + 1)
-    nums, _ = _integer_scaled([p.coeff(k) for stem in (first, second)
-                               for k in range(width // 4) for p in stem.parts])
-    f, h = nums[:width], nums[width:]
+    size = max(first.degree, second.degree) + 1
+    den = lcm(first.den, second.den)
+    f, h = ([[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
+             for xs in stem.nums] for stem in (first, second))
     # blocks[q] maps alpha's coefficient of z^p to the coefficient of
     # z^(p+q) in first * alpha - alpha * second, and in
     # second * alpha - alpha * first (the second relation, negated).
-    offsets = range(0, width, 4)
-    relations = ([_relation_block(f[k:k + 4], h[k:k + 4]) for k in offsets],
-                 [_relation_block(h[k:k + 4], f[k:k + 4]) for k in offsets])
+    relations = ([_relation_block(c, d) for c, d in zip(zip(*f), zip(*h))],
+                 [_relation_block(d, c) for c, d in zip(zip(*f), zip(*h))])
     zero = [0] * 4
     top = dmax + max(first.degree, second.degree, 0)
     rows = []
@@ -299,19 +304,17 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     kernel = Matrix(rows).nullspace()
     # The stacked check of the module docstring, with step = top + 1: a
     # product of first or second with one vector has degree at most top.
+    scaled = [_integer_scaled(vec) for vec in kernel]
     stacked = [[], [], [], []]
-    for vec in kernel:
-        nums = _integer_scaled(vec)[0]
+    for nums, _ in scaled:
         for r, comp in enumerate(stacked):
             comp += nums[r::4] + [0] * (top - dmax)
-    f_parts = [f[r::4] for r in range(4)]
-    h_parts = [h[r::4] for r in range(4)]
-    if (_star_ints(f_parts, stacked) != _star_ints(stacked, h_parts)
-            or _star_ints(stacked, f_parts) != _star_ints(h_parts, stacked)):
+    if (_star_ints(f, stacked) != _star_ints(stacked, h)
+            or _star_ints(stacked, f) != _star_ints(h, stacked)):
         raise AssertionError("kernel vector failed re-verification")
-    return [normalize_intertwiner(StemPoly._from_parts(Poly(vec[r::4])
-                                                       for r in range(4)))
-            for vec in kernel]
+    return [normalize_intertwiner(StemPoly._from_ints(
+                [nums[r::4] for r in range(4)], vec_den))
+            for nums, vec_den in scaled]
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
@@ -319,9 +322,9 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
     component (order 1, i, j, k) equal to 1: the canonical representative
     of the line spanned by alpha."""
     for k in range(alpha.degree + 1):
-        for part in alpha.parts:
-            if part.coeff(k):
-                return alpha * (1 / part.coeff(k))
+        for xs in alpha.nums:
+            if k < len(xs) and xs[k]:
+                return alpha * Fraction(alpha.den, xs[k])
     return alpha
 
 

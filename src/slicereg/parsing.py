@@ -40,6 +40,7 @@ coefficients parenthesized; their output reparses to an equal value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem,
                       _render_components)
@@ -300,8 +301,8 @@ class _Normalizer:
             if self.stem:
                 _check_degree(base.degree * node.exponent)
                 if isinstance(node.base, Var):
-                    return StemPoly._from_parts(
-                        (Poly.monomial(node.exponent), Poly(), Poly(), Poly()))
+                    return StemPoly._from_ints(
+                        [[0] * node.exponent + [1], [], [], []], 1)
             return base ** node.exponent
         raise TypeError(f"unknown node {node!r}")
 
@@ -414,8 +415,9 @@ def render_stem(stem: StemPoly, var: str = "z") -> str:
     if stem.is_zero:
         return "0"
     parts = []
-    for k in range(stem.degree + 1):
-        coeff = tuple(p.coeff(k) for p in stem.parts)
+    columns = zip_longest(*(p.coeffs for p in stem.parts),
+                          fillvalue=Fraction(0))
+    for k, coeff in enumerate(columns):
         if not any(coeff):
             continue
         body = f"({_render_components(coeff)})"

@@ -18,13 +18,19 @@ evaluation at xi is `_pack` and the balanced xi-adic digits of an integer
 (`_unpack`) read a polynomial h back.  From h(xi) = gcd(a(xi), b(xi)) the
 candidate g = h / cont(h) is accepted only when, for x = a and b, the
 cofactor read back from x(xi) // g(xi) times g is exactly x.  With
-xi > 2*min(|a|, |b|) + 2 (max-norms; w makes xi > 2*max(|a|, |b|) + 2)
-an accepted g is the gcd d: g divides d = g*q in Z[z], so q(xi) divides
-cont(h) <= xi/2.  A root of q is a root of a and b, of modulus below
-1 + min(|a|, |b|) (Cauchy's bound), so a q of positive degree would have
+xi > 2*min(|a|, |b|) + 2 (max-norms) an accepted g is the gcd d: g
+divides d = g*q in Z[z], so q(xi) divides cont(h) <= xi/2.  A root of q
+is a root of a and b, of modulus below 1 + min(|a|, |b|) (Cauchy's
+bound), so a q of positive degree would have
 |q(xi)| > (xi - 1 - min(|a|, |b|)) > xi/2.  A constant g is 1 and needs
-no check.  A failed candidate doubles w; after `_HEU_ATTEMPTS` points
-the gcd falls back to monic Euclid over Q, as GaussRat inputs always do.
+no check.  A family is reduced at one point, chosen so that every list
+is below xi/4: the values x(xi) are packed once (or handed in already
+packed, as the decision does with the packs of its norm), divided by the
+contents, and the gcd of the lists met so far is carried on as g(xi), so
+the next pair (g, x) has xi > 2*|x| + 2 again.  A failed candidate at
+least doubles w, enough to pack both lists again; after `_HEU_ATTEMPTS`
+points the gcd falls back to monic Euclid over Q, as GaussRat inputs
+always do.
 
 `Matrix` row reduction is fraction-free as well: rows are scaled to
 integers and eliminated with integer row operations that divide out each
@@ -272,12 +278,6 @@ def _kronecker(a, b):
 _HEU_ATTEMPTS = 6
 
 
-def _primitive(ints):
-    """A nonzero integer list divided by its content."""
-    content = gcd(*ints)
-    return [c // content for c in ints] if content > 1 else ints
-
-
 def _digits(value: int, width: int) -> list:
     """The integer polynomial h with h(xi) = value, xi = 2**(8*width), and
     balanced digits |h_k| <= xi/2 (trailing zeros dropped)."""
@@ -292,12 +292,12 @@ def _monic(ints) -> Poly:
     return Poly(tuple(Fraction(c, ints[-1]) for c in ints))
 
 
-def _heu_gcd(a, b):
-    """The primitive gcd of two nonzero primitive integer lists: GCDHEU, then
-    the Euclidean fallback, whose monic result scales to a primitive list."""
-    width = _digit_width(max(_max_bits(a), _max_bits(b)) + 1)
+def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
+    """The primitive gcd of two nonzero primitive integer lists a, b, given
+    with at_a = a(xi) and at_b = b(xi) at xi = 2**(8*width) >
+    2*min(|a|, |b|) + 2: GCDHEU from xi on, then the Euclidean fallback,
+    whose monic result scales to a primitive list."""
     for _ in range(_HEU_ATTEMPTS):
-        at_a, at_b = _pack(a, width), _pack(b, width)
         at_h = gcd(at_a, at_b)
         h = _digits(at_h, width)
         content = gcd(*h)
@@ -308,14 +308,34 @@ def _heu_gcd(a, b):
         if all(_kronecker(_digits(at_x // at_g, width), g) == x
                for x, at_x in ((a, at_a), (b, at_b))):
             return g
-        width *= 2
+        width = max(2 * width, _digit_width(max(_max_bits(a),
+                                                _max_bits(b)) + 1))
+        at_a, at_b = _pack(a, width), _pack(b, width)
     return _integer_scaled(_euclid(_monic(a), _monic(b)).coeffs)[0]
 
 
-def _gcd_ints(lists):
+def _gcd_ints(lists, packed=None, width: int = 0):
     """The primitive gcd, leading coefficient positive, of the nonempty
-    integer lists: equal for two families iff their monic gcds are."""
-    g = reduce(_heu_gcd, [_primitive(x) for x in lists if x])
+    integer lists: equal for two families iff their monic gcds are.
+    `packed`, when given, holds the lists packed at `width` bytes, with
+    every entry below 2**(8*width - 2); otherwise they are packed here."""
+    if packed is None:
+        width = _digit_width(max(map(_max_bits, lists)) + 1)
+        packed = [_pack(x, width) for x in lists]
+    g = None
+    for x, at_x in zip(lists, packed):
+        if not x:
+            continue
+        content = gcd(*x)
+        if content > 1:
+            x, at_x = [c // content for c in x], at_x // content
+        if g is None:
+            g, at_g = x, at_x
+        elif len(g) > 1:
+            g = _heu_gcd(g, x, width, at_g, at_x)
+            # g(xi) by Horner's rule, which takes entries of any size.
+            at_g = reduce(lambda acc, c: (acc << 8 * width) + c,
+                          reversed(g), 0)
     return g if g[-1] > 0 else [-c for c in g]
 
 

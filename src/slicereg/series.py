@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import CQuat, Quaternion, QuaternionBase
 from .errors import NearSingularSampleError
@@ -82,15 +83,19 @@ class TruncSeries:
             return cls(order, stem)
         # Truncating below the degree: the dropped part is still a polynomial,
         # so a factorial majorant over the original coefficients stays valid.
-        c = max((math.sqrt(sum(float(p.coeff(k)) ** 2 for p in stem.parts))
-                 * math.factorial(k) for k in range(stem.degree + 1)),
+        den = stem.den
+        c = max((math.sqrt(sum((x / den) ** 2 for x in column))
+                 * math.factorial(k)
+                 for k, column in enumerate(zip_longest(*stem.nums,
+                                                        fillvalue=0))),
                 default=0.0)
         return cls(order, _cut(stem, order), (c, 1.0), False)
 
     @property
     def coeffs(self) -> tuple:
         """The quaternion coefficients, padded with zeros to the order."""
-        return tuple(self.stem.coeff(k) for k in range(self.order))
+        coeffs = self.stem.coeffs
+        return coeffs + (Quaternion(),) * (self.order - len(coeffs))
 
     def coeff(self, k: int) -> Quaternion:
         return self.stem.coeff(k)
@@ -160,8 +165,8 @@ class TruncSeries:
 
     def trace(self) -> "TruncSeries":
         c, a = self.majorant
-        trace = StemPoly._from_parts((self.stem.trace(),) + (Poly(),) * 3)
-        return TruncSeries(self.order, trace, (2 * c, a), self.is_polynomial)
+        return TruncSeries(self.order, self.stem + self.stem.conj(),
+                           (2 * c, a), self.is_polynomial)
 
     def norm(self) -> "TruncSeries":
         return self.star(self.conj())
@@ -187,8 +192,9 @@ class TruncSeries:
     def eval_numeric(self, q) -> "EvalResult":
         """Horner evaluation in double precision, with its tail bound."""
         q = CQuatF.coerce(q)
-        parts = [[float(x) for x in p.coeffs]
-                 + [0.0] * (self.order - len(p.coeffs)) for p in self.stem.parts]
+        den = self.stem.den
+        parts = [[x / den for x in xs] + [0.0] * (self.order - len(xs))
+                 for xs in self.stem.nums]
         acc = CQuatF(0, 0, 0, 0)
         for c in reversed(list(zip(*parts))):
             acc = q * acc + CQuatF(*c)
@@ -215,7 +221,7 @@ def _cut(stem: StemPoly, order: int) -> StemPoly:
     """The stem modulo z^order."""
     if stem.degree < order:
         return stem
-    return StemPoly._from_parts(Poly(p.coeffs[:order]) for p in stem.parts)
+    return StemPoly._from_ints([xs[:order] for xs in stem.nums], stem.den)
 
 
 def _series_operand(value, order):

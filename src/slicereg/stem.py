@@ -7,29 +7,37 @@ C -> H_C satisfying the reality condition F(conj z) = complex-conj F(z)
 with a quaternionic variable it is the slice regular polynomial
 f(q) = sum_k q^k * a_k, coefficients on the right.
 
-A stem is stored as its four component polynomials: F = c0 + c1 i +
-c2 j + c3 k with c0..c3 in Q[z], `parts = (c0, c1, c2, c3)`.  The
-quaternion coefficients a_k are a derived view (`coeffs`).  With the
-coefficientwise quaternionic conjugation F^c = c0 - c1 i - c2 j - c3 k,
+A stem is stored in integers: F = c0 + c1 i + c2 j + c3 k with
+c_r = n_r / den, where `nums = (n0, n1, n2, n3)` are four integer lists
+(ascending, no trailing zero) and `den` is one positive integer.  The
+form is kept in lowest terms, gcd(den, every entry) = 1, so it is
+canonical: equal stems store equal integers, and `==` and `hash` read
+them.  The component polynomials `parts` (rational `Poly`s) and the
+quaternion coefficients a_k (`coeffs`) are views, built on each access.
+With the coefficientwise quaternionic conjugation F^c = c0 - c1 i - c2 j
+- c3 k,
 
     trace(F) = F + F^c = 2 c0                    (a rational polynomial)
     norm(F)  = F * F^c = c0^2 + c1^2 + c2^2 + c3^2  (multiplicative)
     hat(F)   = (F - F^c) / 2 = c1 i + c2 j + c3 k   (the trace-free part,
                with norm(F) = trace(F)^2/4 + norm(hat(F)))
 
-since the imaginary parts of F * F^c cancel in pairs.
+since the imaginary parts of F * F^c cancel in pairs.  Every operation
+works on the stored integers and divides out one gcd at the end: a sum
+brings both operands to the lcm of their denominators, a scalar a/b
+multiplies the lists by a and the denominator by b, and the norm is one
+packed sum of squares (`_packed`) over den**2.
 
 The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
-the parts (`_star_ints`): both operands are scaled to integer component
-lists over one common denominator, and each of the eight components is
-packed once into one big integer (Kronecker substitution, at one digit
-width wide enough for every digit of the result).  The sixteen products
-of packed components are accumulated, with the signs of the quaternion
-unit table, into four packed sums; each sum is unpacked once, and the
-four results are divided once by the product of the two denominators.
+the stored lists (`_star_ints`): each of the eight components is packed
+once into one big integer (Kronecker substitution, at one digit width
+wide enough for every digit of the result).  The sixteen products of
+packed components are accumulated, with the signs of the quaternion
+unit table, into four packed sums; each sum is unpacked once, over the
+product of the two denominators.
 
-The center / trace-free split F = (F', F'') is simply `parts`: F' = c0,
+The center / trace-free split F = (F', F'') is read off `nums`: F' = c0,
 and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
 non-slice-preserving F is the vanishing divisor of F'': the common zeros
 of c1, c2, c3 with multiplicity the minimum of their vanishing orders.
@@ -45,12 +53,13 @@ under pointwise conjugation by invertible elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
+from math import gcd, lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (Poly, _digit_width, _integer_scaled, _max_bits, _pack,
-                   _unpack, poly_gcd_many, vanishing_order)
+from .poly import (Poly, _digit_width, _max_bits, _pack, _unpack,
+                   poly_gcd_many, vanishing_order)
 from .scalars import RATIONAL_TYPES, GaussRat, power
 
 
@@ -124,21 +133,36 @@ class Divisor:
 
 
 class StemPoly:
-    """F = c0 + c1 i + c2 j + c3 k, stored as its four component
-    polynomials `parts = (c0, c1, c2, c3)` over Q."""
+    """F = c0 + c1 i + c2 j + c3 k, stored as four integer lists
+    `nums = (n0, n1, n2, n3)`, ascending with no trailing zero, and one
+    positive integer `den`: c_r = n_r / den, in lowest terms
+    (gcd(den, every entry) = 1).  `parts` and `coeffs` are views."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         rows = [Quaternion.coerce(c).components() for c in coeffs]
-        object.__setattr__(self, "parts", tuple(
-            Poly(tuple(row[r] for row in rows)) for r in range(4)))
+        _set(self, *_over_one_denominator(zip(*rows) if rows else [()] * 4))
 
     @classmethod
     def _from_parts(cls, parts) -> "StemPoly":
-        """The stem with these four component `Poly`s, unchecked."""
+        """The stem with these four component `Poly`s, whose coefficients
+        are ints or Fractions."""
         stem = object.__new__(cls)
-        object.__setattr__(stem, "parts", tuple(parts))
+        _set(stem, *_over_one_denominator(p.coeffs for p in parts))
+        return stem
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "StemPoly":
+        """The stem with components nums[r] / den, for four integer lists
+        and den > 0: all of them and den are divided by their gcd."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(nums))
+            if g != 1:
+                nums = [[x // g for x in xs] for xs in nums]
+                den //= g
+        stem = object.__new__(cls)
+        _set(stem, nums, den)
         return stem
 
     def __setattr__(self, name, value):
@@ -153,20 +177,27 @@ class StemPoly:
         return cls((0,) * degree + (coeff,))
 
     @property
+    def parts(self) -> tuple:
+        """The four component polynomials (c0, c1, c2, c3) over Q."""
+        return tuple(Poly(_fractions(xs, self.den)) for xs in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not any(p.coeffs for p in self.parts)
+        return not any(self.nums)
 
     @property
     def degree(self) -> int:
-        return max(len(p.coeffs) for p in self.parts) - 1
+        return max(map(len, self.nums)) - 1
 
     @property
     def coeffs(self) -> tuple:
         """The quaternion coefficients, ascending, with no trailing zero."""
-        return tuple(self.coeff(k) for k in range(self.degree + 1))
+        return tuple(Quaternion(*c) for c in zip_longest(
+            *(_fractions(xs, self.den) for xs in self.nums), fillvalue=_ZERO))
 
     def coeff(self, k: int) -> Quaternion:
-        return Quaternion(*(p.coeff(k) for p in self.parts))
+        return Quaternion(*(Fraction(xs[k], self.den) if 0 <= k < len(xs)
+                            else _ZERO for xs in self.nums))
 
     # -- ring structure -------------------------------------------------------
 
@@ -174,13 +205,17 @@ class StemPoly:
         other = _stem_operand(other)
         if other is None:
             return NotImplemented
-        return StemPoly._from_parts(
-            a + b for a, b in zip(self.parts, other.parts))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return StemPoly._from_ints(
+            [[s * x + t * y for x, y in zip_longest(xs, ys, fillvalue=0)]
+             for xs, ys in zip(self.nums, other.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return StemPoly._from_parts(-p for p in self.parts)
+        return StemPoly._from_ints([[-x for x in xs] for xs in self.nums],
+                                   self.den)
 
     def __sub__(self, other):
         other = _stem_operand(other)
@@ -196,21 +231,19 @@ class StemPoly:
 
     def star(self, other) -> "StemPoly":
         """The product, with quaternion products taken in operand order
-        (equals the pointwise stem product); computed on integer-scaled
-        component lists as the module docstring describes."""
+        (equals the pointwise stem product); computed on the stored
+        integer lists as the module docstring describes."""
         other = _stem_operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
-        left, left_den = _integer_parts(self.parts)
-        right, right_den = _integer_parts(other.parts)
-        den = left_den * right_den
-        return StemPoly._from_parts(
-            Poly(tuple(Fraction(x, den) if x else _ZERO for x in comp))
-            for comp in _star_ints(left, right))
+        return StemPoly._from_ints(_star_ints(self.nums, other.nums),
+                                   self.den * other.den)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            return StemPoly._from_parts(p * other for p in self.parts)
+            num, den = other.as_integer_ratio()
+            return StemPoly._from_ints(
+                [[num * x for x in xs] for xs in self.nums], self.den * den)
         if isinstance(other, (StemPoly, Quaternion)):
             return self.star(other)
         return NotImplemented
@@ -229,37 +262,38 @@ class StemPoly:
 
     def conj(self) -> "StemPoly":
         """Coefficientwise quaternionic conjugation; (F*G)^c = G^c * F^c."""
-        c0, c1, c2, c3 = self.parts
-        return StemPoly._from_parts((c0, -c1, -c2, -c3))
+        n0, *imag = self.nums
+        return StemPoly._from_ints([n0] + [[-x for x in xs] for xs in imag],
+                                   self.den)
 
     def trace(self) -> Poly:
-        return self.parts[0] * 2
+        return Poly(_fractions([2 * x for x in self.nums[0]], self.den))
 
     def norm(self) -> Poly:
         """norm(F) = F * F^c, a central (rational) polynomial: the packed
-        sum of squares `_packed_norm`, unpacked and divided by den**2."""
-        parts, den = _integer_parts(self.parts)
-        n = max(map(len, parts))
+        sum of squares of `_packed`, unpacked and divided by den**2."""
+        nums = self.nums
+        n = max(map(len, nums))
         if not n:
             return Poly()
-        total, width = _packed_norm(parts, max(map(_max_bits, parts)), n)
-        den *= den
-        return Poly(tuple(Fraction(x, den) if x else _ZERO
-                          for x in _unpack(total, 2 * n - 1, width)))
+        packed, width = _packed(nums, max(map(_max_bits, nums)), n)
+        return Poly(_fractions(_unpack(sum(x * x for x in packed), 2 * n - 1,
+                                       width), self.den ** 2))
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""
-        return StemPoly._from_parts((Poly(),) + self.parts[1:])
+        return StemPoly._from_ints([[], *self.nums[1:]], self.den)
 
     def is_slice_preserving(self) -> bool:
-        return not any(p.coeffs for p in self.parts[1:])
+        return not any(self.nums[1:])
 
     def central_divisor(self) -> Divisor:
-        """The vanishing divisor of the trace-free part, as a monic gcd."""
+        """The vanishing divisor of the trace-free part, as a monic gcd (of
+        the integer lists, which are the parts times den)."""
         if self.is_slice_preserving():
             raise SlicePreservingError(
                 "central divisor undefined for slice preserving functions")
-        return Divisor(poly_gcd_many(self.parts[1:]))
+        return Divisor(poly_gcd_many(Poly(xs) for xs in self.nums[1:]))
 
     def remove_central_divisor(self):
         """Factor F = lam * Ftilde with empty cdiv(Ftilde).
@@ -329,10 +363,10 @@ class StemPoly:
         other = _stem_operand(other)
         if other is None:
             return NotImplemented
-        return self.parts == other.parts
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.parts)
+        return hash((self.den, *map(tuple, self.nums)))
 
     def __repr__(self):
         return f"StemPoly({list(self.coeffs)!r})"
@@ -342,25 +376,42 @@ class StemPoly:
         return render_stem(self)
 
 
-def _integer_parts(parts):
-    """The four component coefficient lists, scaled to integers over one
-    common denominator: (lists, denominator)."""
-    nums, den = _integer_scaled([c for p in parts for c in p.coeffs])
-    out, start = [], 0
-    for p in parts:
-        out.append(nums[start:start + len(p.coeffs)])
-        start += len(p.coeffs)
-    return out, den
+def _set(stem, nums, den) -> None:
+    """Store nums / den, in lowest terms, on a new stem.  The lists are
+    trimmed in place and may be shared."""
+    for xs in nums:
+        while xs and not xs[-1]:
+            xs.pop()
+    object.__setattr__(stem, "nums", tuple(nums))
+    object.__setattr__(stem, "den", den)
 
 
-def _packed_norm(parts, bits: int, n: int):
-    """(N(xi), width): N = c0^2 + c1^2 + c2^2 + c3^2 for integer component
-    lists at xi = 2**(8*width).  With entries below 2**bits and lengths at
-    most n, a coefficient of a square sums at most n products and 2 more
-    bits cover the four squares, so every coefficient of N is below xi/2
-    in absolute value and N(xi) determines N."""
+def _over_one_denominator(columns):
+    """Lists of rationals as (integer lists, their least common
+    denominator), in lowest terms: a prime power p**e that divides the
+    lcm exactly divides some denominator exactly, and that entry's
+    numerator, prime to p, is scaled by a factor prime to p."""
+    ratios = [[x.as_integer_ratio() for x in col] for col in columns]
+    den = lcm(*(d for col in ratios for _, d in col))
+    return [[n * (den // d) for n, d in col] for col in ratios], den
+
+
+def _fractions(xs, den: int) -> list:
+    """The rationals x / den of an integer list."""
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in xs]
+    return [Fraction(x, den) if x else _ZERO for x in xs]
+
+
+def _packed(parts, bits: int, n: int):
+    """(packed, width): the integer component lists packed at
+    xi = 2**(8*width), wide enough that N = c0^2 + c1^2 + c2^2 + c3^2 is
+    sum(x * x for x in packed) read at xi.  With entries below 2**bits and
+    lengths at most n, a coefficient of a square sums at most n products
+    and 2 more bits cover the four squares, so every coefficient of N is
+    below xi/2 in absolute value and N(xi) determines N."""
     width = _digit_width(2 * bits + n.bit_length() + 2)
-    return sum(_pack(p, width) ** 2 for p in parts), width
+    return [_pack(p, width) for p in parts], width
 
 
 def _star_ints(left, right):

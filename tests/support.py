@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from slicereg import (CQuat, CQuatF, GaussRat, Poly, Quaternion, StemPoly,
                       TruncSeries)
 from slicereg.parsing import (Mul, Neg, Pow, RationalLit, Sub, Unit, Var,
-                              parse_ast)
+                              parse_ast, render_stem)
 
 
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -86,6 +87,22 @@ def convolve_stems(left: StemPoly, right: StemPoly) -> StemPoly:
         for b, cb in enumerate(right.coeffs):
             out[a + b] += ca * cb
     return StemPoly(out)
+
+
+def reference_stem_views(quats) -> dict:
+    """The views of the stem with these quaternion coefficients, taken
+    from the list alone in the form of four rational component `Poly`s:
+    `parts`, `coeffs` (trailing zeros dropped), `repr`, and `str` (the
+    renderer applied to those parts).  The reference that the views of a
+    stem stored in integers are checked against."""
+    quats = [Quaternion.coerce(q) for q in quats]
+    while quats and not quats[-1]:
+        quats.pop()
+    parts = tuple(Poly([q.components()[r] for q in quats]) for r in range(4))
+    return {"parts": parts, "coeffs": tuple(quats),
+            "repr": f"StemPoly({quats!r})",
+            "str": render_stem(SimpleNamespace(is_zero=not quats,
+                                               parts=parts))}
 
 
 def truncated_convolution(left: TruncSeries, right: TruncSeries) -> TruncSeries:

@@ -157,6 +157,17 @@ def test_find_intertwiner_worked_pair():
     assert basis[0] == normalize_intertwiner(ALPHA_PAIR)
 
 
+def test_normalize_intertwiner_divides_exactly():
+    # Integer coefficients: 1 / 2 must stay the rational 1/2, not a float.
+    alpha = StemPoly._from_parts((Poly([2, 1]), Poly(), Poly(), Poly()))
+    assert normalize_intertwiner(alpha) == StemPoly([1, Fraction(1, 2)])
+    beta = StemPoly._from_parts((Poly(), Poly([0, 3]), Poly([0, -1]), Poly()))
+    normalized = normalize_intertwiner(beta)
+    assert normalized == StemPoly([0, Quaternion(0, 1, Fraction(-1, 3))])
+    assert all(type(x) is Fraction for p in normalized.parts for x in p.coeffs)
+    assert normalize_intertwiner(StemPoly()) == StemPoly()
+
+
 def test_find_intertwiner_identity_and_constants():
     assert StemPoly.constant(1) in find_intertwiner(F_PAIR, F_PAIR, 0)
     basis = find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
@@ -370,6 +381,19 @@ def test_equivalent_matches_sympy_invariants():
          conjugate_stem(u, parse_stem("i + z*j + z^2*k")), None),
         (parse_stem("i + z*j"), parse_stem("(1/2)*i + (1/2)*z*j"), None),
         (parse_stem("(3/5)*i + (4/5)*j"), parse_stem("k"), None),
+        # Traces equal only after cross-multiplying the denominators 10 and
+        # 2, then unequal ones; equal c0 numerators over the denominators 2
+        # and 3; and 65-bit c0 numerators that differ by 1, over 7 and 7
+        # and over 7 and 14 (2 * (2**64 + 3) against 2**65 + 7).
+        (parse_stem("(1/2)*z + (3/5)*i + (4/5)*j"), parse_stem("(1/2)*z + k"),
+         None),
+        (parse_stem("(1/2)*z + (3/5)*i + (4/5)*j"), parse_stem("(1/3)*z + k"),
+         None),
+        (parse_stem("(1/2)*z + i"), parse_stem("(1/3)*z + j"), None),
+        (parse_stem(f"({2 ** 64 + 3}/7)*z + i"),
+         parse_stem(f"({2 ** 64 + 4}/7)*z + j"), None),
+        (parse_stem(f"({2 ** 64 + 3}/7)*z + i"),
+         parse_stem(f"({2 ** 65 + 7}/14)*z + j"), None),
         # Primitive gcds with negative leading coefficients, and zero
         # components among c1..c3.
         (parse_stem("-(1 + z)*i"), parse_stem("(1 + z)*j"), None),
@@ -414,7 +438,7 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
     """Integer stems of coefficients +-(2**bits - 1), of unequal lengths,
     all with trace 2*(2**bits - 1).  With equal signs and full-length
     parts a norm coefficient reaches nearly 4*n*(2**bits - 1)**2 for
-    length n, the most the digit width of `_packed_norm` allows; length 1
+    length n, the most the digit width of `_packed` allows; length 1
     (odd bit sizes) and lengths 64-127 (even ones) put that bound right at
     a byte boundary, where a width two bits short overflows a digit.
     Every norm must match the schoolbook sum of squares, and two of these

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 
 from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
                       Quaternion, R3Elem, R3StemPoly, SlicePreservingError,
-                      StemPoly, ZeroFunctionError, parse_stem)
+                      StemPoly, TruncSeries, ZeroFunctionError, parse_stem)
 from slicereg.algebra import QI, QJ, QK
 
 from support import (conjugate_stem, convolve_stems, rand_fraction,
                      rand_nonzero_quaternion, rand_quaternion, rand_stem,
-                     rand_stem_nonslice)
+                     rand_stem_nonslice, reference_stem_views)
 
 IOTA = GaussRat(0, 1)
 
@@ -25,9 +27,9 @@ mixed_fractions = st.one_of(
     st.just(Fraction(0)), fractions,
     st.fractions(min_value=-10 ** 12, max_value=10 ** 12,
                  max_denominator=10 ** 12))
-mixed_stems = st.builds(StemPoly, st.lists(
-    st.builds(Quaternion, mixed_fractions, mixed_fractions, mixed_fractions,
-              mixed_fractions), max_size=8))
+mixed_quaternions = st.builds(Quaternion, mixed_fractions, mixed_fractions,
+                              mixed_fractions, mixed_fractions)
+mixed_stems = st.builds(StemPoly, st.lists(mixed_quaternions, max_size=8))
 
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
 G_PAIR = parse_stem("(1 + (1/2)*z^2)*i")
@@ -202,6 +204,41 @@ def test_coeffs_and_parts_round_trip(stem):
     assert repr(stem) == repr(again) == _expected_repr(stem.parts)
     assert [stem.coeff(k) for k in range(-1, stem.degree + 3)] == (
         [Quaternion()] + list(stem.coeffs) + [Quaternion()] * 2)
+
+
+def _stem_text(quats):
+    """An expression for the stem with these coefficients, one term per
+    nonzero component."""
+    terms = [f"({c})*z^{k}*{unit}" for k, q in enumerate(quats)
+             for c, unit in zip(q.components(), "1ijk") if c]
+    return " + ".join(terms) or "0"
+
+
+@given(st.lists(mixed_quaternions, max_size=8),
+       st.lists(mixed_quaternions, max_size=4),
+       mixed_fractions.filter(bool))
+def test_every_route_stores_one_canonical_form(quats, extra, scale):
+    stem = StemPoly(quats)
+    other = StemPoly(extra)
+    order = max(len(quats), 1)
+    routes = [
+        parse_stem(_stem_text(quats)),
+        (StemPoly.constant(scale) ** 2).star(stem) * (1 / scale ** 2),
+        stem.star(StemPoly.constant(Quaternion(scale))).star(
+            StemPoly.constant(Quaternion(1 / scale))),
+        (stem + other) - other,
+        -(other - (stem + other)),
+        stem * scale * (1 / scale),
+        TruncSeries.from_stem(stem + StemPoly.monomial(order) * other,
+                              order).to_stem(),
+    ]
+    reference = tuple(reference_stem_views(quats).values())
+    for route in [stem] + routes:
+        assert route == stem and hash(route) == hash(stem)
+        assert (route.nums, route.den) == (stem.nums, stem.den)
+        assert route.den > 0 and gcd(route.den, *chain(*route.nums)) == 1
+        assert all(not xs or xs[-1] for xs in route.nums)
+        assert (route.parts, route.coeffs, repr(route), str(route)) == reference
 
 
 def test_parts_of_unequal_length_and_the_zero_stem():
