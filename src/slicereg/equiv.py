@@ -98,18 +98,19 @@ class EquivVerdict(Record):
 def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     """Decide equivalence under pointwise automorphism conjugation, on the
     stored integer lists f, h over the denominators d_F, d_H: the traces
-    agree iff f0 * d_H = h0 * d_F, the norms iff N_F * d_H**2 = N_H * d_F**2
-    read at the point of `_packed` for the lists times the other d, and
-    the central divisors iff f1..f3 and h1..h3 share `_gcd_ints`, which
-    reuses those packs: each list is packed once per decision."""
+    agree iff f0 * d_H = h0 * d_F; then the norms agree iff the trace-free
+    parts f'' = (f1, f2, f3) and h'' do, |f''|**2 * d_H**2 = |h''|**2 * d_F**2,
+    three squares a side read at the point of `_packed` for the lists times
+    the other d; and the central divisors iff f'' and h'' share `_gcd_ints`,
+    which reuses those packs: c0 is never packed."""
     if first.is_slice_preserving() or second.is_slice_preserving():
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
-    f, f_den = first.nums, first.den
-    h, h_den = second.nums, second.den
+    (f0, *f), f_den = first.nums, first.den
+    (h0, *h), h_den = second.nums, second.den
     # The trace is 2*c0, so comparing c0 compares traces.
-    if [x * h_den for x in f[0]] != [x * f_den for x in h[0]]:
+    if [x * h_den for x in f0] != [x * f_den for x in h0]:
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
     bits = max(max(map(_max_bits, f)) + h_den.bit_length(),
                max(map(_max_bits, h)) + f_den.bit_length())
@@ -118,7 +119,7 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     if (sum(x * x for x in f_at) * h_den ** 2
             != sum(x * x for x in h_at) * f_den ** 2):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "norm")
-    if _gcd_ints(f[1:], f_at[1:], width) != _gcd_ints(h[1:], h_at[1:], width):
+    if _gcd_ints(f, f_at, width) != _gcd_ints(h, h_at, width):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "cdiv")
     return EquivVerdict(True, BRANCH_NOT_SLICE_PRESERVING)
 

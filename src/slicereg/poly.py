@@ -11,13 +11,18 @@ once as big integers by Kronecker substitution (each operand packed into
 one integer, a digit per coefficient, wide enough that no digit of the
 product overflows), unpacks and divides by the two denominators.  The
 packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
-`_gcd_ints`, behind `poly_gcd_many` and the equivalence decision, takes
-the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) on
-primitive integer lists a, b.  At xi = 2**(8*w),
+`_gcd_ints`, behind `poly_gcd_many`, `StemPoly.central_divisor` and the
+equivalence decision, takes the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet, JSC 1989) on primitive integer lists a, b.  At xi = 2**(8*w),
 evaluation at xi is `_pack` and the balanced xi-adic digits of an integer
 (`_unpack`) read a polynomial h back.  From h(xi) = gcd(a(xi), b(xi)) the
-candidate g = h / cont(h) is accepted only when, for x = a and b, the
-cofactor read back from x(xi) // g(xi) times g is exactly x.  With
+candidate g = h / cont(h) is accepted only when it divides a and b
+(`_divides`): for x = a and b, g(xi) must divide x(xi), and the quotient q
+read back from x(xi) / g(xi) must satisfy q*g = x.  Balanced digits are
+unique, so when the entries of x are below xi/2 and so is the bound
+2**(bits(q) + bits(g) + bit_length(min(len q, len g))) on the
+coefficients of q*g, q*g and x are both the digits of x(xi) and q*g = x
+is proven without a product; otherwise one Kronecker product decides.  With
 xi > 2*min(|a|, |b|) + 2 (max-norms) an accepted g is the gcd d: g
 divides d = g*q in Z[z], so q(xi) divides cont(h) <= xi/2.  A root of q
 is a root of a and b, of modulus below 1 + min(|a|, |b|) (Cauchy's
@@ -27,10 +32,12 @@ no check.  A family is reduced at one point, chosen so that every list
 is below xi/4: the values x(xi) are packed once (or handed in already
 packed, as the decision does with the packs of its norm), divided by the
 contents, and the gcd of the lists met so far is carried on as g(xi), so
-the next pair (g, x) has xi > 2*|x| + 2 again.  A failed candidate at
-least doubles w, enough to pack both lists again; after `_HEU_ATTEMPTS`
-points the gcd falls back to monic Euclid over Q, as GaussRat inputs
-always do.
+the next pair (g, x) has xi > 2*|x| + 2 again.  When g divides the next
+list x, gcd(g, x) = g and no GCDHEU runs: that is the common case of a
+planted divisor, whose lists are constant multiples of one polynomial.
+A failed candidate at least doubles w, enough to pack both lists again;
+after `_HEU_ATTEMPTS` points the gcd falls back to monic Euclid over Q,
+as GaussRat inputs always do.
 
 `Matrix` row reduction is fraction-free as well: rows are scaled to
 integers and eliminated with integer row operations that divide out each
@@ -292,33 +299,52 @@ def _monic(ints) -> Poly:
     return Poly(tuple(Fraction(c, ints[-1]) for c in ints))
 
 
+def _divides(g, at_g, x, at_x, width: int) -> bool:
+    """Whether the integer list g divides x in Z[z], given at_g = g(xi) and
+    at_x = x(xi) at xi = 2**(8*width): exact division at xi, then q*g = x
+    for the quotient q read back, proven by the bound when x and q*g are
+    balanced digits of at_x (module docstring), else by the product."""
+    at_q, rem = divmod(at_x, at_g)
+    if rem:
+        return False
+    q = _digits(at_q, width)
+    if max(_max_bits(q) + _max_bits(g) + min(len(q), len(g)).bit_length(),
+           _max_bits(x)) < 8 * width:
+        return True
+    return _kronecker(q, g) == x
+
+
 def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
-    """The primitive gcd of two nonzero primitive integer lists a, b, given
-    with at_a = a(xi) and at_b = b(xi) at xi = 2**(8*width) >
-    2*min(|a|, |b|) + 2: GCDHEU from xi on, then the Euclidean fallback,
-    whose monic result scales to a primitive list."""
+    """(g, g(xi)) for the primitive gcd g of two nonzero primitive integer
+    lists a, b, given with at_a = a(xi) and at_b = b(xi) at
+    xi = 2**(8*width) > 2*min(|a|, |b|) + 2: GCDHEU from xi on, then the
+    Euclidean fallback, whose monic result scales to a primitive list."""
+    point = width
     for _ in range(_HEU_ATTEMPTS):
         at_h = gcd(at_a, at_b)
         h = _digits(at_h, width)
         content = gcd(*h)
-        g = [c // content for c in h]
-        if len(g) == 1:
-            return [1]
-        at_g = at_h // content
-        if all(_kronecker(_digits(at_x // at_g, width), g) == x
-               for x, at_x in ((a, at_a), (b, at_b))):
-            return g
+        g, at_g = [c // content for c in h], at_h // content
+        if len(g) == 1 or (_divides(g, at_g, a, at_a, width)
+                           and _divides(g, at_g, b, at_b, width)):
+            if width == point:
+                return g, at_g
+            break
         width = max(2 * width, _digit_width(max(_max_bits(a),
                                                 _max_bits(b)) + 1))
         at_a, at_b = _pack(a, width), _pack(b, width)
-    return _integer_scaled(_euclid(_monic(a), _monic(b)).coeffs)[0]
+    else:
+        g = _integer_scaled(_euclid(_monic(a), _monic(b)).coeffs)[0]
+    # g(xi) at the given point by Horner's rule, for entries of any size.
+    return g, reduce(lambda acc, c: (acc << 8 * point) + c, reversed(g), 0)
 
 
 def _gcd_ints(lists, packed=None, width: int = 0):
     """The primitive gcd, leading coefficient positive, of the nonempty
     integer lists: equal for two families iff their monic gcds are.
     `packed`, when given, holds the lists packed at `width` bytes, with
-    every entry below 2**(8*width - 2); otherwise they are packed here."""
+    every entry below 2**(8*width - 2); otherwise they are packed here.
+    A list that the gcd met so far divides leaves it unchanged."""
     if packed is None:
         width = _digit_width(max(map(_max_bits, lists)) + 1)
         packed = [_pack(x, width) for x in lists]
@@ -331,11 +357,8 @@ def _gcd_ints(lists, packed=None, width: int = 0):
             x, at_x = [c // content for c in x], at_x // content
         if g is None:
             g, at_g = x, at_x
-        elif len(g) > 1:
-            g = _heu_gcd(g, x, width, at_g, at_x)
-            # g(xi) by Horner's rule, which takes entries of any size.
-            at_g = reduce(lambda acc, c: (acc << 8 * width) + c,
-                          reversed(g), 0)
+        elif len(g) > 1 and not _divides(g, at_g, x, at_x, width):
+            g, at_g = _heu_gcd(g, x, width, at_g, at_x)
     return g if g[-1] > 0 else [-c for c in g]
 
 

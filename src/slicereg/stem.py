@@ -58,8 +58,8 @@ from math import gcd, lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (Poly, _digit_width, _max_bits, _pack, _unpack,
-                   poly_gcd_many, vanishing_order)
+from .poly import (Poly, _digit_width, _gcd_ints, _max_bits, _monic, _pack,
+                   _unpack, vanishing_order)
 from .scalars import RATIONAL_TYPES, GaussRat, power
 
 
@@ -288,12 +288,12 @@ class StemPoly:
         return not any(self.nums[1:])
 
     def central_divisor(self) -> Divisor:
-        """The vanishing divisor of the trace-free part, as a monic gcd (of
-        the integer lists, which are the parts times den)."""
+        """The vanishing divisor of the trace-free part, as a monic gcd: the
+        `_gcd_ints` of the stored lists, which are the parts times den."""
         if self.is_slice_preserving():
             raise SlicePreservingError(
                 "central divisor undefined for slice preserving functions")
-        return Divisor(poly_gcd_many(Poly(xs) for xs in self.nums[1:]))
+        return Divisor(_monic(_gcd_ints(self.nums[1:])))
 
     def remove_central_divisor(self):
         """Factor F = lam * Ftilde with empty cdiv(Ftilde).
@@ -405,11 +405,13 @@ def _fractions(xs, den: int) -> list:
 
 def _packed(parts, bits: int, n: int):
     """(packed, width): the integer component lists packed at
-    xi = 2**(8*width), wide enough that N = c0^2 + c1^2 + c2^2 + c3^2 is
-    sum(x * x for x in packed) read at xi.  With entries below 2**bits and
-    lengths at most n, a coefficient of a square sums at most n products
-    and 2 more bits cover the four squares, so every coefficient of N is
-    below xi/2 in absolute value and N(xi) determines N."""
+    xi = 2**(8*width), wide enough that the sum of their squares (the norm
+    of four lists, or the three squares of the trace-free part that
+    `equivalent` compares) is sum(x * x for x in packed) read at xi.  With
+    entries below 2**bits and lengths at most n, a coefficient of a square
+    sums at most n products and 2 more bits cover four squares, so every
+    coefficient of the sum is below xi/2 in absolute value and its value at
+    xi determines it."""
     width = _digit_width(2 * bits + n.bit_length() + 2)
     return [_pack(p, width) for p in parts], width
 

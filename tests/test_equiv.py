@@ -464,6 +464,37 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
     for (f, nf), (h, nh) in itertools.product(zip(stems, norms), repeat=2):
         assert (equivalent(f, h).reason == "norm") == (nf != nh)
 
+def test_norm_is_decided_on_the_trace_free_parts():
+    """Equal traces leave only |F''|**2 to compare, and the packing width
+    must cover c1..c3 whatever the width of c0: c0 of 200 bits against
+    single-digit c1..c3, and the other way round.  H rotates F'' in the
+    (i, j) plane, by a quarter turn (same denominator) or by (3/5, 4/5)
+    (denominator 5): same trace, norm and divisor.  Adding 1 to one c3
+    coefficient of H keeps its trace and changes its norm."""
+    rng = random.Random(200)
+    wide, narrow = (lambda: rng.randint(2 ** 199, 2 ** 200)), (
+        lambda: rng.randint(-9, 9))
+    for c0_entry, rest_entry in ((wide, narrow), (narrow, wide)):
+        for _ in range(4):
+            n = rng.randint(1, 8)
+            c0, c1, c2, c3 = [[c0_entry() for _ in range(n)]] + [
+                [rest_entry() for _ in range(n)] + [1] for _ in range(3)]
+            f = StemPoly._from_parts(Poly(p) for p in (c0, c1, c2, c3))
+            turn = [Poly(c0), -Poly(c2), Poly(c1), Poly(c3)]
+            tilt = [Poly(c0), Poly(c1) * Fraction(3, 5) - Poly(c2) * Fraction(4, 5),
+                    Poly(c1) * Fraction(4, 5) + Poly(c2) * Fraction(3, 5), Poly(c3)]
+            for parts in (turn, tilt):
+                h = StemPoly._from_parts(parts)
+                k = rng.randrange(n + 1)
+                off = StemPoly._from_parts(parts[:3] + [parts[3] + ZP ** k])
+                assert f.den == 1 and h.den == (1 if parts is turn else 5)
+                for a, b in ((f, h), (h, f)):
+                    assert equivalent(a, b).equivalent
+                for a, b in ((f, off), (off, f), (h, off), (off, h)):
+                    assert a.norm() != b.norm() and a.trace() == b.trace()
+                    assert equivalent(a, b).reason == "norm"
+
+
 # -- intertwiners against a system assembled independently, in sympy ------------
 
 def _sympy_intertwiners(sp, first, second, dmax):

@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
-                      PolyDivisionByZeroError, ZeroPolynomialError,
-                      find_intertwiner, parse_stem, poly_gcd, poly_gcd_many,
-                      vanishing_order)
+                      PolyDivisionByZeroError, StemPoly, ZeroPolynomialError,
+                      equivalent, find_intertwiner, parse_stem, poly_gcd,
+                      poly_gcd_many, vanishing_order)
+from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_scaled,
+                           _monic)
 
-from support import rand_fraction, rand_poly
+from support import (rand_fraction, rand_poly, rand_pure_imaginary_quaternion,
+                     rand_stem_nonslice)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Poly, st.lists(fractions, max_size=9))
@@ -377,6 +380,112 @@ def test_gcd_widens_the_point_after_a_failed_candidate(monkeypatch,
     assert poly_gcd(a, b) == Z - Fraction(1, 2) and not euclid_calls
     monkeypatch.setattr("slicereg.poly._HEU_ATTEMPTS", 1)
     assert poly_gcd(a, b) == Z - Fraction(1, 2) and len(euclid_calls) == 1
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """The number of integer products `_kronecker` computes."""
+    import slicereg.poly as poly
+    calls = []
+    kronecker = poly._kronecker
+
+    def counting_kronecker(a, b):
+        calls.append(1)
+        return kronecker(a, b)
+
+    monkeypatch.setattr(poly, "_kronecker", counting_kronecker)
+    return calls
+
+
+def test_division_at_the_point_without_divisibility_takes_the_product(
+        kronecker_calls):
+    # g = z - 2 and x = 60z^2 + 7z at xi = 2**8: g(xi) = 254 divides
+    # x(xi) = 3933952, but the quotient's digits [-128, 61] are too wide for
+    # the bound, and the product (61z - 128)(z - 2) is not x.
+    assert divmod(3933952, 254) == (15488, 0)
+    assert _digits(15488, 1) == [-128, 61]
+    assert not _divides([-2, 1], 254, [0, 7, 60], 3933952, 1)
+    assert len(kronecker_calls) == 1
+    # The same pair through the gcd: the candidate z - 2 read back at
+    # xi = 2**8 divides the values only, so the gcd is 1.
+    assert poly_gcd(Z - 2, 60 * Z ** 2 + 7 * Z) == Poly([1])
+    assert poly_gcd(60 * Z ** 2 + 7 * Z, Z - 2) == Poly([1])
+    # A narrow quotient is proven by the bound, with no product.
+    kronecker_calls.clear()
+    assert _divides([-2, 1], 254, [6, -5, 1], 6 - 5 * 256 + 256 ** 2, 1)
+    assert not kronecker_calls
+    # An x with an entry of xi/2 or more is not read off its digits: the
+    # quotient 1 is narrow, but the product decides that z + 256 is not
+    # 2z, though both have the value 512 at xi.
+    assert not _divides([0, 2], 512, [256, 1], 512, 1)
+    assert len(kronecker_calls) == 1
+
+
+def test_decide_cdiv_plants_take_no_product(kronecker_calls):
+    """The planted divisors of the benchmark's cdiv decisions (q*v*q^c
+    against N(q)*v, one round's degrees) are certified by the bound or
+    found by the divisibility shortcut: no `_kronecker` product runs."""
+    rng = random.Random(20)
+    plants = []
+    for degree in (4, 8, 8, 16, 32):
+        while True:
+            q = rand_stem_nonslice(rng, degree // 2)
+            if q.degree == degree // 2:
+                break
+        v = StemPoly([rand_pure_imaginary_quaternion(rng)])
+        plants.append((q.star(v).star(q.conj()),
+                       StemPoly([v.coeffs[0] * c for c in q.norm().coeffs])))
+    for f, h in plants:
+        assert equivalent(f, h).reason == "cdiv"
+        assert equivalent(h, f).reason == "cdiv"
+        assert h.central_divisor().degree == f.degree
+    assert not kronecker_calls
+
+
+@pytest.fixture
+def heu_calls(monkeypatch):
+    """The number of GCDHEU runs `_gcd_ints` starts."""
+    import slicereg.poly as poly
+    calls = []
+    heu_gcd = poly._heu_gcd
+
+    def counting_heu_gcd(*args):
+        calls.append(1)
+        return heu_gcd(*args)
+
+    monkeypatch.setattr(poly, "_heu_gcd", counting_heu_gcd)
+    return calls
+
+
+def test_divisibility_shortcut_matches_sympy(heu_calls):
+    """Families of three lists: constant multiples of one polynomial with
+    repeated roots, where the gcd met first divides the others and no
+    GCDHEU runs, and families where it does not divide them."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for _ in range(25):
+        root = Poly([rng.randint(-9, 9), rng.randint(1, 4)])
+        base = rng.choice((root ** 2, root ** 3 * (Z ** 2 + 1),
+                           root ** 2 * _diff_poly(rng, rng.randint(0, 6))))
+        scales = [Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+                  for _ in range(3)]
+        multiples = [base * c for c in scales]
+        other = _diff_poly(rng, rng.randint(1, 6))
+        cofactors = [_diff_poly(rng, rng.randint(0, 5)) for _ in range(3)]
+        for family, shortcut in (
+                (multiples, True),
+                ([multiples[0], multiples[1], base * other], False),
+                ([base * c for c in cofactors], False),
+                ([base * cofactors[0], base, base * cofactors[1]], False)):
+            heu_calls.clear()
+            lists = [_integer_scaled(p.coeffs)[0] for p in family]
+            want = _from_sympy(reduce(sp.Poly.gcd, [_to_sympy(sp, p)
+                                                    for p in family]).monic())
+            assert _monic(_gcd_ints(lists)) == want
+            assert poly_gcd_many(family) == want
+            assert poly_gcd_many(reversed(family)) == want
+            if shortcut:
+                assert not heu_calls
 
 
 def test_gaussrat_products_and_gcds_keep_the_field_routes():

@@ -363,6 +363,25 @@ def test_central_divisor_invariant_under_constant_conjugation():
         assert conjugate_stem(alpha, stem).central_divisor() == stem.central_divisor()
 
 
+def test_central_divisor_matches_the_gcd_of_the_parts():
+    """`central_divisor` reduces the stored integer lists directly; it must
+    equal the monic gcd that `poly_gcd_many` takes of the rational parts,
+    on random stems and on planted ones: a pure constant times a square
+    norm N(q), and q*v*q^c, whose divisor is N(q) up to a unit."""
+    from slicereg import poly_gcd_many
+    rng = random.Random(290)
+    stems = [rand_stem_nonslice(rng, 8) for _ in range(20)]
+    for degree in (1, 2, 4, 8, 20):
+        q = rand_stem_nonslice(rng, degree)
+        v = StemPoly([Quaternion(0, *(rand_fraction(rng) or 1
+                                      for _ in range(3)))])
+        stems += [StemPoly([v.coeffs[0] * c for c in q.norm().coeffs]),
+                  q.star(v).star(q.conj()),
+                  q.star(q).star(v) * Fraction(7, 10 ** 12)]
+    for stem in stems:
+        assert stem.central_divisor().gcd_poly == poly_gcd_many(stem.parts[1:])
+
+
 def test_remove_central_divisor():
     lam, tilde = StemPoly([0, QI]).remove_central_divisor()
     assert lam == ZP and tilde == StemPoly.constant(QI)
