@@ -47,16 +47,20 @@ def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
     )
 
 
-# The same product as a sign pattern on the basis units (1, i, j, k):
+def _unit_product(s: int, t: int):
+    """(r, sign) with e_s * e_t = sign * e_r for the basis units
+    (1, i, j, k), read off `_mul_components`."""
+    product = _mul_components(*(int(s == r) for r in range(4)),
+                              *(int(t == r) for r in range(4)))
+    return next((r, sign) for r, sign in enumerate(product) if sign)
+
+
+# The same product as a sign pattern on the basis units:
 # e_s * e_t = sign * e_r with (r, sign) = UNIT_PRODUCTS[s][t].  Kernels
 # that multiply whole component lists (stem products, the linear system
 # of an intertwiner) read it instead of spelling the product out again.
-UNIT_PRODUCTS = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, -1), (0, -1), (1, 1)),
-    ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
+UNIT_PRODUCTS = tuple(tuple(_unit_product(s, t) for t in range(4))
+                      for s in range(4))
 
 
 class QuaternionBase:

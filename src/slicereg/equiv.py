@@ -54,7 +54,7 @@ from math import lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import Matrix, Poly, _gcd_ints, _integer_scaled, _max_bits
+from .poly import Matrix, Poly, _gcd_ints, _max_bits, _over_one_denominator
 from .scalars import GaussRat, Record
 from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _packed,
                    _star_ints)
@@ -305,9 +305,9 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     kernel = Matrix(rows).nullspace()
     # The stacked check of the module docstring, with step = top + 1: a
     # product of first or second with one vector has degree at most top.
-    scaled = [_integer_scaled(vec) for vec in kernel]
+    scaled = [_over_one_denominator((vec,)) for vec in kernel]
     stacked = [[], [], [], []]
-    for nums, _ in scaled:
+    for (nums,), _ in scaled:
         for r, comp in enumerate(stacked):
             comp += nums[r::4] + [0] * (top - dmax)
     if (_star_ints(f, stacked) != _star_ints(stacked, h)
@@ -315,7 +315,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
         raise AssertionError("kernel vector failed re-verification")
     return [normalize_intertwiner(StemPoly._from_ints(
                 [nums[r::4] for r in range(4)], vec_den))
-            for nums, vec_den in scaled]
+            for (nums,), vec_den in scaled]
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:

@@ -364,17 +364,6 @@ def parse_r3_point(text: str) -> R3Elem:
 
 # -- rendering --------------------------------------------------------------------
 
-def _coeff_text(coeff) -> tuple[str, bool]:
-    """Render a Fraction/GaussRat coefficient; second value says whether
-    the text needs parentheses when multiplied by a power of z."""
-    if isinstance(coeff, GaussRat):
-        if coeff.is_real:
-            coeff = coeff.re
-        else:
-            return str(coeff), True
-    return str(coeff), False
-
-
 def render_poly(p: Poly, var: str = "z") -> str:
     """Ascending powers, rationals as a/b; reparses to the same polynomial."""
     if p.is_zero:
@@ -383,14 +372,12 @@ def render_poly(p: Poly, var: str = "z") -> str:
     for k, coeff in enumerate(p.coeffs):
         if not coeff:
             continue
-        text, needs_parens = _coeff_text(coeff)
+        text = str(coeff)
         if k == 0:
-            parts.append(f"({text})" if needs_parens else text)
+            parts.append(text)
             continue
         power = var if k == 1 else f"{var}^{k}"
-        if needs_parens:
-            parts.append(f"({text})*{power}")
-        elif text == "1":
+        if text == "1":
             parts.append(power)
         elif text == "-1":
             parts.append(f"-{power}")

@@ -1,14 +1,18 @@
-"""Dense univariate polynomials over an exact field, plus exact rational
-linear algebra (row reduction, nullspace) for small linear systems.
+"""Dense univariate polynomials over Q, plus exact rational linear algebra
+(row reduction, nullspace) for small linear systems.
 
-A polynomial is an immutable tuple of coefficients, index = degree, with
-no trailing zero; the empty tuple is the zero polynomial.  Coefficients
-may be Fraction or GaussRat (any exact field scalar with +, *, /).
+A polynomial is stored as one stem component is: c_k = nums[k] / den,
+with `nums` an integer list (no trailing zero; empty for the zero
+polynomial) over one positive `den`, in lowest terms (gcd(den, every
+entry) = 1).  The form is canonical, so `==` and `hash` read the
+integers, and `coeffs` is a `Fraction` view.  Coefficients are ints or
+Fractions (`_over_one_denominator`); a float or a Gaussian rational
+raises TypeError.  `stem.StemPoly` shares these helpers.
 
-Rational polynomials run on scaled integers, and stay exact.  A product
-scales each operand to integers over its common denominator, multiplies
-once as big integers by Kronecker substitution (each operand packed into
-one integer, a digit per coefficient, wide enough that no digit of the
+Operations run on the stored integers, and stay exact.  A sum brings both
+operands to the lcm of their denominators.  A product multiplies once as
+big integers by Kronecker substitution (each operand packed into one
+integer, a digit per coefficient, wide enough that no digit of the
 product overflows), unpacks and divides by the two denominators.  The
 packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
 `_gcd_ints`, behind `poly_gcd_many`, `StemPoly.central_divisor` and the
@@ -36,8 +40,7 @@ the next pair (g, x) has xi > 2*|x| + 2 again.  When g divides the next
 list x, gcd(g, x) = g and no GCDHEU runs: that is the common case of a
 planted divisor, whose lists are constant multiples of one polynomial.
 A failed candidate at least doubles w, enough to pack both lists again;
-after `_HEU_ATTEMPTS` points the gcd falls back to monic Euclid over Q,
-as GaussRat inputs always do.
+after `_HEU_ATTEMPTS` points the gcd falls back to monic Euclid over Q.
 
 `Matrix` row reduction is fraction-free as well: rows are scaled to
 integers and eliminated with integer row operations that divide out each
@@ -50,21 +53,32 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, zip_longest
 from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import EXACT_SCALARS, RATIONAL_TYPES, power
+from .scalars import RATIONAL_TYPES, as_rat, power
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    """c_k = nums[k] / den, in the integer form of the module docstring."""
 
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    __slots__ = ("nums", "den")
+
+    def __new__(cls, coeffs=()):
+        (nums,), den = _over_one_denominator((coeffs,))
+        return cls._from_ints(nums, den)
+
+    @classmethod
+    def _from_ints(cls, nums, den: int = 1) -> "Poly":
+        """The polynomial nums / den, for an integer list and den > 0; the
+        list is trimmed in place and may be shared."""
+        (nums,), den = _lowest_terms((nums,), den)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nums", nums)
+        object.__setattr__(poly, "den", den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -74,25 +88,31 @@ class Poly:
         return cls((value,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff=Fraction(1)) -> "Poly":
-        return cls((Fraction(0),) * degree + (coeff,))
+    def monomial(cls, degree: int, coeff=1) -> "Poly":
+        return cls((0,) * degree + (coeff,))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as `Fraction`s, ascending, no trailing zero."""
+        return tuple(_fractions(self.nums, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coeff(self, k: int) -> Fraction:
+        nums = self.nums
+        return Fraction(nums[k], self.den) if 0 <= k < len(nums) else _ZERO
 
-    def leading(self):
+    def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -100,13 +120,16 @@ class Poly:
         other = _poly_operand(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return Poly._from_ints(
+            [s * x + t * y
+             for x, y in zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._from_ints([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         other = _poly_operand(other)
@@ -121,54 +144,47 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, EXACT_SCALARS):
-            if not other:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
+        if isinstance(other, RATIONAL_TYPES):
+            num, den = other.as_integer_ratio()
+            return Poly._from_ints([num * x for x in self.nums],
+                                   self.den * den)
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            left = _integer_scaled(self.coeffs)
-            right = _integer_scaled(other.coeffs)
-            if left is not None and right is not None:
-                den = left[1] * right[1]
-                return Poly(tuple(Fraction(c, den)
-                                  for c in _kronecker(left[0], right[0])))
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for a, ca in enumerate(self.coeffs):
-                if not ca:
-                    continue
-                for b, cb in enumerate(other.coeffs):
-                    out[a + b] += ca * cb
-            return Poly(tuple(out))
+            return Poly._from_ints(_kronecker(self.nums, other.nums),
+                                   self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, Poly((Fraction(1),)), operator.mul)
+        return power(self, exponent, Poly((1,)), operator.mul)
 
     def __divmod__(self, other):
-        """Division with remainder: self = q*other + r, deg r < deg other."""
+        """Division with remainder: self = q*other + r, deg r < deg other.
+        Integer pseudo-division of a = self.nums by b = other.nums: with a
+        scaled by s = |lead b|**(dq + 1) up front, step k leaves entries
+        that are multiples of |lead b|**(dq + 1 - k), so each quotient
+        entry divides exactly, and s*a = Q*b + R."""
         other = _poly_operand(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise PolyDivisionByZeroError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        b = other.nums
+        n = len(b)
+        dq = len(self.nums) - n
         if dq < 0:
             return Poly(), self
-        inv = Fraction(1) / other.coeffs[-1]   # exact for int coefficients
-        quot = [Fraction(0)] * (dq + 1)
+        scale = abs(b[-1]) ** (dq + 1)
+        rem, quot = [scale * x for x in self.nums], [0] * (dq + 1)
         for shift in range(dq, -1, -1):
-            top = rem[shift + len(other.coeffs) - 1]
-            if top:
-                factor = top * inv
-                quot[shift] = factor
-                for m, cm in enumerate(other.coeffs):
-                    rem[shift + m] -= factor * cm
-        return Poly(tuple(quot)), Poly(tuple(rem[: len(other.coeffs) - 1]))
+            factor = quot[shift] = rem[shift + n - 1] // b[-1]
+            for m, y in enumerate(b):
+                rem[shift + m] -= factor * y
+        den = scale * self.den
+        return (Poly._from_ints([x * other.den for x in quot], den),
+                Poly._from_ints(rem[:n - 1], den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -179,34 +195,34 @@ class Poly:
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, z0):
-        """Horner evaluation; the scalar kind follows the inputs."""
+        """Horner evaluation on the integers, divided by den once; the
+        scalar kind follows z0 (a rational or a Gaussian rational)."""
         acc = z0 * 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * z0 + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        inv = Fraction(1) / lead   # exact for int coefficients
-        return Poly(tuple(c * inv for c in self.coeffs))
+        lead = self.nums[-1]
+        if lead < 0:
+            return Poly._from_ints([-x for x in self.nums], -lead)
+        return Poly._from_ints(self.nums, lead)
 
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, EXACT_SCALARS):
-            other = Poly((other,))
-        if isinstance(other, Poly):
-            if len(self.coeffs) != len(other.coeffs):
-                return False
-            return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        return NotImplemented
+        other = _poly_operand(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals the scalar it holds, so it hashes as that does.
+        if len(self.nums) <= 1:
+            return hash(self.coeff(0))
+        return hash((self.den, *self.nums))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -219,21 +235,45 @@ class Poly:
 def _poly_operand(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, EXACT_SCALARS):
+    if isinstance(value, RATIONAL_TYPES):
         return Poly((value,))
     return None
 
 
-def _integer_scaled(coeffs):
-    """(numerators, denominator) with coeffs[k] = numerators[k] / denominator,
-    or None unless every coefficient is an int or a Fraction."""
-    if not all(isinstance(c, RATIONAL_TYPES) for c in coeffs):
-        return None
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = lcm(*[d for _, d in ratios])
+_ZERO = Fraction(0)
+
+
+def _over_one_denominator(columns):
+    """Lists of exact rationals as (integer lists, their least common
+    denominator), in lowest terms: a prime power p**e that divides the
+    lcm exactly divides some denominator exactly, and that entry's
+    numerator, prime to p, is scaled by a factor prime to p.  An entry
+    that is not an int or a Fraction raises TypeError (`as_rat`)."""
+    ratios = [[as_rat(x).as_integer_ratio() for x in col] for col in columns]
+    den = lcm(*(d for col in ratios for _, d in col))
+    return [[n * (den // d) for n, d in col] for col in ratios], den
+
+
+def _lowest_terms(lists, den: int):
+    """The rationals lists[r][k] / den, den > 0, as (lists, den) with the
+    lists trimmed of trailing zeros (in place) and all of them and den
+    divided by their gcd."""
+    for xs in lists:
+        while xs and not xs[-1]:
+            xs.pop()
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(lists))
+        if g != 1:
+            lists = [[x // g for x in xs] for xs in lists]
+            den //= g
+    return lists, den
+
+
+def _fractions(xs, den: int) -> list:
+    """The rationals x / den of an integer list."""
     if den == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (den // d) for n, d in ratios], den
+        return [Fraction(x) if x else _ZERO for x in xs]
+    return [Fraction(x, den) if x else _ZERO for x in xs]
 
 
 def _digit_width(bound: int) -> int:
@@ -294,11 +334,6 @@ def _digits(value: int, width: int) -> list:
     return digits
 
 
-def _monic(ints) -> Poly:
-    """The monic rational Poly proportional to a nonzero integer list."""
-    return Poly(tuple(Fraction(c, ints[-1]) for c in ints))
-
-
 def _divides(g, at_g, x, at_x, width: int) -> bool:
     """Whether the integer list g divides x in Z[z], given at_g = g(xi) and
     at_x = x(xi) at xi = 2**(8*width): exact division at xi, then q*g = x
@@ -318,7 +353,7 @@ def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
     """(g, g(xi)) for the primitive gcd g of two nonzero primitive integer
     lists a, b, given with at_a = a(xi) and at_b = b(xi) at
     xi = 2**(8*width) > 2*min(|a|, |b|) + 2: GCDHEU from xi on, then the
-    Euclidean fallback, whose monic result scales to a primitive list."""
+    Euclidean fallback, whose monic result's `nums` are that list."""
     point = width
     for _ in range(_HEU_ATTEMPTS):
         at_h = gcd(at_a, at_b)
@@ -334,7 +369,7 @@ def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
                                                 _max_bits(b)) + 1))
         at_a, at_b = _pack(a, width), _pack(b, width)
     else:
-        g = _integer_scaled(_euclid(_monic(a), _monic(b)).coeffs)[0]
+        g = _euclid(Poly._from_ints(a), Poly._from_ints(b)).nums
     # g(xi) at the given point by Horner's rule, for entries of any size.
     return g, reduce(lambda acc, c: (acc << 8 * point) + c, reversed(g), 0)
 
@@ -363,9 +398,9 @@ def _gcd_ints(lists, packed=None, width: int = 0):
 
 
 def _euclid(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of nonzero a and b by the Euclidean scheme over the
-    coefficient field, with remainders renormalized to monic at every
-    step so Fraction sizes stay tame at desk scale."""
+    """Monic gcd of nonzero a and b by the Euclidean scheme over Q, with
+    remainders renormalized to monic at every step so coefficient sizes
+    stay tame at desk scale."""
     a, b = a.monic(), b.monic()
     while not b.is_zero:
         a, b = b, (a % b).monic()
@@ -381,15 +416,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_gcd_many(polys) -> Poly:
     """Monic gcd of an iterable of polynomials; zero entries are ignored.
-    Rational inputs take `_gcd_ints` on their integer-scaled coefficients,
-    others the Euclidean scheme."""
-    polys = [p for p in polys if not p.is_zero]
-    if not polys:
+    It is `_gcd_ints` of the stored integer lists: a denominator scales a
+    polynomial by a constant, which leaves the monic gcd unchanged."""
+    lists = [p.nums for p in polys if p.nums]
+    if not lists:
         raise BothZeroError("gcd of all-zero family is undefined")
-    scaled = [_integer_scaled(p.coeffs) for p in polys]
-    if None in scaled:
-        return reduce(_euclid, polys[1:], polys[0].monic())
-    return _monic(_gcd_ints([ints for ints, _ in scaled]))
+    return Poly._from_ints(_gcd_ints(lists)).monic()
 
 
 def _divide_linear(coeffs, z0):
@@ -413,7 +445,7 @@ def vanishing_order(p: Poly, z0) -> int:
     if p.is_zero:
         raise ZeroPolynomialError("vanishing order of 0 is undefined")
     order = 0
-    coeffs = list(p.coeffs)
+    coeffs = p.nums
     while coeffs:
         quotient, remainder = _divide_linear(coeffs, z0)
         if remainder != 0:
@@ -460,7 +492,7 @@ class Matrix:
         m = []
         for row in self.entries:
             ints = (row if all(type(e) is int for e in row)
-                    else _integer_scaled(row)[0])
+                    else _over_one_denominator((row,))[0][0])
             content = gcd(*ints)
             if content > 1:
                 ints = [e // content for e in ints]

@@ -12,8 +12,10 @@ c_r = n_r / den, where `nums = (n0, n1, n2, n3)` are four integer lists
 (ascending, no trailing zero) and `den` is one positive integer.  The
 form is kept in lowest terms, gcd(den, every entry) = 1, so it is
 canonical: equal stems store equal integers, and `==` and `hash` read
-them.  The component polynomials `parts` (rational `Poly`s) and the
-quaternion coefficients a_k (`coeffs`) are views, built on each access.
+them.  A `Poly` stores a polynomial in the same form, so the component
+polynomials `parts` take the stored lists as they are (a list is divided
+only when its entries share a factor with den), and the quaternion
+coefficients a_k (`coeffs`) are a view, built on each access.
 With the coefficientwise quaternionic conjugation F^c = c0 - c1 i - c2 j
 - c3 k,
 
@@ -54,11 +56,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (Poly, _digit_width, _gcd_ints, _max_bits, _monic, _pack,
+from .poly import (_ZERO, Poly, _digit_width, _fractions, _gcd_ints,
+                   _lowest_terms, _max_bits, _over_one_denominator, _pack,
                    _unpack, vanishing_order)
 from .scalars import RATIONAL_TYPES, GaussRat, power
 
@@ -140,29 +143,28 @@ class StemPoly:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         rows = [Quaternion.coerce(c).components() for c in coeffs]
-        _set(self, *_over_one_denominator(zip(*rows) if rows else [()] * 4))
+        return cls._from_ints(
+            *_over_one_denominator(zip(*rows) if rows else [()] * 4))
 
     @classmethod
     def _from_parts(cls, parts) -> "StemPoly":
-        """The stem with these four component `Poly`s, whose coefficients
-        are ints or Fractions."""
-        stem = object.__new__(cls)
-        _set(stem, *_over_one_denominator(p.coeffs for p in parts))
-        return stem
+        """The stem with these four component `Poly`s (any iterable)."""
+        parts = tuple(parts)
+        den = lcm(*(p.den for p in parts))
+        return cls._from_ints([[x * (den // p.den) for x in p.nums]
+                               for p in parts], den)
 
     @classmethod
     def _from_ints(cls, nums, den: int) -> "StemPoly":
         """The stem with components nums[r] / den, for four integer lists
-        and den > 0: all of them and den are divided by their gcd."""
-        if den != 1:
-            g = gcd(den, *chain.from_iterable(nums))
-            if g != 1:
-                nums = [[x // g for x in xs] for xs in nums]
-                den //= g
+        and den > 0, in lowest terms (`_lowest_terms`); the lists are
+        trimmed in place and may be shared."""
+        nums, den = _lowest_terms(nums, den)
         stem = object.__new__(cls)
-        _set(stem, nums, den)
+        object.__setattr__(stem, "nums", tuple(nums))
+        object.__setattr__(stem, "den", den)
         return stem
 
     def __setattr__(self, name, value):
@@ -179,7 +181,7 @@ class StemPoly:
     @property
     def parts(self) -> tuple:
         """The four component polynomials (c0, c1, c2, c3) over Q."""
-        return tuple(Poly(_fractions(xs, self.den)) for xs in self.nums)
+        return tuple(Poly._from_ints(xs, self.den) for xs in self.nums)
 
     @property
     def is_zero(self) -> bool:
@@ -267,7 +269,7 @@ class StemPoly:
                                    self.den)
 
     def trace(self) -> Poly:
-        return Poly(_fractions([2 * x for x in self.nums[0]], self.den))
+        return Poly._from_ints([2 * x for x in self.nums[0]], self.den)
 
     def norm(self) -> Poly:
         """norm(F) = F * F^c, a central (rational) polynomial: the packed
@@ -277,8 +279,8 @@ class StemPoly:
         if not n:
             return Poly()
         packed, width = _packed(nums, max(map(_max_bits, nums)), n)
-        return Poly(_fractions(_unpack(sum(x * x for x in packed), 2 * n - 1,
-                                       width), self.den ** 2))
+        return Poly._from_ints(_unpack(sum(x * x for x in packed), 2 * n - 1,
+                                       width), self.den ** 2)
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""
@@ -293,7 +295,7 @@ class StemPoly:
         if self.is_slice_preserving():
             raise SlicePreservingError(
                 "central divisor undefined for slice preserving functions")
-        return Divisor(_monic(_gcd_ints(self.nums[1:])))
+        return Divisor(Poly._from_ints(_gcd_ints(self.nums[1:])))
 
     def remove_central_divisor(self):
         """Factor F = lam * Ftilde with empty cdiv(Ftilde).
@@ -366,6 +368,9 @@ class StemPoly:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        # A constant equals the quaternion it holds, so it hashes as that does.
+        if self.degree <= 0:
+            return hash(self.coeff(0))
         return hash((self.den, *map(tuple, self.nums)))
 
     def __repr__(self):
@@ -374,33 +379,6 @@ class StemPoly:
     def __str__(self):
         from .parsing import render_stem
         return render_stem(self)
-
-
-def _set(stem, nums, den) -> None:
-    """Store nums / den, in lowest terms, on a new stem.  The lists are
-    trimmed in place and may be shared."""
-    for xs in nums:
-        while xs and not xs[-1]:
-            xs.pop()
-    object.__setattr__(stem, "nums", tuple(nums))
-    object.__setattr__(stem, "den", den)
-
-
-def _over_one_denominator(columns):
-    """Lists of rationals as (integer lists, their least common
-    denominator), in lowest terms: a prime power p**e that divides the
-    lcm exactly divides some denominator exactly, and that entry's
-    numerator, prime to p, is scaled by a factor prime to p."""
-    ratios = [[x.as_integer_ratio() for x in col] for col in columns]
-    den = lcm(*(d for col in ratios for _, d in col))
-    return [[n * (den // d) for n, d in col] for col in ratios], den
-
-
-def _fractions(xs, den: int) -> list:
-    """The rationals x / den of an integer list."""
-    if den == 1:
-        return [Fraction(x) if x else _ZERO for x in xs]
-    return [Fraction(x, den) if x else _ZERO for x in xs]
 
 
 def _packed(parts, bits: int, n: int):
@@ -447,9 +425,6 @@ def _star_ints(left, right):
                 else:
                     sums[r] -= a * b
     return [_unpack(acc, m + n - 1, width) for acc in sums]
-
-
-_ZERO = Fraction(0)
 
 
 def _stem_operand(value):

@@ -153,7 +153,6 @@ def test_render_poly_golden():
     assert render_poly(Poly()) == "0"
     assert render_poly(Poly([0, -1])) == "-z"
     assert render_poly(Poly([Fraction(-1, 2), 0, 1])) == "-1/2 + z^2"
-    assert render_poly(Poly([GaussRat(0, 1), GaussRat(2)])) == "(E) + 2*z"
 
 
 def test_render_quat():

@@ -1,6 +1,8 @@
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,7 @@ from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
                       PolyDivisionByZeroError, StemPoly, ZeroPolynomialError,
                       equivalent, find_intertwiner, parse_stem, poly_gcd,
                       poly_gcd_many, vanishing_order)
-from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_scaled,
-                           _monic)
+from slicereg.poly import _digits, _divides, _gcd_ints
 
 from support import (rand_fraction, rand_poly, rand_pure_imaginary_quaternion,
                      rand_stem_nonslice)
@@ -146,7 +147,8 @@ P61 = (1 << 61) - 1
 def _to_sympy(sp, p: Poly):
     """Ascending rational coefficients -> sympy Poly over QQ."""
     coeffs = [sp.Rational(c.numerator, c.denominator) for c in p.coeffs]
-    return sp.Poly(list(reversed(coeffs)), sp.Symbol("z"), domain=sp.QQ)
+    return sp.Poly(list(reversed(coeffs)) or [0], sp.Symbol("z"),
+                   domain=sp.QQ)
 
 
 def _from_sympy(q) -> Poly:
@@ -243,12 +245,31 @@ def test_divisor_of_int_coefficients_is_exact():
     assert p == Poly([Fraction(1, 2), 1]) and _all_fractions(p)
 
 
-def test_gcd_of_gaussrat_and_int_coefficients_is_exact():
-    # z + i and 1 + 2z are coprime; (z + i)(1 + 2z) and 1 + 2z share z + 1/2.
-    assert poly_gcd_many([Poly([IOTA, 1]), Poly([1, 2])]) == Poly([1])
-    shared = poly_gcd_many([Poly([IOTA, 1]) * Poly([1, 2]), Poly([1, 2])])
-    assert shared == Poly([Fraction(1, 2), 1])
-    assert not any(isinstance(c, float) for c in shared.coeffs)
+def test_float_and_gaussian_coefficients_are_refused():
+    # A float coefficient made inexact products (0.5 * 0.5 gave the float
+    # 0.25); a Gaussian one has no integer form over one denominator.
+    for bad in (0.5, complex(1, 0), GaussRat(1), IOTA):
+        with pytest.raises(TypeError):
+            Poly([1, bad])
+        with pytest.raises(TypeError):
+            Poly.constant(bad)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(Z + 1, bad)
+            with pytest.raises(TypeError):
+                op(bad, Z + 1)
+    assert Poly([1]) != GaussRat(1) and Poly([1]) == 1
+    # Evaluation at a Gaussian point stays.
+    assert (Z ** 2 + 1)(IOTA) == 0 and (Z ** 2 + 1)(2 * IOTA) == GaussRat(-3)
+
+
+def test_constants_hash_as_the_scalars_they_equal():
+    assert len({Poly([1]), 1}) == 1
+    assert len({Poly(), 0, Fraction(0)}) == 1
+    assert len({Poly([Fraction(-2, 3)]), Fraction(-2, 3)}) == 1
+    assert len({Poly([Fraction(2, 4)]), Poly([Fraction(1, 2)]),
+                Fraction(1, 2)}) == 1
+    assert {Z + 1: "x"}[Poly([1, 1])] == "x"
 
 
 def test_gcd_matches_sympy_on_coprime_and_planted_inputs():
@@ -478,32 +499,87 @@ def test_divisibility_shortcut_matches_sympy(heu_calls):
                 ([base * c for c in cofactors], False),
                 ([base * cofactors[0], base, base * cofactors[1]], False)):
             heu_calls.clear()
-            lists = [_integer_scaled(p.coeffs)[0] for p in family]
+            lists = [p.nums for p in family]
             want = _from_sympy(reduce(sp.Poly.gcd, [_to_sympy(sp, p)
                                                     for p in family]).monic())
-            assert _monic(_gcd_ints(lists)) == want
+            assert Poly._from_ints(_gcd_ints(lists)).monic() == want
             assert poly_gcd_many(family) == want
             assert poly_gcd_many(reversed(family)) == want
             if shortcut:
                 assert not heu_calls
 
 
-def test_gaussrat_products_and_gcds_keep_the_field_routes():
-    rng = random.Random(61)
-    for _ in range(30):
-        a = Poly([GaussRat(rand_fraction(rng), rand_fraction(rng))
-                  for _ in range(rng.randint(1, 6))])
-        b = Poly([GaussRat(rand_fraction(rng), rand_fraction(rng))
-                  for _ in range(rng.randint(1, 6))])
-        c = rand_poly(rng, 5)
-        assert a * b == _schoolbook(a, b)
-        assert a * c == _schoolbook(a, c) == c * a
-        if not a.is_zero and not b.is_zero:
-            assert poly_gcd(a, b) == _euclid(a, b)
-    root = Poly([-IOTA, GaussRat(1)])           # z - E
-    assert poly_gcd(Z ** 2 + 1, root * (Z + 2)) == root
-    assert poly_gcd(root * root, root * (Z - 1)) == root
-    assert poly_gcd(root, Poly([IOTA, GaussRat(1)])) == Poly([GaussRat(1)])
+def _rand_rational_poly(rng) -> Poly:
+    """Zero, a constant, or random rationals of degree 1-8, with a
+    negative leading coefficient half the time."""
+    shape = rng.choice(("zero", "constant", "random", "random"))
+    if shape == "zero":
+        return Poly()
+    p = _diff_poly(rng, 0 if shape == "constant" else rng.randint(1, 8),
+                   rng.choice((1, 0.5)))
+    return -p if rng.random() < 0.5 else p
+
+
+def _canonical(p: Poly) -> bool:
+    return (p.den > 0 and gcd(p.den, *p.nums) == 1
+            and (not p.nums or p.nums[-1] != 0))
+
+
+def test_integer_poly_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(1414)
+    z = sp.Symbol("z")
+    for _ in range(150):
+        a, b = _rand_rational_poly(rng), _rand_rational_poly(rng)
+        big_a, big_b = _to_sympy(sp, a), _to_sympy(sp, b)
+        e = rng.randint(0, 3)
+        results = [a + b, a - b, a * b, a ** e]
+        assert results == [_from_sympy(big_a + big_b),
+                           _from_sympy(big_a - big_b),
+                           _from_sympy(big_a * big_b),
+                           _from_sympy(big_a ** e)]
+        if not b.is_zero:
+            q, r = divmod(a, b)
+            want_q, want_r = sp.div(big_a, big_b)
+            assert (q, r) == (_from_sympy(want_q), _from_sympy(want_r))
+            results += [q, r]
+        if not a.is_zero:
+            results.append(a.monic())
+            assert results[-1] == _from_sympy(big_a.monic())
+        family = [a, b, a * b, Poly()]
+        if not (a.is_zero and b.is_zero):
+            results.append(poly_gcd_many(family))
+            assert results[-1] == _from_sympy(
+                reduce(sp.Poly.gcd, [_to_sympy(sp, p) for p in family]).monic())
+        assert all(_canonical(p) for p in results)
+        x = rand_fraction(rng, 9, 9)
+        value = big_a.eval(sp.Rational(x.numerator, x.denominator))
+        assert a(x) == Fraction(int(value.p), int(value.q))
+        w = GaussRat(rand_fraction(rng, 9, 9), rand_fraction(rng, 9, 9))
+        value = sp.expand(big_a.as_expr().subs(
+            z, sp.Rational(w.re.numerator, w.re.denominator)
+            + sp.I * sp.Rational(w.im.numerator, w.im.denominator)))
+        got = a(w)
+        assert isinstance(got, GaussRat)
+        assert (sp.Rational(got.re.numerator, got.re.denominator),
+                sp.Rational(got.im.numerator, got.im.denominator)) == (
+                    sp.re(value), sp.im(value))
+
+
+def test_unreduced_input_is_stored_in_lowest_terms():
+    half = Poly([Fraction(1, 2)])
+    for p in (Poly([Fraction(2, 4)]), Poly._from_ints([2], 4),
+              Poly._from_ints([-3, 0, 0], 6) * -1):
+        assert p == half and (p.nums, p.den) == ([1], 2)
+        assert hash(p) == hash(half) == hash(Fraction(1, 2))
+    same = Poly._from_ints([2, 4, 6, 0, 0], 4)
+    assert same == Poly([Fraction(1, 2), 1, Fraction(3, 2)])
+    assert (same.nums, same.den) == ([1, 2, 3], 2)
+    assert hash(same) == hash(Poly([Fraction(1, 2), 1, Fraction(3, 2)]))
+    assert Poly([1, 2, 0, 0]).nums == [1, 2]
+    zero = Poly._from_ints([0, 0], 7)
+    assert (zero.nums, zero.den) == ([], 1) and zero == Poly() == 0
+    assert all(type(c) is Fraction for c in Poly([1, 0, 2]).coeffs)
 
 
 # -- integer elimination against sympy -------------------------------------------

@@ -261,6 +261,14 @@ def test_parts_of_unequal_length_and_the_zero_stem():
     assert StemPoly([1, QI, 0, 0]).parts == (Poly([1]), Poly([0, 1]), Poly(), Poly())
 
 
+def test_constant_stems_hash_as_the_quaternions_they_equal():
+    assert StemPoly([QI]) == QI and len({StemPoly([QI]), QI}) == 1
+    assert len({StemPoly([Fraction(2, 3)]), Fraction(2, 3),
+                Quaternion(Fraction(2, 3))}) == 1
+    assert len({StemPoly(), 0, Quaternion()}) == 1
+    assert len({StemPoly([QI]), StemPoly([0, QI]), QI}) == 2
+
+
 def test_invariants_and_products_build_no_quaternion(monkeypatch):
     from slicereg import CQuatF, TruncSeries, render_stem, taylor_series
     rotating = taylor_series("cos", 12) * QI + taylor_series("sin", 12) * QJ
