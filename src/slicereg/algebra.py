@@ -34,7 +34,8 @@ from __future__ import annotations
 import operator
 
 from .errors import NotInWError, ZeroDivisorError, ZeroInverseError
-from .scalars import EXACT_SCALARS, RATIONAL_TYPES, GaussRat, as_rat, power
+from .scalars import (EXACT_SCALARS, RATIONAL_TYPES, Frozen, GaussRat, as_rat,
+                      power)
 
 
 def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
@@ -63,7 +64,7 @@ UNIT_PRODUCTS = tuple(tuple(_unit_product(s, t) for t in range(4))
                       for s in range(4))
 
 
-class QuaternionBase:
+class QuaternionBase(Frozen):
     """Four coordinates over (1, i, j, k).  A subclass states its field:
     `_coord` coerces a coordinate, `_scalars` are the scalars it multiplies
     by, `_promotes` the quaternion types it converts into itself (those
@@ -81,9 +82,6 @@ class QuaternionBase:
         object.__setattr__(self, "c1", coord(c1))
         object.__setattr__(self, "c2", coord(c2))
         object.__setattr__(self, "c3", coord(c3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _operand(cls, value):
@@ -343,7 +341,7 @@ def conj_by_unit(alpha, x):
     return a * CQuat.coerce(x) * a.inverse()
 
 
-class SO3Matrix:
+class SO3Matrix(Frozen):
     """3x3 matrix over GaussRat acting on W in the basis (i, j, k).
 
     The constructor enforces the defining invariants: columns orthonormal
@@ -359,9 +357,6 @@ class SO3Matrix:
         object.__setattr__(self, "rows", rows)
         if not self._is_special_orthogonal():
             raise ValueError("matrix is not special orthogonal")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SO3Matrix is immutable")
 
     @classmethod
     def identity(cls) -> "SO3Matrix":
@@ -420,7 +415,7 @@ def aut_to_matrix(alpha) -> SO3Matrix:
 
 # -- the split algebra H + H ----------------------------------------------------
 
-class Pair:
+class Pair(Frozen):
     """An ordered pair, acted on componentwise.  A subclass checks its
     components in `__init__` and adds its own product."""
 
@@ -429,9 +424,6 @@ class Pair:
     def __init__(self, first, second):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         if isinstance(other, type(self)):

@@ -9,6 +9,7 @@ Grammar (EBNF):
     rational := integer ("/" positive_integer)?
     unit     := "i" | "j" | "k" | "E"
     var      := "z" | "q"
+    pair     := "(" expr ";" expr ")"
 
 so "^" binds tighter than "*" binds tighter than "+"/"-", and unary minus
 binds tighter than addition but looser than "^" ("-z^2" is -(z^2), and
@@ -16,13 +17,14 @@ binds tighter than addition but looser than "^" ("-z^2" is -(z^2), and
 is the commuting complex unit of the complexification and is admitted in
 point mode only.  Variables z and q are interchangeable spellings of the
 same indeterminate (the stem and the slice viewpoint); mixing both in one
-expression is rejected.
+expression is rejected.  Pairs for the split algebra H + H are a whole
+text of the `pair` form, and each half picks its own spelling.
 
-Normalization multiplies everything out, preserving the written order of
-noncommuting factors, and collects a canonical right-coefficient form
-sum_k z^k * a_k.  Since the variable is central, every expression in this
-grammar normalizes to such a form.  Stem expressions evaluate straight
-into `StemPoly`: literals, units and the variable are constants and the
+One recursive-descent pass parses and evaluates.  Multiplying out
+preserves the written order of noncommuting factors, and since the
+variable is central every expression has a canonical right-coefficient
+form sum_k z^k * a_k.  Stem expressions evaluate straight into
+`StemPoly`: literals, units and the variable are constants and the
 monomial z, sums use `+`/`-`, and products and powers (square-and-
 multiply) use `StemPoly.star`, the integer Kronecker kernel of `stem.py`,
 except that a power z^n of the variable is built as that monomial.
@@ -31,7 +33,9 @@ arithmetic.  Before each product or power the degree it would have, from
 the degrees of its trimmed operands, is checked against MAX_DEGREE, and
 every exponent against MAX_EXPONENT.
 
-Pairs for the split algebra use the syntax "( <expr> ; <expr> )".
+A character outside the grammar is reported first (the text is tokenized
+up front); otherwise the first fault in reading order, be it syntax, mode
+or limit.  Positions count from the start of the whole text.
 
 Renderers emit ascending powers, exact rationals as a/b, quaternion
 coefficients parenthesized; their output reparses to an equal value.
@@ -102,49 +106,23 @@ def _tokenize(text: str):
     return tokens
 
 
-# -- abstract syntax ---------------------------------------------------------
+# -- parsing and evaluation ---------------------------------------------------
 
-class RationalLit(Record):
-    value: Fraction
-
-
-class Unit(Record):
-    name: str
-    pos: int
-
-
-class Var(Record):
-    name: str
-    pos: int
-
-
-class Neg(Record):
-    child: object
-
-
-class Add(Record):
-    left: object
-    right: object
-
-
-class Sub(Record):
-    left: object
-    right: object
-
-
-class Mul(Record):
-    left: object
-    right: object
-
-
-class Pow(Record):
-    base: object
-    exponent: int
+_UNIT_VALUES = {"i": QI, "j": QJ, "k": QK, "E": CQuat(GaussRat(0, 1))}
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Recursive descent that evaluates as it parses: into `StemPoly` in
+    stem mode, where products are `star` in written order, and into
+    `CQuat` in point mode, where every value is a constant.  Sums and
+    products fold in a loop, so a long one costs no recursion."""
+
+    def __init__(self, text: str, mode: str):
+        if mode not in ("stem", "point"):
+            raise ValueError("mode must be 'stem' or 'point'")
+        self.stem = mode == "stem"
+        self.lift = StemPoly.constant if self.stem else CQuat.coerce
+        self.seen_var: str | None = None
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
@@ -170,141 +148,104 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels of "
                              "parentheses and unary minus", tok.pos)
         self.depth += 1
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
+        return value
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
+        return value
+
+    def pair(self):
+        """The two halves of "( expr ; expr )".  The text's first and last
+        tokens are the pair's parentheses; the last one ends the second
+        half as the end of input ends a whole expression.  Each half
+        picks its own spelling of the variable."""
+        tokens = self.tokens
+        if tokens[0].kind != "(" or tokens[-2].kind != ")":
+            raise ParseError("pair syntax is '( <expr> ; <expr> )'", 0)
+        tokens[-2:] = [_Token("end", "", tokens[-2].pos)]
+        self.index = 1
+        first = self.expr()
+        tok = self.advance()
+        if tok.kind == ")":
+            raise ParseError("unbalanced parentheses in pair", tok.pos)
+        if tok.kind == "end":
+            raise ParseError("pair syntax needs a top-level ';'", tok.pos)
+        if tok.kind != ";":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        self.seen_var = None
+        return first, self.parse()
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+            value = value + rhs if op.kind == "+" else value - rhs
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            node = Mul(node, self.factor())
-        return node
+            rhs = self.factor()
+            if self.stem:
+                _check_degree(value.degree + rhs.degree)
+            value = value * rhs
+        return value
 
     def factor(self):
         if self.peek().kind == "-":
-            return Neg(self.nested(self.factor, self.advance()))
-        node = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("num")
-            return Pow(node, tok.value)
-        return node
+            return -self.nested(self.factor, self.advance())
+        value = self.base()
+        if self.peek().kind != "^":
+            return value
+        self.advance()
+        exponent = self.expect("num").value
+        if exponent > MAX_EXPONENT:
+            raise LimitExceededError(
+                f"exponent {exponent} is above the limit of {MAX_EXPONENT}")
+        if self.stem:
+            _check_degree(value.degree * exponent)
+            if value is Z:
+                return StemPoly._from_ints([[0] * exponent + [1], [], [], []], 1)
+        return value ** exponent
 
     def base(self):
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "num":
+            if self.peek().kind != "/":
+                return self.lift(Fraction(tok.value))
             self.advance()
-            numerator = tok.value
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("num")
-                if den.value == 0:
-                    raise ParseError("denominator must be positive", den.pos)
-                return RationalLit(Fraction(numerator, den.value))
-            return RationalLit(Fraction(numerator))
+            den = self.expect("num")
+            if den.value == 0:
+                raise ParseError("denominator must be positive", den.pos)
+            return self.lift(Fraction(tok.value, den.value))
         if tok.kind == "name":
-            self.advance()
-            if tok.text in "zq":
-                return Var(tok.text, tok.pos)
-            return Unit(tok.text, tok.pos)
-        if tok.kind == "(":
-            node = self.nested(self.expr, self.advance())
-            self.expect(")")
-            return node
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.pos)
-
-
-def parse_ast(text: str):
-    """Parse to the raw expression tree (mode checks happen later)."""
-    return _Parser(text).parse()
-
-
-# -- normalization -------------------------------------------------------------
-
-_UNIT_VALUES = {"i": QI, "j": QJ, "k": QK, "E": CQuat(GaussRat(0, 1))}
-
-
-class _Normalizer:
-    """Evaluate an expression tree: into `StemPoly` in stem mode, where
-    products are `star` in written order, and into `CQuat` in point mode,
-    where the tree has no variable and every value is a constant."""
-
-    def __init__(self, mode: str):
-        if mode not in ("stem", "point"):
-            raise ValueError("mode must be 'stem' or 'point'")
-        self.stem = mode == "stem"
-        self.lift = StemPoly.constant if self.stem else CQuat.coerce
-        self.seen_var: str | None = None
-
-    def run(self, node):
-        if isinstance(node, RationalLit):
-            return self.lift(node.value)
-        if isinstance(node, Unit):
-            if node.name == "E" and self.stem:
-                raise UnitNotAllowedError(
-                    "unit E has no meaning in a stem expression", node.pos)
-            return self.lift(_UNIT_VALUES[node.name])
-        if isinstance(node, Var):
+            if tok.text not in "zq":
+                if tok.text == "E" and self.stem:
+                    raise UnitNotAllowedError(
+                        "unit E has no meaning in a stem expression", tok.pos)
+                return self.lift(_UNIT_VALUES[tok.text])
             if not self.stem:
                 raise VariableInPointError(
-                    "point expressions must be constant", node.pos)
+                    "point expressions must be constant", tok.pos)
             if self.seen_var is None:
-                self.seen_var = node.name
-            elif self.seen_var != node.name:
+                self.seen_var = tok.text
+            elif self.seen_var != tok.text:
                 raise ParseError(
-                    "cannot mix the variable spellings 'z' and 'q'", node.pos)
+                    "cannot mix the variable spellings 'z' and 'q'", tok.pos)
             return Z
-        if isinstance(node, Neg):
-            return -self.run(node.child)
-        if isinstance(node, (Add, Sub, Mul)):
-            # Sums and products parse as left-deep chains, as long as the
-            # text; fold the chain in a loop, not one recursion per term.
-            chain = []
-            while isinstance(node, (Add, Sub, Mul)):
-                chain.append(node)
-                node = node.left
-            acc = self.run(node)
-            for node in reversed(chain):
-                right = self.run(node.right)
-                if isinstance(node, Add):
-                    acc = acc + right
-                elif isinstance(node, Sub):
-                    acc = acc - right
-                else:
-                    if self.stem:
-                        _check_degree(acc.degree + right.degree)
-                    acc = acc * right
-            return acc
-        if isinstance(node, Pow):
-            if node.exponent > MAX_EXPONENT:
-                raise LimitExceededError(
-                    f"exponent {node.exponent} is above the limit of "
-                    f"{MAX_EXPONENT}")
-            base = self.run(node.base)
-            if self.stem:
-                _check_degree(base.degree * node.exponent)
-                if isinstance(node.base, Var):
-                    return StemPoly._from_ints(
-                        [[0] * node.exponent + [1], [], [], []], 1)
-            return base ** node.exponent
-        raise TypeError(f"unknown node {node!r}")
+        if tok.kind == "(":
+            value = self.nested(self.expr, tok)
+            self.expect(")")
+            return value
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
+                         tok.pos)
 
 
 def _check_degree(degree: int) -> None:
@@ -316,9 +257,9 @@ def _check_degree(degree: int) -> None:
 
 
 def parse_expr(text: str, mode: str):
-    """Parse and normalize; returns a StemPoly (stem mode) or CQuat (point
+    """Parse and evaluate; returns a StemPoly (stem mode) or CQuat (point
     mode)."""
-    return _Normalizer(mode).run(parse_ast(text))
+    return _Parser(text, mode).parse()
 
 
 def parse_stem(text: str) -> StemPoly:
@@ -329,34 +270,12 @@ def parse_point(text: str) -> CQuat:
     return parse_expr(text, "point")
 
 
-def split_pair(text: str):
-    """Split "( left ; right )" at the top-level semicolon."""
-    stripped = text.strip()
-    if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise ParseError("pair syntax is '( <expr> ; <expr> )'", 0)
-    inner = stripped[1:-1]
-    depth = 0
-    for idx, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses in pair", idx + 1)
-        elif ch == ";" and depth == 0:
-            return inner[:idx], inner[idx + 1:]
-    raise ParseError("pair syntax needs a top-level ';'", len(stripped) - 1)
-
-
 def parse_r3_stem(text: str) -> R3StemPoly:
-    left, right = split_pair(text)
-    return R3StemPoly(parse_stem(left), parse_stem(right))
+    return R3StemPoly(*_Parser(text, "stem").pair())
 
 
 def parse_r3_point(text: str) -> R3Elem:
-    left, right = split_pair(text)
-    p1 = parse_point(left)
-    p2 = parse_point(right)
+    p1, p2 = _Parser(text, "point").pair()
     if p1.is_real_quaternion and p2.is_real_quaternion:
         return R3Elem(p1.to_quaternion(), p2.to_quaternion())
     return R3Elem(p1, p2)
@@ -416,6 +335,3 @@ def render_stem(stem: StemPoly, var: str = "z") -> str:
             parts.append(f"{var}^{k}*{body}")
     return " + ".join(parts)
 
-
-def render_r3_stem(pair: R3StemPoly) -> str:
-    return f"({render_stem(pair.first)} ; {render_stem(pair.second)})"

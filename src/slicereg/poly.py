@@ -58,10 +58,10 @@ from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import RATIONAL_TYPES, as_rat, power
+from .scalars import RATIONAL_TYPES, Frozen, as_rat, power
 
 
-class Poly:
+class Poly(Frozen):
     """c_k = nums[k] / den, in the integer form of the module docstring."""
 
     __slots__ = ("nums", "den")
@@ -80,9 +80,6 @@ class Poly:
         object.__setattr__(poly, "den", den)
         return poly
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
     @classmethod
     def constant(cls, value) -> "Poly":
         return cls((value,))
@@ -99,6 +96,9 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
 
     @property
     def degree(self) -> int:
@@ -455,7 +455,7 @@ def vanishing_order(p: Poly, z0) -> int:
     return order
 
 
-class Matrix:
+class Matrix(Frozen):
     """A dense matrix of exact rationals, sized for desk-scale systems.
 
     Elimination runs on integers: each row is scaled by the lcm of its
@@ -481,9 +481,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def _integer_echelon(self):
         """(rows, pivots): the nonzero rows of the reduced echelon form,

@@ -6,8 +6,9 @@ unit, written `E` in expression syntax: a value `re + E*im` with rational
 parts.  `E` is the scalar imaginary unit of the complexification and is
 unrelated to the quaternion units i, j, k, with which it commutes.
 
-The module also holds `Record`, the immutable base of the package's
-result and syntax records, because every other module loads this one.
+The module also holds `Frozen`, the immutable base of the package's
+slotted values, and `Record`, the immutable base of its result records,
+because every other module loads this one.
 """
 
 from __future__ import annotations
@@ -47,7 +48,33 @@ def power(base, exponent: int, one, mul):
     return result
 
 
-class GaussRat:
+def _rebuild(cls, state: dict):
+    """The `Frozen` value of class `cls` whose slots hold `state`."""
+    value = object.__new__(cls)
+    for name, item in state.items():
+        object.__setattr__(value, name, item)
+    return value
+
+
+class Frozen:
+    """The immutable base of the package's slotted values: assignment
+    raises, and `copy`, `deepcopy` and `pickle` rebuild a value from its
+    slots without running `__init__` (which the assignment would
+    refuse)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        names = [name for klass in cls.__mro__
+                 for name in klass.__dict__.get("__slots__", ())]
+        return _rebuild, (cls, {name: getattr(self, name) for name in names})
+
+
+class GaussRat(Frozen):
     """A Gaussian rational re + E*im with E**2 = -1.
 
     Values are immutable; all arithmetic returns new objects.  Mixed
@@ -59,9 +86,6 @@ class GaussRat:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", as_rat(re))
         object.__setattr__(self, "im", as_rat(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
 
     @classmethod
     def coerce(cls, value) -> "GaussRat":
@@ -183,7 +207,7 @@ EXACT_SCALARS = RATIONAL_TYPES + (GaussRat,)
 
 class Record:
     """An immutable record: the base of the package's verdicts, reports
-    and syntax-tree nodes.
+    and the parser's tokens.
 
     A subclass lists its fields as annotations, in order; a class
     attribute of the same name is that field's default.  Records are

@@ -32,7 +32,7 @@ from itertools import zip_longest
 from .algebra import CQuat, Quaternion, QuaternionBase
 from .errors import NearSingularSampleError
 from .poly import Poly
-from .scalars import RATIONAL_TYPES, GaussRat, Record
+from .scalars import RATIONAL_TYPES, Frozen, GaussRat, Record
 from .stem import StemPoly
 
 DEFAULT_ORDER = 40
@@ -41,7 +41,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = (0.3 + 0j, 1.0 + 0j, -0.7 + 0j, 0.5 + 0.5j, -1.2j)
 
 
-class TruncSeries:
+class TruncSeries(Frozen):
     """sum_{k<order} z^k a_k, exact modulo z^order: a stem of degree
     below the order, plus the order."""
 
@@ -65,9 +65,6 @@ class TruncSeries:
         object.__setattr__(self, "stem", coeffs)
         object.__setattr__(self, "majorant", (float(majorant[0]), float(majorant[1])))
         object.__setattr__(self, "is_polynomial", bool(is_polynomial))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -279,10 +276,6 @@ class CQuatF(QuaternionBase):
     @property
     def is_real_quaternion(self) -> bool:
         return all(c.imag == 0.0 for c in self.components())
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "CQuatF":
-        return cls(*q.components())
 
     def euclid(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.components()))

@@ -63,7 +63,7 @@ from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (_ZERO, Poly, _digit_width, _fractions, _gcd_ints,
                    _lowest_terms, _max_bits, _over_one_denominator, _pack,
                    _unpack, vanishing_order)
-from .scalars import RATIONAL_TYPES, GaussRat, power
+from .scalars import RATIONAL_TYPES, Frozen, GaussRat, power
 
 
 class _SlicePreservingMarker:
@@ -83,7 +83,7 @@ class _SlicePreservingMarker:
 SLICE_PRESERVING = _SlicePreservingMarker()
 
 
-class Divisor:
+class Divisor(Frozen):
     """An effective divisor on C, held as a monic polynomial whose
     vanishing locus (with multiplicity) is the divisor.  The empty
     divisor is the constant 1."""
@@ -94,9 +94,6 @@ class Divisor:
         if gcd_poly.is_zero:
             raise ZeroFunctionError("a divisor polynomial cannot be zero")
         object.__setattr__(self, "gcd_poly", gcd_poly.monic())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     @classmethod
     def empty(cls) -> "Divisor":
@@ -135,7 +132,7 @@ class Divisor:
         return str(self.gcd_poly)
 
 
-class StemPoly:
+class StemPoly(Frozen):
     """F = c0 + c1 i + c2 j + c3 k, stored as four integer lists
     `nums = (n0, n1, n2, n3)`, ascending with no trailing zero, and one
     positive integer `den`: c_r = n_r / den, in lowest terms
@@ -167,9 +164,6 @@ class StemPoly:
         object.__setattr__(stem, "den", den)
         return stem
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StemPoly is immutable")
-
     @classmethod
     def constant(cls, value) -> "StemPoly":
         return cls((value,))
@@ -186,6 +180,9 @@ class StemPoly:
     @property
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
 
     @property
     def degree(self) -> int:

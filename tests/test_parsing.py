@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given
@@ -12,7 +13,7 @@ from slicereg import (CQuat, GaussRat, LimitExceededError, ParseError, Poly,
                       render_quat, render_stem)
 from slicereg.algebra import QI, QJ, QK
 
-from support import reference_parse_point, reference_parse_stem
+from support import REFERENCE_UNITS, reference_convolve
 
 IOTA = GaussRat(0, 1)
 
@@ -94,6 +95,38 @@ def test_pair_parsing():
     # A semicolon inside nested parens does not split the pair.
     nested = parse_r3_stem("( (1 + z) * (1 - z) ; j )")
     assert nested.first == StemPoly([1, 0, -1])
+    # Each half picks its own spelling of the variable.
+    assert parse_r3_stem("(z ; q^2)").second == StemPoly.monomial(2)
+
+
+@pytest.mark.parametrize("parse, text, error, position", [
+    (parse_r3_stem, "(i + + ; j)", ParseError, 5),
+    (parse_r3_stem, "(i ; j + +)", ParseError, 9),
+    (parse_r3_point, " (i ; j + +)", ParseError, 10),
+    (parse_r3_stem, "(E ; j)", UnitNotAllowedError, 1),
+    (parse_r3_point, "(1 ; z)", VariableInPointError, 5),
+    (parse_r3_stem, "(i ; j ; k)", ParseError, 7),
+])
+def test_pair_errors_count_positions_in_the_whole_text(parse, text, error,
+                                                       position):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+def test_errors_are_reported_in_reading_order():
+    # The first fault in the text is named, whatever its kind.
+    for text, error, position in [("E + (", UnitNotAllowedError, 0),
+                                  ("z + q + ", ParseError, 4),
+                                  ("(E)^2000", UnitNotAllowedError, 1)]:
+        with pytest.raises(error) as err:
+            parse_stem(text)
+        assert err.value.position == position
+    with pytest.raises(VariableInPointError) as err:
+        parse_point("z (")
+    assert err.value.position == 0
+    with pytest.raises(LimitExceededError):
+        parse_stem("z^2000 +")
 
 
 GOLDEN = [
@@ -240,43 +273,70 @@ def test_a_power_of_the_variable_is_the_monomial():
     assert parse_stem("(z*i)^3") == StemPoly([0, 0, 0, -QI])
 
 
-# -- the normalizer against the CQuat reference -------------------------------------
+# -- the parser against values built from the generated tree ------------------
 
-_RATIONALS = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 40),
-                       st.integers(1, 12))
+_RATIONALS = st.tuples(st.integers(0, 40), st.integers(1, 12)).map(
+    lambda t: (f"{t[0]}/{t[1]}", [CQuat(GaussRat(Fraction(*t)))]))
+
+
+def _leaf(name):
+    if name == "z":
+        return name, [CQuat(), CQuat(1)]
+    return name, [REFERENCE_UNITS[name]]
+
+
+def _negated(values):
+    return [-c for c in values]
+
+
+def _sum(operands, signs):
+    """Text and value of (a) s1 (b) s2 (c)..., folded left to right."""
+    text, value = operands[0]
+    for sign, (term, values) in zip(signs, operands[1:]):
+        text += f" {sign} ({term})"
+        if sign == "-":
+            values = _negated(values)
+        n = max(len(value), len(values))
+        value = [a + b for a, b in zip(value + [CQuat()] * (n - len(value)),
+                                       values + [CQuat()] * (n - len(values)))]
+    return text, value
+
+
+def _power(values, exponent):
+    return reduce(reference_convolve, [values] * exponent, [CQuat(1)])
 
 
 def _expressions(names):
-    """(text, degree bound) of random expression trees over the given
-    names: unit products in written order, unary minus, differences,
-    nested powers and rationals, every operand parenthesized."""
-    leaves = st.one_of(_RATIONALS.map(lambda t: (t, 0)),
-                       st.sampled_from(names).map(lambda t: (t, int(t == "z"))))
+    """(text, value) of random expression trees over the given names: unit
+    products in written order, unary minus, differences, nested powers and
+    rationals, every operand parenthesized.  The value is the tree's dense
+    CQuat coefficient list (ascending, not trimmed, so its length is one
+    more than the degree as written), built from the tree itself by
+    convolution and never by the parser under test."""
+    leaves = st.one_of(_RATIONALS, st.sampled_from(names).map(_leaf))
 
     def extend(inner):
         operands = st.lists(inner, min_size=2, max_size=4)
         return st.one_of(
-            inner.map(lambda a: (f"-({a[0]})", a[1])),
+            inner.map(lambda a: (f"-({a[0]})", _negated(a[1]))),
             operands.map(lambda xs: ("*".join(f"({x[0]})" for x in xs),
-                                     sum(x[1] for x in xs))),
+                                     reduce(reference_convolve,
+                                            [x[1] for x in xs]))),
             st.tuples(operands, st.lists(st.sampled_from("+-"), min_size=3,
-                                         max_size=3)).map(
-                lambda t: (t[0][0][0] + "".join(
-                    f" {op} ({x[0]})" for op, x in zip(t[1], t[0][1:])),
-                    max(x[1] for x in t[0]))),
+                                         max_size=3)).map(lambda t: _sum(*t)),
             st.tuples(inner, st.integers(0, 3)).map(
-                lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] * t[1])))
+                lambda t: (f"({t[0][0]})^{t[1]}", _power(t[0][1], t[1]))))
     return st.recursive(leaves, extend, max_leaves=10)
 
 
 @given(_expressions("ijkz"))
 def test_parse_stem_matches_the_reference_normalizer(expression):
-    text, degree = expression
-    assume(degree <= 12)
-    assert parse_stem(text) == reference_parse_stem(text)
+    text, value = expression
+    assume(len(value) <= 13)
+    assert parse_stem(text) == StemPoly(c.to_quaternion() for c in value)
 
 
 @given(_expressions("ijkE"))
 def test_parse_point_matches_the_reference_normalizer(expression):
-    text, _ = expression
-    assert parse_point(text) == reference_parse_point(text)
+    text, (value,) = expression
+    assert parse_point(text) == value

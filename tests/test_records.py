@@ -1,7 +1,7 @@
-"""The contract every result and syntax record of the package keeps:
-construction, defaults, value equality and hashing, immutability, repr.
+"""The contract every record of the package keeps: construction,
+defaults, value equality and hashing, immutability, repr.
 
-The table lists all twenty records, the private ones too, with their
+The table lists all twelve records, the private ones too, with their
 fields in order and the fields that have defaults.
 """
 
@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from slicereg import cli, equiv, parsing, series
+from slicereg.scalars import Record
 
 RECORDS = [
     (equiv.InvariantBundle, ("trace", "norm", "central_divisor"), {}),
@@ -24,14 +25,6 @@ RECORDS = [
     (equiv.ConjugatorReport, ("intertwines", "norm_alpha", "invertible_on_C",
                               "conjugation_identity"), {}),
     (parsing._Token, ("kind", "text", "pos", "value"), {"value": 0}),
-    (parsing.RationalLit, ("value",), {}),
-    (parsing.Unit, ("name", "pos"), {}),
-    (parsing.Var, ("name", "pos"), {}),
-    (parsing.Neg, ("child",), {}),
-    (parsing.Add, ("left", "right"), {}),
-    (parsing.Sub, ("left", "right"), {}),
-    (parsing.Mul, ("left", "right"), {}),
-    (parsing.Pow, ("base", "exponent"), {}),
     (series.EvalResult, ("value", "tail_bound"), {}),
     (series.IdentityCheck, ("sample", "value_error", "trace_error",
                             "norm_error", "tail_bound", "passed"), {}),
@@ -47,8 +40,9 @@ def _values(fields, offset=0):
     return tuple(f"{name}-{offset}" for name in fields)
 
 
-def test_the_table_covers_twenty_records():
-    assert len({cls for cls, _, _ in RECORDS}) == 20
+def test_the_table_covers_every_record():
+    assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
@@ -92,13 +86,12 @@ def test_value_equality_and_hash(cls, fields, defaults):
 
 
 def test_records_with_the_same_fields_are_not_equal_across_classes():
-    left, right = parsing.RationalLit(Fraction(1)), parsing.Var("z", 0)
-    nodes = [kind(left, right)
-             for kind in (parsing.Add, parsing.Sub, parsing.Mul)]
-    for i, x in enumerate(nodes):
-        for j, y in enumerate(nodes):
+    records = [kind(1, 2, 3)
+               for kind in (equiv.InvariantBundle, equiv.EquivVerdict,
+                            equiv.OrbitClass, equiv.SampleCheck)]
+    for i, x in enumerate(records):
+        for j, y in enumerate(records):
             assert (x == y) == (i == j)
-    assert parsing.Unit("i", 0) != parsing.Var("i", 0)
 
 
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
@@ -124,10 +117,10 @@ def test_golden_reprs():
             == "EquivVerdict(equivalent=False, branch='x', reason='trace')")
     assert (repr(parsing._Token("num", "12", 3, 12))
             == "_Token(kind='num', text='12', pos=3, value=12)")
-    assert (repr(parsing.Add(parsing.RationalLit(Fraction(1, 2)),
-                             parsing.Var("z", 4)))
-            == "Add(left=RationalLit(value=Fraction(1, 2)), "
-               "right=Var(name='z', pos=4))")
+    assert (repr(equiv.OrbitScanReport(
+                (equiv.SampleCheck(Fraction(1, 2), True, None),)))
+            == "OrbitScanReport(checks=(SampleCheck(sample=Fraction(1, 2), "
+               "passed=True, reason=None),))")
 
 
 def test_eval_result_unpacks_as_value_and_tail_bound():

@@ -1,10 +1,15 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicereg import GaussRat, IOTA
+from slicereg import (CQuat, CQuatF, Divisor, GaussRat, IOTA, Poly, Quaternion,
+                      R3Elem, R3StemPoly, StemPoly, TruncSeries)
+from slicereg.algebra import QI, SO3Matrix
+from slicereg.poly import Matrix
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 gaussrats = st.builds(GaussRat, fractions, fractions)
@@ -95,3 +100,37 @@ def test_every_pow_refuses_negative_and_non_integer_exponents():
             with pytest.raises(ValueError, match="^only nonnegative integer "
                                "powers are supported$"):
                 value ** exponent
+
+
+# -- the frozen base of the slotted values ---------------------------------------
+
+FROZEN_VALUES = [
+    Poly([1, Fraction(-2, 3)]),
+    StemPoly([Fraction(1, 2), QI]),
+    Quaternion(1, Fraction(2, 3)),
+    CQuat(GaussRat(1, 2), 3),
+    CQuatF(1.5, 2j),
+    GaussRat(Fraction(1, 2), -3),
+    Divisor(Poly([1, 0, 1])),
+    R3Elem(QI, Quaternion(2)),
+    R3StemPoly(StemPoly([1, QI]), StemPoly([QI])),
+    TruncSeries(3, [1, QI], (2.0, 0.5), False),
+    Matrix([[1, Fraction(1, 2)], [3, 4]]),
+    SO3Matrix(((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN_VALUES,
+                         ids=[type(v).__name__ for v in FROZEN_VALUES])
+def test_frozen_values_copy_and_pickle_but_refuse_assignment(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        if isinstance(value, Matrix):
+            assert twin.entries == value.entries
+        else:
+            assert twin == value and hash(twin) == hash(value)
+    name = next(name for cls in type(value).__mro__
+                for name in cls.__dict__.get("__slots__", ()))
+    with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+        setattr(value, name, None)

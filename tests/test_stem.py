@@ -261,6 +261,14 @@ def test_parts_of_unequal_length_and_the_zero_stem():
     assert StemPoly([1, QI, 0, 0]).parts == (Poly([1]), Poly([0, 1]), Poly(), Poly())
 
 
+def test_zero_polynomials_and_stems_are_falsy_as_zero_scalars_are():
+    for zero, nonzero in [(Poly(), Poly([0, 1])), (Poly([0, 0]), Poly([1])),
+                          (StemPoly(), StemPoly([0, QI])),
+                          (StemPoly([0, Quaternion()]), StemPoly([1])),
+                          (Quaternion(), QI), (GaussRat(0), GaussRat(0, 1))]:
+        assert not zero and nonzero
+
+
 def test_constant_stems_hash_as_the_quaternions_they_equal():
     assert StemPoly([QI]) == QI and len({StemPoly([QI]), QI}) == 1
     assert len({StemPoly([Fraction(2, 3)]), Fraction(2, 3),
