@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from slicereg import (CQuat, CQuatF, GaussRat, Poly, Quaternion, StemPoly,
                       TruncSeries)
 from slicereg.parsing import render_stem
+from slicereg.scalars import Record
 
 
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -140,16 +141,105 @@ def reference_eval_numeric(series: TruncSeries, q: CQuatF) -> CQuatF:
     return acc
 
 
+# -- a reference syntax tree for parser tests ---------------------------------
+
+class RationalLit(Record):
+    value: Fraction
+
+
+class Unit(Record):
+    name: str
+
+
+class Var(Record):
+    name: str
+
+
+class Neg(Record):
+    child: object
+
+
+class Add(Record):
+    left: object
+    right: object
+
+
+class Sub(Record):
+    left: object
+    right: object
+
+
+class Mul(Record):
+    left: object
+    right: object
+
+
+class Pow(Record):
+    base: object
+    exponent: int
+
+
 REFERENCE_UNITS = {
     "i": CQuat(0, 1), "j": CQuat(0, 0, 1), "k": CQuat(0, 0, 0, 1),
     "E": CQuat(GaussRat(0, 1)),
 }
 
 
+def render_tree(node) -> str:
+    """The text of a reference tree.  Every operand is parenthesized
+    except the left operand of a sum or product chain, so a chain reads
+    flat (``(a) - (b) + (c)``) and the parser's associativity decides
+    its value."""
+    if isinstance(node, RationalLit):
+        return f"{node.value.numerator}/{node.value.denominator}"
+    if isinstance(node, (Unit, Var)):
+        return node.name
+    if isinstance(node, Neg):
+        return f"-({render_tree(node.child)})"
+    if isinstance(node, Pow):
+        return f"({render_tree(node.base)})^{node.exponent}"
+    chain = (Mul,) if isinstance(node, Mul) else (Add, Sub)
+    left = render_tree(node.left)
+    if not isinstance(node.left, chain):
+        left = f"({left})"
+    op = {Add: " + ", Sub: " - ", Mul: "*"}[type(node)]
+    return f"{left}{op}({render_tree(node.right)})"
+
+
+def reference_value(node) -> list:
+    """The dense CQuat coefficient list (ascending, not trimmed, so its
+    length is one more than the degree as written) of a reference tree,
+    by recursion and coefficient convolution in written order: the
+    reference that `parse_stem` and `parse_point` are checked against.
+    No mode checks and no limits."""
+    if isinstance(node, RationalLit):
+        return [CQuat(GaussRat(node.value))]
+    if isinstance(node, Unit):
+        return [REFERENCE_UNITS[node.name]]
+    if isinstance(node, Var):
+        return [CQuat(), CQuat(1)]
+    if isinstance(node, Neg):
+        return [-c for c in reference_value(node.child)]
+    if isinstance(node, Pow):
+        base = reference_value(node.base)
+        out = [CQuat(1)]
+        for _ in range(node.exponent):
+            out = reference_convolve(out, base)
+        return out
+    left, right = reference_value(node.left), reference_value(node.right)
+    if isinstance(node, Mul):
+        return reference_convolve(left, right)
+    if isinstance(node, Sub):
+        right = [-c for c in right]
+    n = max(len(left), len(right))
+    left += [CQuat()] * (n - len(left))
+    right += [CQuat()] * (n - len(right))
+    return [a + b for a, b in zip(left, right)]
+
+
 def reference_convolve(left: list, right: list) -> list:
     """The product of two dense CQuat coefficient lists (ascending, not
-    trimmed) by coefficient convolution in written order: the reference
-    that parsed products and powers are checked against."""
+    trimmed) by coefficient convolution in written order."""
     out = [CQuat() for _ in range(len(left) + len(right) - 1)]
     for a, ca in enumerate(left):
         for b, cb in enumerate(right):

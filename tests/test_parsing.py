@@ -13,7 +13,8 @@ from slicereg import (CQuat, GaussRat, LimitExceededError, ParseError, Poly,
                       render_quat, render_stem)
 from slicereg.algebra import QI, QJ, QK
 
-from support import REFERENCE_UNITS, reference_convolve
+from support import (Add, Mul, Neg, Pow, RationalLit, Sub, Unit, Var,
+                     reference_value, render_tree)
 
 IOTA = GaussRat(0, 1)
 
@@ -276,57 +277,35 @@ def test_a_power_of_the_variable_is_the_monomial():
 # -- the parser against values built from the generated tree ------------------
 
 _RATIONALS = st.tuples(st.integers(0, 40), st.integers(1, 12)).map(
-    lambda t: (f"{t[0]}/{t[1]}", [CQuat(GaussRat(Fraction(*t)))]))
+    lambda t: RationalLit(Fraction(*t)))
 
 
-def _leaf(name):
-    if name == "z":
-        return name, [CQuat(), CQuat(1)]
-    return name, [REFERENCE_UNITS[name]]
-
-
-def _negated(values):
-    return [-c for c in values]
-
-
-def _sum(operands, signs):
-    """Text and value of (a) s1 (b) s2 (c)..., folded left to right."""
-    text, value = operands[0]
-    for sign, (term, values) in zip(signs, operands[1:]):
-        text += f" {sign} ({term})"
-        if sign == "-":
-            values = _negated(values)
-        n = max(len(value), len(values))
-        value = [a + b for a, b in zip(value + [CQuat()] * (n - len(value)),
-                                       values + [CQuat()] * (n - len(values)))]
-    return text, value
-
-
-def _power(values, exponent):
-    return reduce(reference_convolve, [values] * exponent, [CQuat(1)])
+def _chain(operands, kinds):
+    """The left-deep tree of a flat chain (a) op1 (b) op2 (c)..."""
+    return reduce(lambda left, step: step[0](left, step[1]),
+                  zip(kinds, operands[1:]), operands[0])
 
 
 def _expressions(names):
     """(text, value) of random expression trees over the given names: unit
-    products in written order, unary minus, differences, nested powers and
-    rationals, every operand parenthesized.  The value is the tree's dense
-    CQuat coefficient list (ascending, not trimmed, so its length is one
-    more than the degree as written), built from the tree itself by
-    convolution and never by the parser under test."""
-    leaves = st.one_of(_RATIONALS, st.sampled_from(names).map(_leaf))
+    products in written order, unary minus, flat chains of sums and
+    differences, nested powers and rationals.  The value is the tree's
+    dense CQuat coefficient list, computed from the generated tree itself
+    by `reference_value` and never by the parser under test."""
+    leaves = st.one_of(_RATIONALS, st.sampled_from(names).map(
+        lambda name: Var(name) if name == "z" else Unit(name)))
 
     def extend(inner):
         operands = st.lists(inner, min_size=2, max_size=4)
         return st.one_of(
-            inner.map(lambda a: (f"-({a[0]})", _negated(a[1]))),
-            operands.map(lambda xs: ("*".join(f"({x[0]})" for x in xs),
-                                     reduce(reference_convolve,
-                                            [x[1] for x in xs]))),
-            st.tuples(operands, st.lists(st.sampled_from("+-"), min_size=3,
-                                         max_size=3)).map(lambda t: _sum(*t)),
-            st.tuples(inner, st.integers(0, 3)).map(
-                lambda t: (f"({t[0][0]})^{t[1]}", _power(t[0][1], t[1]))))
-    return st.recursive(leaves, extend, max_leaves=10)
+            inner.map(Neg),
+            operands.map(lambda xs: _chain(xs, [Mul] * (len(xs) - 1))),
+            st.tuples(operands, st.lists(st.sampled_from([Add, Sub]),
+                                         min_size=3, max_size=3)).map(
+                lambda t: _chain(*t)),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: Pow(*t)))
+    return st.recursive(leaves, extend, max_leaves=10).map(
+        lambda tree: (render_tree(tree), reference_value(tree)))
 
 
 @given(_expressions("ijkz"))

@@ -1,8 +1,9 @@
-"""The contract every record of the package keeps: construction,
-defaults, value equality and hashing, immutability, repr.
+"""The contract every record keeps: construction, defaults, value
+equality and hashing, immutability, repr.
 
-The table lists all twelve records, the private ones too, with their
-fields in order and the fields that have defaults.
+The table lists all twenty records, with their fields in order and the
+fields that have defaults: the package's twelve, the private ones too,
+and the eight of the reference syntax tree that the parser tests build.
 """
 
 import pickle
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import support
 from slicereg import cli, equiv, parsing, series
 from slicereg.scalars import Record
 
@@ -25,6 +27,14 @@ RECORDS = [
     (equiv.ConjugatorReport, ("intertwines", "norm_alpha", "invertible_on_C",
                               "conjugation_identity"), {}),
     (parsing._Token, ("kind", "text", "pos", "value"), {"value": 0}),
+    (support.RationalLit, ("value",), {}),
+    (support.Unit, ("name",), {}),
+    (support.Var, ("name",), {}),
+    (support.Neg, ("child",), {}),
+    (support.Add, ("left", "right"), {}),
+    (support.Sub, ("left", "right"), {}),
+    (support.Mul, ("left", "right"), {}),
+    (support.Pow, ("base", "exponent"), {}),
     (series.EvalResult, ("value", "tail_bound"), {}),
     (series.IdentityCheck, ("sample", "value_error", "trace_error",
                             "norm_error", "tail_bound", "passed"), {}),
@@ -40,9 +50,9 @@ def _values(fields, offset=0):
     return tuple(f"{name}-{offset}" for name in fields)
 
 
-def test_the_table_covers_every_record():
+def test_the_table_covers_twenty_records():
     assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
