@@ -110,7 +110,8 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     (f0, *f), f_den = first.nums, first.den
     (h0, *h), h_den = second.nums, second.den
     # The trace is 2*c0, so comparing c0 compares traces.
-    if [x * h_den for x in f0] != [x * f_den for x in h0]:
+    if (f0 != h0 if f_den == h_den
+            else [x * h_den for x in f0] != [x * f_den for x in h0]):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
     bits = max(max(map(_max_bits, f)) + h_den.bit_length(),
                max(map(_max_bits, h)) + f_den.bit_length())

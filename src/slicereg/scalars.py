@@ -58,13 +58,16 @@ def _rebuild(cls, state: dict):
 
 class Frozen:
     """The immutable base of the package's slotted values: assignment
-    raises, and `copy`, `deepcopy` and `pickle` rebuild a value from its
-    slots without running `__init__` (which the assignment would
-    refuse)."""
+    and deletion raise, and `copy`, `deepcopy` and `pickle` rebuild a
+    value from its slots without running `__init__` (which the
+    assignment would refuse)."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):

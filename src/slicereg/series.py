@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import CQuat, Quaternion, QuaternionBase
+from .algebra import CQuat, Quaternion, QuaternionBase, _mul_components
 from .errors import NearSingularSampleError
 from .poly import Poly
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat, Record
@@ -187,14 +187,19 @@ class TruncSeries(Frozen):
             return math.inf
 
     def eval_numeric(self, q) -> "EvalResult":
-        """Horner evaluation in double precision, with its tail bound."""
+        """Horner evaluation in double precision, with its tail bound.
+        The steps are the quaternion products and sums of `CQuatF`, run on
+        the four complex coordinates, so the value is the same to the bit."""
         q = CQuatF.coerce(q)
-        den = self.stem.den
-        parts = [[x / den for x in xs] + [0.0] * (self.order - len(xs))
+        den, order = self.stem.den, self.order
+        parts = [[complex(x / den) for x in xs] + [0j] * (order - len(xs))
                  for xs in self.stem.nums]
-        acc = CQuatF(0, 0, 0, 0)
-        for c in reversed(list(zip(*parts))):
-            acc = q * acc + CQuatF(*c)
+        q0, q1, q2, q3 = q.components()
+        a0 = a1 = a2 = a3 = 0j
+        for c0, c1, c2, c3 in zip(*map(reversed, parts)):
+            p0, p1, p2, p3 = _mul_components(q0, q1, q2, q3, a0, a1, a2, a3)
+            a0, a1, a2, a3 = p0 + c0, p1 + c1, p2 + c2, p3 + c3
+        acc = CQuatF(a0, a1, a2, a3)
         radius = q.euclid()
         if not (q.is_central or q.is_real_quaternion):
             radius *= math.sqrt(2.0)

@@ -34,9 +34,10 @@ The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
 the stored lists (`_star_ints`): each of the eight components is packed
 once into one big integer (Kronecker substitution, at one digit width
-wide enough for every digit of the result).  The sixteen products of
-packed components are accumulated, with the signs of the quaternion
-unit table, into four packed sums; each sum is unpacked once, over the
+wide enough for every digit of the result; `poly._pack` shifts a short
+list in and byte-copies a long one).  The sixteen products of packed
+components are accumulated, with the signs of the quaternion unit
+table, into four packed sums; each sum is unpacked once, over the
 product of the two denominators.
 
 The center / trace-free split F = (F', F'') is read off `nums`: F' = c0,

@@ -17,6 +17,11 @@ from slicereg.parsing import render_stem
 from slicereg.scalars import Record
 
 
+# Values of `slicereg.poly._SHIFT_BELOW` that send every `_pack` and
+# `_unpack` call down one path: shifts and masks, or the byte copy.
+PACKING_BRANCHES = {"shifts": 10 ** 9, "bytes": 0}
+
+
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 

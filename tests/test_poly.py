@@ -12,10 +12,11 @@ from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
                       PolyDivisionByZeroError, StemPoly, ZeroPolynomialError,
                       equivalent, find_intertwiner, parse_stem, poly_gcd,
                       poly_gcd_many, vanishing_order)
-from slicereg.poly import _digits, _divides, _gcd_ints
+import slicereg.poly as poly
+from slicereg.poly import _digits, _divides, _gcd_ints, _pack, _unpack
 
-from support import (rand_fraction, rand_poly, rand_pure_imaginary_quaternion,
-                     rand_stem_nonslice)
+from support import (PACKING_BRANCHES, rand_fraction, rand_poly,
+                     rand_pure_imaginary_quaternion, rand_stem_nonslice)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Poly, st.lists(fractions, max_size=9))
@@ -476,6 +477,86 @@ def heu_calls(monkeypatch):
 
     monkeypatch.setattr(poly, "_heu_gcd", counting_heu_gcd)
     return calls
+
+
+def test_a_gcd_value_below_half_the_point_is_the_constant_one(
+        heu_calls, monkeypatch):
+    # At xi = 2**8 the lists are 258 and 260, which share the factor 2.
+    # It is below xi/2, so GCDHEU returns 1 without reading digits.
+    digit_calls = []
+    digits = poly._digits
+    monkeypatch.setattr(poly, "_digits",
+                        lambda *args: digit_calls.append(1) or digits(*args))
+    assert _pack([2, 1], 1) == 258 and _pack([4, 1], 1) == 260
+    assert _gcd_ints([[2, 1], [4, 1]]) == [1]
+    assert len(heu_calls) == 1 and not digit_calls
+
+
+class _Unread(list):
+    """A list that fails the test when its entries are read."""
+
+    def __iter__(self):
+        raise AssertionError("a list after a constant gcd was read")
+
+
+def test_a_constant_gcd_ends_the_family(heu_calls):
+    """Two coprime lists first: one GCDHEU run gives 1, and no later list,
+    a multiple of either, a constant or a zero list, starts another or is
+    read at all."""
+    rng = random.Random(5)
+    a, b = Z ** 2 + 1, 3 * Z - 2
+    for third in (a, b * a, Poly([7]), Poly(), Z ** 6 - 1,
+                  _diff_poly(rng, 9) * b, _diff_poly(rng, 12)):
+        for family in ((a, b, third), (b, a, third, a * third)):
+            heu_calls.clear()
+            assert _gcd_ints([p.nums for p in family]) == [1]
+            assert len(heu_calls) == 1
+            assert poly_gcd_many(family) == Poly([1])
+    lists = [a.nums, b.nums, _Unread([1, 2, 3])]
+    assert _gcd_ints(lists, [_pack(x, 1) for x in lists[:2]] + [0], 1) == [1]
+
+
+def _packed_value(xs, width):
+    """sum x_k * 2**(8*width*k), the value `_pack` must give."""
+    return sum(x << (8 * width * k) for k, x in enumerate(xs))
+
+
+@pytest.mark.parametrize("branch", PACKING_BRANCHES)
+@pytest.mark.parametrize("width", [1, 2, 3, 9])
+def test_pack_and_unpack_follow_the_digit_formula(branch, width,
+                                                  monkeypatch):
+    """On each path: the value of the digits and back, at the extreme
+    digits and at lengths around the crossover; an out-of-range digit or
+    a value that needs more digits than asked for raises OverflowError."""
+    crossover = poly._SHIFT_BELOW
+    monkeypatch.setattr(poly, "_SHIFT_BELOW", PACKING_BRANCHES[branch])
+    half = 1 << (8 * width - 1)
+    edges = (-half, half - 1, -half + 1, half - 2, -1, 0, 1)
+    rng = random.Random(width)
+    cases = [[], [-half], [half - 1], [0], list(edges)]
+    for n in (2, crossover - 1, crossover, crossover + 1, 3 * crossover):
+        cases.append([rng.choice(edges) if rng.random() < 0.4
+                      else rng.randrange(-half, half) for _ in range(n)])
+        cases.append([half - 1] * n)
+        cases.append([-half] * n)
+    for xs in cases:
+        value = _packed_value(xs, width)
+        assert _pack(xs, width) == value
+        assert _unpack(value, len(xs), width) == xs
+        for bad in (half, -half - 1, 5 * half):
+            for k in {0, len(xs) // 2, len(xs)}:
+                with pytest.raises(OverflowError):
+                    _pack(xs[:k] + [bad] + xs[k:], width)
+        # A digit beyond the n asked for, or a top digit pushed past the
+        # range.
+        n, base = len(xs), 1 << (8 * width)
+        wide = [value + base ** n, value - base ** n]
+        if xs:
+            wide.append(value + (half if xs[-1] >= 0 else -half)
+                        * base ** (n - 1))
+        for extra in wide:
+            with pytest.raises(OverflowError):
+                _unpack(extra, n, width)
 
 
 def test_divisibility_shortcut_matches_sympy(heu_calls):

@@ -130,7 +130,13 @@ def test_frozen_values_copy_and_pickle_but_refuse_assignment(value):
             assert twin.entries == value.entries
         else:
             assert twin == value and hash(twin) == hash(value)
-    name = next(name for cls in type(value).__mro__
-                for name in cls.__dict__.get("__slots__", ()))
-    with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
-        setattr(value, name, None)
+    names = [name for cls in type(value).__mro__
+             for name in cls.__dict__.get("__slots__", ())]
+    message = f"{type(value).__name__} is immutable"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, names[0], None)
+    for name in names:
+        kept = getattr(value, name)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+        assert getattr(value, name) is kept

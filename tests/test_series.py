@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -257,7 +258,16 @@ def test_eval_numeric_matches_the_quaternion_horner_loop_on_builders():
     _, rotating, conjugator = series_triple(80)
     points = [CQuatF(complex(z)) for z in DEFAULT_SAMPLES + (20.0, -7.5j)]
     points += [CQuatF(0, 0, t, 0) for t in (0.5, 1.0)]
+    # Non-central points, with complex coordinates as well.
+    points += [CQuatF(0.25, -0.5, 0.75j, 1 - 0.5j), CQuatF(0, 1j, 0, -2),
+               CQuatF(-1.5, 0, 0, 0.5j)]
+    # A far sample, whose powers overflow to inf and then to nan.
+    points += [CQuatF(1e10), CQuatF(0, 1e10, 0, 0),
+               CQuatF(1e150, 0, 1e150j, 0)]
     for series in (rotating, conjugator, taylor_series("exp", 160)):
         for q in points:
             _same_bits(series.eval_numeric(q).value,
                        reference_eval_numeric(series, q))
+    far = [rotating.eval_numeric(q).value for q in points[-3:]]
+    assert all(not cmath.isfinite(c) for value in far
+               for c in value.components())

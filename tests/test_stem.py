@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -12,9 +12,9 @@ from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
                       StemPoly, TruncSeries, ZeroFunctionError, parse_stem)
 from slicereg.algebra import QI, QJ, QK
 
-from support import (conjugate_stem, convolve_stems, rand_fraction,
-                     rand_nonzero_quaternion, rand_quaternion, rand_stem,
-                     rand_stem_nonslice, reference_stem_views)
+from support import (PACKING_BRANCHES, conjugate_stem, convolve_stems,
+                     rand_fraction, rand_nonzero_quaternion, rand_quaternion,
+                     rand_stem, rand_stem_nonslice, reference_stem_views)
 
 IOTA = GaussRat(0, 1)
 
@@ -96,10 +96,16 @@ def _ints(stem):
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
-def test_star_digit_width_holds_at_the_worst_case(bits):
+def test_star_digit_width_holds_at_the_worst_case(bits, monkeypatch):
     """Every coefficient +-(2**bits - 1), signed so that the four products
     of one component add: the largest digits the packed product can have,
-    against the quaternion convolution."""
+    against the quaternion convolution, on both packing paths."""
+    for crossover in PACKING_BRANCHES.values():
+        monkeypatch.setattr("slicereg.poly._SHIFT_BELOW", crossover)
+        _check_star_at_the_worst_case(bits)
+
+
+def _check_star_at_the_worst_case(bits):
     from slicereg.stem import _star_ints
     c = 2 ** bits - 1
     lengths = (1, 2, 3, 4, 7, 8)
@@ -156,13 +162,14 @@ def test_norm_agrees_with_split_formula():
 
 
 @pytest.mark.parametrize("bits", (7, 8, 15, 16, 63, 64))
-def test_norm_at_the_worst_case_digit_width(bits):
+def test_norm_at_the_worst_case_digit_width(bits, monkeypatch):
     # Coefficients of +-(2**bits - 1), all of one sign in a part or
     # alternating, make every digit of the packed sum of squares as large
-    # as its width allows.
+    # as its width allows, on both packing paths.
     top = 2 ** bits - 1
     lengths = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(256, 256)]
-    for m, n in lengths:
+    for crossover, (m, n) in product(PACKING_BRANCHES.values(), lengths):
+        monkeypatch.setattr("slicereg.poly._SHIFT_BELOW", crossover)
         for signs in ((1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, "alt", "alt")):
             parts = []
             for r, sign in enumerate(signs):
