@@ -50,6 +50,7 @@ inverse exists only away from the norm's zero set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, bform
@@ -113,8 +114,8 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     if (f0 != h0 if f_den == h_den
             else [x * h_den for x in f0] != [x * f_den for x in h0]):
         return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
-    bits = max(max(map(_max_bits, f)) + h_den.bit_length(),
-               max(map(_max_bits, h)) + f_den.bit_length())
+    bits = max(_max_bits(chain.from_iterable(f)) + h_den.bit_length(),
+               _max_bits(chain.from_iterable(h)) + f_den.bit_length())
     n = max(map(len, f + h))
     (f_at, width), (h_at, _) = _packed(f, bits, n), _packed(h, bits, n)
     if (sum(x * x for x in f_at) * h_den ** 2

@@ -7,7 +7,9 @@ polynomial) over one positive `den`, in lowest terms (gcd(den, every
 entry) = 1).  The form is canonical, so `==` and `hash` read the
 integers, and `coeffs` is a `Fraction` view.  Coefficients are ints or
 Fractions (`_over_one_denominator`); a float or a Gaussian rational
-raises TypeError.  `stem.StemPoly` shares these helpers.
+raises TypeError.  The ring code that reads only this form (coercion,
+sums, negation, scalar multiples, powers, `==`, `hash`) is written once,
+in the base `IntegerRows` of `Poly` (one row) and `stem.StemPoly` (four).
 
 Operations run on the stored integers, and stay exact.  A sum brings both
 operands to the lcm of their denominators.  A product multiplies once as
@@ -69,10 +71,117 @@ from .errors import (BothZeroError, PolyDivisionByZeroError,
 from .scalars import RATIONAL_TYPES, Frozen, as_rat, power
 
 
-class Poly(Frozen):
-    """c_k = nums[k] / den, in the integer form of the module docstring."""
+class IntegerRows(Frozen):
+    """The stored form that `Poly` and `stem.StemPoly` share, integer rows
+    over one positive `den` in lowest terms, and the ring code that reads
+    only that form.  A subclass builds itself (`__new__`, `_from_ints`),
+    keeps its rows in `nums` (`_store` makes `nums` of the rows, `_rows`
+    reads them back), names the scalars it lifts to constants (`_scalars`)
+    and adds its coefficient views (`coeff` hashes a constant), its
+    product and its own methods."""
 
     __slots__ = ("nums", "den")
+    _scalars = RATIONAL_TYPES
+
+    @classmethod
+    def _from_rows(cls, rows, den: int):
+        """The value with rows rows[r] / den, for integer lists and den > 0,
+        in lowest terms (`_lowest_terms`); the lists are trimmed in place
+        and may be shared."""
+        rows, den = _lowest_terms(rows, den)
+        value = object.__new__(cls)
+        object.__setattr__(value, "nums", cls._store(rows))
+        object.__setattr__(value, "den", den)
+        return value
+
+    @classmethod
+    def _operand(cls, value):
+        """`value` as an element of this ring, or None."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, cls._scalars):
+            return cls((value,))
+        return None
+
+    @classmethod
+    def constant(cls, value):
+        return cls((value,))
+
+    @classmethod
+    def monomial(cls, degree: int, coeff=1):
+        return cls((0,) * degree + (coeff,))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._rows)
+
+    def __bool__(self) -> bool:
+        return any(self._rows)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the convention that zero has -1."""
+        return max(map(len, self._rows)) - 1
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return self._from_rows(
+            [[s * x + t * y for x, y in zip_longest(xs, ys, fillvalue=0)]
+             for xs, ys in zip(self._rows, other._rows)], den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def _scaled(self, scalar):
+        """The multiple by a rational a/b: rows times a, den times b."""
+        num, den = scalar.as_integer_ratio()
+        return self._from_rows([[num * x for x in xs] for xs in self._rows],
+                               self.den * den)
+
+    def __pow__(self, exponent: int):
+        return power(self, exponent, self.constant(1), operator.mul)
+
+    # -- comparison -----------------------------------------------------------
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        # A constant equals the scalar it holds, so it hashes as that does.
+        if self.degree <= 0:
+            return hash(self.coeff(0))
+        return hash((self.den, *map(tuple, self._rows)))
+
+
+class Poly(IntegerRows):
+    """c_k = nums[k] / den, in the integer form of the module docstring:
+    one row, kept as the flat list `nums`."""
+
+    __slots__ = ()
+    _store = operator.itemgetter(0)
 
     def __new__(cls, coeffs=()):
         (nums,), den = _over_one_denominator((coeffs,))
@@ -80,38 +189,18 @@ class Poly(Frozen):
 
     @classmethod
     def _from_ints(cls, nums, den: int = 1) -> "Poly":
-        """The polynomial nums / den, for an integer list and den > 0; the
-        list is trimmed in place and may be shared."""
-        (nums,), den = _lowest_terms((nums,), den)
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nums", nums)
-        object.__setattr__(poly, "den", den)
-        return poly
+        """The polynomial nums / den, for an integer list and den > 0 (see
+        `_from_rows`)."""
+        return cls._from_rows((nums,), den)
 
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Poly":
-        return cls((0,) * degree + (coeff,))
+    @property
+    def _rows(self) -> tuple:
+        return (self.nums,)
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients as `Fraction`s, ascending, no trailing zero."""
         return tuple(_fractions(self.nums, self.den))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has -1."""
-        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         nums = self.nums
@@ -122,40 +211,11 @@ class Poly(Frozen):
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return Fraction(self.nums[-1], self.den)
 
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        other = _poly_operand(other)
-        if other is None:
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return Poly._from_ints(
-            [s * x + t * y
-             for x, y in zip_longest(self.nums, other.nums, fillvalue=0)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._from_ints([-x for x in self.nums], self.den)
-
-    def __sub__(self, other):
-        other = _poly_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _poly_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    # -- product and division -------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            num, den = other.as_integer_ratio()
-            return Poly._from_ints([num * x for x in self.nums],
-                                   self.den * den)
+            return self._scaled(other)
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
@@ -165,16 +225,13 @@ class Poly(Frozen):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        return power(self, exponent, Poly((1,)), operator.mul)
-
     def __divmod__(self, other):
         """Division with remainder: self = q*other + r, deg r < deg other.
         Integer pseudo-division of a = self.nums by b = other.nums: with a
         scaled by s = |lead b|**(dq + 1) up front, step k leaves entries
         that are multiples of |lead b|**(dq + 1 - k), so each quotient
         entry divides exactly, and s*a = Q*b + R."""
-        other = _poly_operand(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
@@ -218,19 +275,7 @@ class Poly(Frozen):
             return Poly._from_ints([-x for x in self.nums], -lead)
         return Poly._from_ints(self.nums, lead)
 
-    # -- comparison / display ----------------------------------------------------
-
-    def __eq__(self, other):
-        other = _poly_operand(other)
-        if other is None:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        # A constant equals the scalar it holds, so it hashes as that does.
-        if len(self.nums) <= 1:
-            return hash(self.coeff(0))
-        return hash((self.den, *self.nums))
+    # -- display --------------------------------------------------------------
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -238,14 +283,6 @@ class Poly(Frozen):
     def __str__(self):
         from .parsing import render_poly
         return render_poly(self)
-
-
-def _poly_operand(value):
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, RATIONAL_TYPES):
-        return Poly((value,))
-    return None
 
 
 _ZERO = Fraction(0)

@@ -6,9 +6,9 @@ unit, written `E` in expression syntax: a value `re + E*im` with rational
 parts.  `E` is the scalar imaginary unit of the complexification and is
 unrelated to the quaternion units i, j, k, with which it commutes.
 
-The module also holds `Frozen`, the immutable base of the package's
-slotted values, and `Record`, the immutable base of its result records,
-because every other module loads this one.
+The module also holds `Frozen`, the one immutable base of the package's
+values, and `Record`, the `Frozen` base of its result records, because
+every other module loads this one.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ def _rebuild(cls, state: dict):
 
 
 class Frozen:
-    """The immutable base of the package's slotted values: assignment
-    and deletion raise, and `copy`, `deepcopy` and `pickle` rebuild a
-    value from its slots without running `__init__` (which the
-    assignment would refuse)."""
+    """The immutable base of the package's values: assignment and
+    deletion raise, and `copy`, `deepcopy` and `pickle` rebuild a value
+    from its slots and its instance `__dict__` (a `Record`'s fields)
+    without running `__init__` (which the assignment would refuse)."""
 
     __slots__ = ()
 
@@ -72,9 +72,10 @@ class Frozen:
 
     def __reduce__(self):
         cls = type(self)
-        names = [name for klass in cls.__mro__
-                 for name in klass.__dict__.get("__slots__", ())]
-        return _rebuild, (cls, {name: getattr(self, name) for name in names})
+        state = {name: getattr(self, name) for klass in cls.__mro__
+                 for name in klass.__dict__.get("__slots__", ())}
+        state.update(getattr(self, "__dict__", ()))
+        return _rebuild, (cls, state)
 
 
 class GaussRat(Frozen):
@@ -208,7 +209,7 @@ IOTA = GaussRat(0, 1)
 EXACT_SCALARS = RATIONAL_TYPES + (GaussRat,)
 
 
-class Record:
+class Record(Frozen):
     """An immutable record: the base of the package's verdicts, reports
     and the parser's tokens.
 
@@ -216,7 +217,7 @@ class Record:
     attribute of the same name is that field's default.  Records are
     built from positional or keyword arguments, compare equal only to a
     record of the same class with equal fields, hash their fields, refuse
-    assignment and print as ``Name(field=value, ...)``.
+    assignment and deletion (`Frozen`) and print as ``Name(field=value, ...)``.
 
     It stands in for ``@dataclass(frozen=True)`` because the command line
     pays for every import on every run.  With compiled bytecode on a
@@ -259,12 +260,6 @@ class Record:
                         f"{name}() missing required argument {key!r}")
                 values[key] = self._defaults[key]
         self.__dict__.update(values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _astuple(self):
         return tuple(self.__dict__[name] for name in self._fields)

@@ -12,7 +12,9 @@ c_r = n_r / den, where `nums = (n0, n1, n2, n3)` are four integer lists
 (ascending, no trailing zero) and `den` is one positive integer.  The
 form is kept in lowest terms, gcd(den, every entry) = 1, so it is
 canonical: equal stems store equal integers, and `==` and `hash` read
-them.  A `Poly` stores a polynomial in the same form, so the component
+them.  A `Poly` stores a polynomial in the same form, with one row where
+a stem has four; their shared base `poly.IntegerRows` holds the sums,
+negation, scalar multiples, powers, `==` and `hash`.  So the component
 polynomials `parts` take the stored lists as they are (a list is divided
 only when its entries share a factor with den), and the quaternion
 coefficients a_k (`coeffs`) are a view, built on each access.
@@ -61,10 +63,10 @@ from math import lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (_ZERO, Poly, _digit_width, _fractions, _gcd_ints,
-                   _lowest_terms, _max_bits, _over_one_denominator, _pack,
+from .poly import (_ZERO, IntegerRows, Poly, _digit_width, _fractions,
+                   _gcd_ints, _max_bits, _over_one_denominator, _pack,
                    _unpack, vanishing_order)
-from .scalars import RATIONAL_TYPES, Frozen, GaussRat, power
+from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
 class _SlicePreservingMarker:
@@ -133,13 +135,17 @@ class Divisor(Frozen):
         return str(self.gcd_poly)
 
 
-class StemPoly(Frozen):
+class StemPoly(IntegerRows):
     """F = c0 + c1 i + c2 j + c3 k, stored as four integer lists
     `nums = (n0, n1, n2, n3)`, ascending with no trailing zero, and one
     positive integer `den`: c_r = n_r / den, in lowest terms
-    (gcd(den, every entry) = 1).  `parts` and `coeffs` are views."""
+    (gcd(den, every entry) = 1).  The four lists are its rows, and a
+    quaternion lifts to a constant as a rational does.  `parts` and
+    `coeffs` are views."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
+    _scalars = (Quaternion,) + RATIONAL_TYPES
+    _store = tuple
 
     def __new__(cls, coeffs=()):
         rows = [Quaternion.coerce(c).components() for c in coeffs]
@@ -157,37 +163,17 @@ class StemPoly(Frozen):
     @classmethod
     def _from_ints(cls, nums, den: int) -> "StemPoly":
         """The stem with components nums[r] / den, for four integer lists
-        and den > 0, in lowest terms (`_lowest_terms`); the lists are
-        trimmed in place and may be shared."""
-        nums, den = _lowest_terms(nums, den)
-        stem = object.__new__(cls)
-        object.__setattr__(stem, "nums", tuple(nums))
-        object.__setattr__(stem, "den", den)
-        return stem
+        and den > 0 (see `_from_rows`)."""
+        return cls._from_rows(nums, den)
 
-    @classmethod
-    def constant(cls, value) -> "StemPoly":
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "StemPoly":
-        return cls((0,) * degree + (coeff,))
+    @property
+    def _rows(self) -> tuple:
+        return self.nums
 
     @property
     def parts(self) -> tuple:
         """The four component polynomials (c0, c1, c2, c3) over Q."""
         return tuple(Poly._from_ints(xs, self.den) for xs in self.nums)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def __bool__(self) -> bool:
-        return any(self.nums)
-
-    @property
-    def degree(self) -> int:
-        return max(map(len, self.nums)) - 1
 
     @property
     def coeffs(self) -> tuple:
@@ -199,41 +185,13 @@ class StemPoly(Frozen):
         return Quaternion(*(Fraction(xs[k], self.den) if 0 <= k < len(xs)
                             else _ZERO for xs in self.nums))
 
-    # -- ring structure -------------------------------------------------------
-
-    def __add__(self, other):
-        other = _stem_operand(other)
-        if other is None:
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return StemPoly._from_ints(
-            [[s * x + t * y for x, y in zip_longest(xs, ys, fillvalue=0)]
-             for xs, ys in zip(self.nums, other.nums)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return StemPoly._from_ints([[-x for x in xs] for xs in self.nums],
-                                   self.den)
-
-    def __sub__(self, other):
-        other = _stem_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _stem_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    # -- product --------------------------------------------------------------
 
     def star(self, other) -> "StemPoly":
         """The product, with quaternion products taken in operand order
         (equals the pointwise stem product); computed on the stored
         integer lists as the module docstring describes."""
-        other = _stem_operand(other)
+        other = self._operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
         return StemPoly._from_ints(_star_ints(self.nums, other.nums),
@@ -241,9 +199,7 @@ class StemPoly(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            num, den = other.as_integer_ratio()
-            return StemPoly._from_ints(
-                [[num * x for x in xs] for xs in self.nums], self.den * den)
+            return self._scaled(other)
         if isinstance(other, (StemPoly, Quaternion)):
             return self.star(other)
         return NotImplemented
@@ -254,9 +210,6 @@ class StemPoly(Frozen):
         if isinstance(other, Quaternion):
             return StemPoly.constant(other).star(self)
         return NotImplemented
-
-    def __pow__(self, exponent: int):
-        return power(self, exponent, StemPoly.constant(1), StemPoly.star)
 
     # -- conjugation and invariants ----------------------------------------------
 
@@ -336,40 +289,7 @@ class StemPoly(Frozen):
             acc = q * acc + c
         return acc
 
-    def eval_slice_split(self, q) -> Quaternion:
-        """Same value through the center + imaginary-direction route.
-
-        Writing q = x + v with v pure imaginary and norm(v) = n, the powers
-        (x + w)^k with w*w = -n split into even and odd parts in w, all with
-        rational coefficients, and the value is P + v*B.  Exact, and equal
-        to eval_slice for every rational quaternion.
-        """
-        q = Quaternion.coerce(q)
-        x = q.c0
-        v = q.imag()
-        n = v.norm()
-        even, odd = Fraction(1), Fraction(0)
-        p_sum = Quaternion()
-        b_sum = Quaternion()
-        for c in self.coeffs:
-            p_sum += c * even
-            b_sum += c * odd
-            even, odd = even * x - n * odd, even + odd * x
-        return p_sum + v * b_sum
-
-    # -- comparison / display ---------------------------------------------------------
-
-    def __eq__(self, other):
-        other = _stem_operand(other)
-        if other is None:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        # A constant equals the quaternion it holds, so it hashes as that does.
-        if self.degree <= 0:
-            return hash(self.coeff(0))
-        return hash((self.den, *map(tuple, self.nums)))
+    # -- display --------------------------------------------------------------
 
     def __repr__(self):
         return f"StemPoly({list(self.coeffs)!r})"
@@ -425,14 +345,6 @@ def _star_ints(left, right):
     return [_unpack(acc, m + n - 1, width) for acc in sums]
 
 
-def _stem_operand(value):
-    if isinstance(value, StemPoly):
-        return value
-    if isinstance(value, (Quaternion,) + RATIONAL_TYPES):
-        return StemPoly((value,))
-    return None
-
-
 Z = StemPoly.monomial(1)
 
 
@@ -445,8 +357,7 @@ class R3StemPoly(Pair):
     __slots__ = ()
 
     def __init__(self, first, second):
-        first = _stem_operand(first)
-        second = _stem_operand(second)
+        first, second = StemPoly._operand(first), StemPoly._operand(second)
         if first is None or second is None:
             raise TypeError("R3StemPoly components must be stem polynomials")
         super().__init__(first, second)

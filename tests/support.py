@@ -94,6 +94,30 @@ def convolve_stems(left: StemPoly, right: StemPoly) -> StemPoly:
     return StemPoly(out)
 
 
+def eval_slice_split(stem: StemPoly, q) -> Quaternion:
+    """The value of the slice regular polynomial at a quaternion through
+    the center + imaginary-direction route: the reference that
+    `StemPoly.eval_slice` is checked against.
+
+    Writing q = x + v with v pure imaginary and norm(v) = n, the powers
+    (x + w)^k with w*w = -n split into even and odd parts in w, all with
+    rational coefficients, and the value is P + v*B.  Exact, and equal to
+    the direct power sum for every rational quaternion.
+    """
+    q = Quaternion.coerce(q)
+    x = q.c0
+    v = q.imag()
+    n = v.norm()
+    even, odd = Fraction(1), Fraction(0)
+    p_sum = Quaternion()
+    b_sum = Quaternion()
+    for c in stem.coeffs:
+        p_sum += c * even
+        b_sum += c * odd
+        even, odd = even * x - n * odd, even + odd * x
+    return p_sum + v * b_sum
+
+
 def reference_stem_views(quats) -> dict:
     """The views of the stem with these quaternion coefficients, taken
     from the list alone in the form of four rational component `Poly`s:

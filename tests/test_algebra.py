@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -287,6 +288,13 @@ def test_r3_componentwise_ops():
     y = R3Elem(QJ, QK)
     assert x * y == R3Elem(QI * QJ, (1 + QJ) * QK)
     assert (x + y).first == QI + QJ
+    assert x - y == R3Elem(QI - QJ, 1 + QJ - QK)
+    assert -x == R3Elem(-QI, -1 - QJ) and x + (-x) == R3Elem(0, 0)
+    assert x.inverse() == R3Elem(-QI, (1 - QJ) * Fraction(1, 2))
+    assert x * x.inverse() == x.inverse() * x == R3Elem(1, 1)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(x, QI)
     assert x.conj() == R3Elem(-QI, 1 - QJ)
 
 

@@ -467,18 +467,20 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
 def test_norm_is_decided_on_the_trace_free_parts():
     """Equal traces leave only |F''|**2 to compare, and the packing width
     must cover c1..c3 whatever the width of c0: c0 of 200 bits against
-    single-digit c1..c3, and the other way round.  H rotates F'' in the
-    (i, j) plane, by a quarter turn (same denominator) or by (3/5, 4/5)
-    (denominator 5): same trace, norm and divisor.  Adding 1 to one c3
-    coefficient of H keeps its trace and changes its norm."""
+    single-digit c1..c3, the other way round, and c3 alone of 200 bits,
+    so the width must come from the widest of the three.  H rotates F''
+    in the (i, j) plane, by a quarter turn (same denominator) or by
+    (3/5, 4/5) (denominator 5): same trace, norm and divisor.  Adding 1 to
+    one c3 coefficient of H keeps its trace and changes its norm."""
     rng = random.Random(200)
     wide, narrow = (lambda: rng.randint(2 ** 199, 2 ** 200)), (
         lambda: rng.randint(-9, 9))
-    for c0_entry, rest_entry in ((wide, narrow), (narrow, wide)):
+    for entries in ((wide, narrow, narrow, narrow), (narrow, wide, wide, wide),
+                    (narrow, narrow, narrow, wide)):
         for _ in range(4):
             n = rng.randint(1, 8)
-            c0, c1, c2, c3 = [[c0_entry() for _ in range(n)]] + [
-                [rest_entry() for _ in range(n)] + [1] for _ in range(3)]
+            c0, c1, c2, c3 = [[entries[0]() for _ in range(n)]] + [
+                [entry() for _ in range(n)] + [1] for entry in entries[1:]]
             f = StemPoly._from_parts(Poly(p) for p in (c0, c1, c2, c3))
             turn = [Poly(c0), -Poly(c2), Poly(c1), Poly(c3)]
             tilt = [Poly(c0), Poly(c1) * Fraction(3, 5) - Poly(c2) * Fraction(4, 5),

@@ -6,6 +6,7 @@ fields that have defaults: the package's twelve, the private ones too,
 and the eight of the reference syntax tree that the parser tests build.
 """
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 
 import support
 from slicereg import cli, equiv, parsing, series
-from slicereg.scalars import Record
+from slicereg.scalars import Frozen, Record
 
 RECORDS = [
     (equiv.InvariantBundle, ("trace", "norm", "central_divisor"), {}),
@@ -107,6 +108,7 @@ def test_records_with_the_same_fields_are_not_equal_across_classes():
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
 def test_records_are_immutable(cls, fields, defaults):
     record = cls(*_values(fields))
+    assert isinstance(record, Frozen)
     with pytest.raises(AttributeError):
         setattr(record, fields[0], "changed")
     with pytest.raises(AttributeError):
@@ -119,7 +121,10 @@ def test_records_are_immutable(cls, fields, defaults):
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
 def test_records_survive_pickling(cls, fields, defaults):
     record = cls(*_values(fields))
-    assert pickle.loads(pickle.dumps(record)) == record
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+        assert hash(twin) == hash(record)
 
 
 def test_golden_reprs():

@@ -34,6 +34,11 @@ def test_division():
     assert (GaussRat(1, 1) / GaussRat(1, -1)) * GaussRat(1, -1) == GaussRat(1, 1)
     with pytest.raises(ZeroDivisionError):
         GaussRat(1) / GaussRat(0)
+    x = GaussRat(Fraction(1, 2), 3)
+    assert x / 2 == x / Fraction(2) == GaussRat(Fraction(1, 4), Fraction(3, 2))
+    assert 1 / GaussRat(0, 2) == GaussRat(0, Fraction(-1, 2))
+    assert Fraction(1, 2) / x == GaussRat(Fraction(1, 2)) / x
+    assert (1 / x) * x == 1
 
 
 def test_equality_and_hash_match_fraction_for_real_values():

@@ -166,6 +166,14 @@ def test_series_equality_and_padding():
     assert a.coeff(3) == a.coeff(7) == a.coeff(-1) == Quaternion()
 
 
+def test_scalars_on_the_left():
+    s = TruncSeries(4, [1, QJ, Fraction(1, 2)])
+    assert 1 - s == TruncSeries.constant(1, 4) - s == -(s - 1)
+    assert QI * s == TruncSeries.constant(QI, 4).star(s)
+    assert QI * s != s * QI
+    assert 2 * s == s * 2 == s + s
+
+
 def test_too_many_coefficients_are_refused_even_when_zero():
     for coeffs in ([1, 2, 3], [1, 0, 0], [0, 0, 0]):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -13,8 +14,9 @@ from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
 from slicereg.algebra import QI, QJ, QK
 
 from support import (PACKING_BRANCHES, conjugate_stem, convolve_stems,
-                     rand_fraction, rand_nonzero_quaternion, rand_quaternion,
-                     rand_stem, rand_stem_nonslice, reference_stem_views)
+                     eval_slice_split, rand_fraction, rand_nonzero_quaternion,
+                     rand_quaternion, rand_stem, rand_stem_nonslice,
+                     reference_stem_views)
 
 IOTA = GaussRat(0, 1)
 
@@ -47,6 +49,8 @@ def test_star_product_values():
     assert product == expected
     assert F_PAIR.star(StemPoly.constant(1)) == F_PAIR
     assert StemPoly([0, QI]).star(StemPoly([0, QJ])) == StemPoly([0, 0, QK])
+    with pytest.raises(TypeError, match="star expects"):
+        F_PAIR.star("x")
 
 
 def test_star_preserves_written_factor_order():
@@ -276,6 +280,27 @@ def test_zero_polynomials_and_stems_are_falsy_as_zero_scalars_are():
         assert not zero and nonzero
 
 
+@pytest.mark.parametrize("value, scalar", [
+    (Poly([Fraction(1, 2), -3, Fraction(2, 5)]), Fraction(2, 3)),
+    (StemPoly([Fraction(1, 2), QI, Quaternion(0, 0, Fraction(2, 5), 1)]), QI),
+], ids=["Poly", "StemPoly"])
+def test_ring_operations_take_scalars_on_either_side(value, scalar):
+    kind = type(value)
+    lifted = kind.constant(scalar)
+    assert 1 - value == kind.constant(1) - value == -(value - 1)
+    assert scalar - value == lifted - value == -(value - scalar)
+    assert scalar + value == value + scalar == lifted + value
+    assert scalar * value == lifted * value
+    assert Fraction(1, 3) * value == value * Fraction(1, 3) == value - (
+        Fraction(2, 3) * value)
+    assert hash(1 - value) == hash(-(value - 1))
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((value, "x"), ("x", value)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert (value == "x") is False and value != "x"
+
+
 def test_constant_stems_hash_as_the_quaternions_they_equal():
     assert StemPoly([QI]) == QI and len({StemPoly([QI]), QI}) == 1
     assert len({StemPoly([Fraction(2, 3)]), Fraction(2, 3),
@@ -455,7 +480,7 @@ def test_eval_slice_representation_consistency():
     for _ in range(60):
         stem = rand_stem(rng)
         q = rand_quaternion(rng)
-        assert stem.eval_slice(q) == stem.eval_slice_split(q)
+        assert stem.eval_slice(q) == eval_slice_split(stem, q)
 
 
 def test_pointwise_norm_compatibility():
