@@ -254,10 +254,6 @@ class CQuat(QuaternionBase):
     def is_real_quaternion(self) -> bool:
         return all(c.is_real for c in self.components())
 
-    def complex_conjugate(self) -> "CQuat":
-        """Complex conjugation E -> -E, componentwise.  Commutes with conj."""
-        return CQuat(*(c.conjugate() for c in self.components()))
-
     # -- center / W decomposition ---------------------------------------------
 
     def split(self):
@@ -363,9 +359,6 @@ class SO3Matrix(Frozen):
         one, zero = GaussRat(1), GaussRat(0)
         return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
 
-    def transpose(self) -> "SO3Matrix":
-        return SO3Matrix(tuple(zip(*self.rows)))
-
     def entry(self, r: int, c: int) -> GaussRat:
         return self.rows[r][c]
 
@@ -383,15 +376,6 @@ class SO3Matrix(Frozen):
                 if got != want:
                     return False
         return self.det() == 1
-
-    def apply(self, v: CQuat) -> CQuat:
-        """Apply to a trace-free element, coordinates over (i, j, k)."""
-        if v.c0:
-            raise NotInWError("SO3Matrix acts on the trace-free part only")
-        coords = (v.c1, v.c2, v.c3)
-        out = [sum((self.rows[r][c] * coords[c] for c in range(3)), GaussRat(0))
-               for r in range(3)]
-        return CQuat(GaussRat(0), *out)
 
     def __eq__(self, other):
         if isinstance(other, SO3Matrix):

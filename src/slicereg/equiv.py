@@ -23,19 +23,21 @@ stems alpha satisfying the intertwining relation in both orders,
     F * alpha = alpha * H   and   alpha * F = H * alpha,
 
 which is linear in alpha's coefficients, so all candidates up to a degree
-bound come out of one exact rational nullspace.  The system is assembled
-on integers: F and H are scaled by one common denominator, each pair of
+bound come out of one exact nullspace (none when trace or norm differ: a
+nonzero alpha is invertible over Q(z)).  The system is assembled on
+integers: F and H are scaled by one common denominator, each pair of
 coefficients (F_q, H_q) gives the 4x4 integer blocks of a -> F_q a - a H_q
 and a -> H_q a - a F_q once, from the sign pattern of the quaternion unit
 products, and the rows are block-Toeplitz strips of those blocks, which
-`Matrix.nullspace` eliminates fraction-free.  The kernel is then checked
-by multiplication, independently of the rows: the kernel vectors, each
-scaled to integers, are stacked into one integer stem A, vector i at
+the integer kernel `poly._integer_nullspace` eliminates fraction-free.  Its
+integer null vectors are then checked by multiplication, independently of
+the rows: they are stacked into one integer stem A, vector i at
 z^(i*step), with step one more than the highest degree a product of F or
-H with one vector can reach.  Each relation is then two integer stem
-products (F A against A H, and A F against H A, through `_star_ints`).
-Since z is central and the blocks of a product never meet, A satisfies
-a relation exactly when every kernel vector does.  When trace(F) = trace(H)
+H with one vector can reach.  Each relation is then two products of stems
+packed at one width (F A against A H, and A F against H A, through
+`stem._star_packed`), equal iff their balanced digits are.  Since z is
+central and the blocks of a product never meet, A satisfies a relation
+exactly when every kernel vector does.  When trace(F) = trace(H)
 the two relations are exchanged by alpha -> alpha^c, so the solution
 space is the conjugation-stable part of either one-sided kernel; the
 one-sided kernels alone are strictly larger (they admit mixed-symmetry
@@ -49,16 +51,15 @@ inverse exists only away from the norm's zero set.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import lcm
 
 from .algebra import UNIT_PRODUCTS, CQuat, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import Matrix, Poly, _gcd_ints, _max_bits, _over_one_denominator
+from .poly import Poly, _gcd_ints, _integer_nullspace, _max_bits, _pack
 from .scalars import GaussRat, Record
 from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _packed,
-                   _star_ints)
+                   _star_packed, _star_width)
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -108,22 +109,29 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
+    reason, packs = _trace_norm_mismatch(first, second)
+    if reason is None and _gcd_ints(*packs[0]) != _gcd_ints(*packs[1]):
+        reason = "cdiv"
+    return EquivVerdict(reason is None, BRANCH_NOT_SLICE_PRESERVING, reason)
+
+
+def _trace_norm_mismatch(first: StemPoly, second: StemPoly):
+    """("trace" or "norm", None) for the first of them that differs, read as
+    in `equivalent`; else (None, the `_gcd_ints` arguments of each W part)."""
     (f0, *f), f_den = first.nums, first.den
     (h0, *h), h_den = second.nums, second.den
     # The trace is 2*c0, so comparing c0 compares traces.
     if (f0 != h0 if f_den == h_den
             else [x * h_den for x in f0] != [x * f_den for x in h0]):
-        return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "trace")
+        return "trace", None
     bits = max(_max_bits(chain.from_iterable(f)) + h_den.bit_length(),
                _max_bits(chain.from_iterable(h)) + f_den.bit_length())
     n = max(map(len, f + h))
     (f_at, width), (h_at, _) = _packed(f, bits, n), _packed(h, bits, n)
     if (sum(x * x for x in f_at) * h_den ** 2
             != sum(x * x for x in h_at) * f_den ** 2):
-        return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "norm")
-    if _gcd_ints(f, f_at, width) != _gcd_ints(h, h_at, width):
-        return EquivVerdict(False, BRANCH_NOT_SLICE_PRESERVING, "cdiv")
-    return EquivVerdict(True, BRANCH_NOT_SLICE_PRESERVING)
+        return "norm", None
+    return None, ((f, f_at, width), (h, h_at, width))
 
 
 class R3EquivVerdict(Record):
@@ -282,6 +290,10 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             f"degree bound {dmax} gives {unknowns} unknowns, above the limit "
             f"of {MAX_INTERTWINER_UNKNOWNS} (degree bound "
             f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
+    # Over Q(z) a nonzero alpha is invertible, and conjugation keeps trace
+    # and norm: with either different, only alpha = 0 intertwines.
+    if _trace_norm_mismatch(first, second)[0]:
+        return []
     # Both relations are linear in (F, H) jointly, so scaling both stems
     # by one common denominator leaves the solution space unchanged.
     size = max(first.degree, second.degree) + 1
@@ -304,31 +316,39 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
                     q = n - p
                     row += blocks[q][r] if 0 <= q < len(blocks) else zero
                 rows.append(row)
-    kernel = Matrix(rows).nullspace()
+    kernel = _integer_nullspace(rows, unknowns)
     # The stacked check of the module docstring, with step = top + 1: a
     # product of first or second with one vector has degree at most top.
-    scaled = [_over_one_denominator((vec,)) for vec in kernel]
     stacked = [[], [], [], []]
-    for (nums,), _ in scaled:
+    for vec in kernel:
         for r, comp in enumerate(stacked):
-            comp += nums[r::4] + [0] * (top - dmax)
-    if (_star_ints(f, stacked) != _star_ints(stacked, h)
-            or _star_ints(stacked, f) != _star_ints(h, stacked)):
+            comp += vec[r::4] + [0] * (top - dmax)
+    width = _star_width(f + h, stacked)
+    f, h, stacked = ([_pack(xs, width) for xs in stem]
+                     for stem in (f, h, stacked))
+    if (_star_packed(f, stacked) != _star_packed(stacked, h)
+            or _star_packed(stacked, f) != _star_packed(h, stacked)):
         raise AssertionError("kernel vector failed re-verification")
-    return [normalize_intertwiner(StemPoly._from_ints(
-                [nums[r::4] for r in range(4)], vec_den))
-            for (nums,), vec_den in scaled]
+    return [_over_lead(vec) for vec in kernel]
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
     """Scale so the lowest-degree nonzero coefficient has its first nonzero
     component (order 1, i, j, k) equal to 1: the canonical representative
     of the line spanned by alpha."""
-    for k in range(alpha.degree + 1):
-        for xs in alpha.nums:
-            if k < len(xs) and xs[k]:
-                return alpha * Fraction(alpha.den, xs[k])
-    return alpha
+    if alpha.is_zero:
+        return alpha
+    return _over_lead(list(chain.from_iterable(
+        zip_longest(*alpha.nums, fillvalue=0))))
+
+
+def _over_lead(vec) -> StemPoly:
+    """The stem with the components (1, i, j, k) of z^p at vec[4p:4p + 4],
+    divided by its first nonzero entry (see `normalize_intertwiner`)."""
+    lead = next(filter(None, vec))
+    if lead < 0:
+        vec, lead = [-x for x in vec], -lead
+    return StemPoly._from_ints([vec[r::4] for r in range(4)], lead)
 
 
 class ConjugatorReport(Record):

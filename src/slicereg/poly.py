@@ -1,5 +1,5 @@
-"""Dense univariate polynomials over Q, plus exact rational linear algebra
-(row reduction, nullspace) for small linear systems.
+"""Dense univariate polynomials over Q, plus exact linear algebra (row
+reduction, nullspace) for small integer and rational systems.
 
 A polynomial is stored as one stem component is: c_k = nums[k] / den,
 with `nums` an integer list (no trailing zero; empty for the zero
@@ -52,10 +52,10 @@ left are not read.  A failed candidate at least doubles w, enough to
 pack both lists again; after `_HEU_ATTEMPTS` points the gcd falls back
 to monic Euclid over Q.
 
-`Matrix` row reduction is fraction-free as well: rows are scaled to
-integers and eliminated with integer row operations that divide out each
-row's content, and only the final reduced rows are divided by their
-pivots (see the class docstring).
+Row reduction is fraction-free as well: the integer kernel
+(`_integer_echelon`, `_integer_nullspace`) clears columns by integer row
+operations that divide out each row's content, and returns integer null
+vectors.  `Matrix` is its rational face, for outside input.
 """
 
 from __future__ import annotations
@@ -206,11 +206,6 @@ class Poly(IntegerRows):
         nums = self.nums
         return Fraction(nums[k], self.den) if 0 <= k < len(nums) else _ZERO
 
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     # -- product and division -------------------------------------------------
 
     def __mul__(self, other):
@@ -357,7 +352,10 @@ def _pack(xs, width: int) -> int:
 
     A pack followed by its unpack, best of 15, at lengths 33 / 40 / 48:
     width 2 19.2/27.8, 13.4/18.0, 14.4/22.7; width 8 16.3/19.4,
-    22.3/28.0, 22.3/25.3; width 16 20.1/22.5, 32.2/25.0, 40.7/30.0.
+    22.3/28.0, 22.3/25.3; width 16 20.1/22.5, 32.2/25.0, 40.7/30.0.  Cold,
+    with gc.collect() before each call as the benchmark runs an op (median
+    of 600, pack + unpack) at lengths 17 / 25 / 33: width 4 41/55, 44/57,
+    53/65; width 12 42/53, 50/57, 61/66; width 16 50/61, 67/69, 116/122.
     The equivalence decision packs at most 33 entries, at widths 2 to 17.
     """
     half = 1 << (8 * width - 1)
@@ -564,17 +562,77 @@ def vanishing_order(p: Poly, z0) -> int:
     return order
 
 
-class Matrix(Frozen):
-    """A dense matrix of exact rationals, sized for desk-scale systems.
+def _integer_echelon(rows, cols: int):
+    """(rows, pivots): the nonzero rows of the RREF of the matrix with these
+    integer rows and `cols` columns, each a primitive integer row, in pivot
+    order; row i over rows[i][pivots[i]] is row i of the RREF.  Gauss-Jordan
+    clears a column from a row r with r <- (p/g) * r - (a/g) * pivot_row
+    (p the pivot, a the entry, g their gcd), then divides r by its content,
+    so no fraction is formed; the RREF is unique, so it is the one that
+    elimination over Q gives.  The input rows are not changed."""
+    m = []
+    for row in rows:
+        content = gcd(*row)
+        if content > 1:
+            row = [e // content for e in row]
+        if content:
+            m.append(row)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        # Any nonzero entry gives the same RREF; the smallest one keeps
+        # the multipliers, and so the integers, small.
+        pivot_row = None
+        for k in range(r, len(m)):
+            if m[k][c] and (pivot_row is None
+                            or abs(m[k][c]) < abs(m[pivot_row][c])):
+                pivot_row = k
+                if abs(m[k][c]) == 1:
+                    break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        p = prow[c]
+        for k, row in enumerate(m):
+            a = row[c]
+            if k == r or not a:
+                continue
+            g = gcd(p, a)
+            s, t = p // g, a // g
+            row = [s * e - t * f for e, f in zip(row, prow)]
+            content = gcd(*row)
+            m[k] = [e // content for e in row] if content > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
-    Elimination runs on integers: each row is scaled by the lcm of its
-    denominators, and Gauss-Jordan clears a column from a row r with
-    r <- (p/g) * r - (a/g) * pivot_row (p the pivot, a the entry, g their
-    gcd), then divides r by its content.  No fraction is formed until the
-    end, when each pivot row is divided by its pivot.  The reduced row
-    echelon form of a matrix is unique, so this is the same RREF, rank
-    and nullspace that elimination over Q gives.
-    """
+
+def _integer_nullspace(rows, cols: int) -> list:
+    """A basis of the right kernel of the matrix with these integer rows and
+    `cols` columns: one integer list per free column of the RREF, in column
+    order, the RREF's null vector (1 in its free column, 0 in the others)
+    scaled to the primitive integer vector, so its free entry, the last
+    nonzero one, is positive.  Empty iff the kernel is trivial."""
+    m, pivots = _integer_echelon(rows, cols)
+    basis = []
+    for fc in sorted(set(range(cols)).difference(pivots)):
+        den = lcm(*(row[pc] for row, pc in zip(m, pivots) if row[fc]))
+        v = [0] * cols
+        v[fc] = den
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc] * (den // row[pc])
+        content = gcd(*v)
+        basis.append([x // content for x in v] if content > 1 else v)
+    return basis
+
+
+class Matrix(Frozen):
+    """A dense matrix of exact rationals, sized for desk-scale systems: the
+    rational face of the integer kernel.  The entries are checked, each row
+    is scaled to integers, and `Fraction`s come back at the end."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -591,54 +649,12 @@ class Matrix(Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def _integer_echelon(self):
-        """(rows, pivots): the nonzero rows of the reduced echelon form,
-        each a primitive integer row, in pivot order.  Row i divided by
-        rows[i][pivots[i]] is row i of the RREF."""
-        m = []
-        for row in self.entries:
-            ints = (row if all(type(e) is int for e in row)
-                    else _over_one_denominator((row,))[0][0])
-            content = gcd(*ints)
-            if content > 1:
-                ints = [e // content for e in ints]
-            if content:
-                m.append(ints)
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            # Any nonzero entry gives the same RREF; the smallest one keeps
-            # the multipliers, and so the integers, small.
-            pivot_row = None
-            for k in range(r, len(m)):
-                if m[k][c] and (pivot_row is None
-                                or abs(m[k][c]) < abs(m[pivot_row][c])):
-                    pivot_row = k
-                    if abs(m[k][c]) == 1:
-                        break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            prow = m[r]
-            p = prow[c]
-            for k, row in enumerate(m):
-                a = row[c]
-                if k == r or not a:
-                    continue
-                g = gcd(p, a)
-                s, t = p // g, a // g
-                row = [s * e - t * f for e, f in zip(row, prow)]
-                content = gcd(*row)
-                m[k] = [e // content for e in row] if content > 1 else row
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return m[:r], pivots
+    def _integer_rows(self) -> list:
+        return _over_one_denominator(self.entries)[0]
 
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""
-        m, pivots = self._integer_echelon()
+        m, pivots = _integer_echelon(self._integer_rows(), self.cols)
         reduced = [[Fraction(e, row[c]) for e in row]
                    for row, c in zip(m, pivots)]
         reduced += [[Fraction(0)] * self.cols
@@ -646,25 +662,16 @@ class Matrix(Frozen):
         return reduced, pivots
 
     def rank(self) -> int:
-        return len(self._integer_echelon()[1])
+        return len(_integer_echelon(self._integer_rows(), self.cols)[1])
 
     def nullspace(self):
-        """Exact basis of the right kernel {v : M v = 0}.
-
-        Each basis vector has a 1 in its free coordinate and zeros in all
-        other free coordinates, so the result is deterministic.  Empty list
-        iff the kernel is trivial.
-        """
-        m, pivots = self._integer_echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        """Exact basis of the right kernel {v : M v = 0}, empty iff it is
+        trivial: each vector has a 1 in its free coordinate and zeros in the
+        other free coordinates, so the result is deterministic."""
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for row, pc in zip(m, pivots):
-                v[pc] = Fraction(-row[fc], row[pc])
-            basis.append(tuple(v))
+        for v in _integer_nullspace(self._integer_rows(), self.cols):
+            den = next(filter(None, reversed(v)))
+            basis.append(tuple(Fraction(x, den) for x in v))
         return basis
 
     def mul_vector(self, v):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from .algebra import CQuat, Quaternion, QuaternionBase, _mul_components
 from .errors import NearSingularSampleError
@@ -72,22 +71,6 @@ class TruncSeries(Frozen):
     def constant(cls, value, order: int) -> "TruncSeries":
         return cls(order, (value,))
 
-    @classmethod
-    def from_stem(cls, stem: StemPoly, order: int | None = None) -> "TruncSeries":
-        if order is None:
-            order = max(stem.degree + 1, 1)
-        if order > stem.degree:
-            return cls(order, stem)
-        # Truncating below the degree: the dropped part is still a polynomial,
-        # so a factorial majorant over the original coefficients stays valid.
-        den = stem.den
-        c = max((math.sqrt(sum((x / den) ** 2 for x in column))
-                 * math.factorial(k)
-                 for k, column in enumerate(zip_longest(*stem.nums,
-                                                        fillvalue=0))),
-                default=0.0)
-        return cls(order, _cut(stem, order), (c, 1.0), False)
-
     @property
     def coeffs(self) -> tuple:
         """The quaternion coefficients, padded with zeros to the order."""
@@ -96,9 +79,6 @@ class TruncSeries(Frozen):
 
     def coeff(self, k: int) -> Quaternion:
         return self.stem.coeff(k)
-
-    def to_stem(self) -> StemPoly:
-        return self.stem
 
     # -- ring operations -----------------------------------------------------
 

@@ -316,33 +316,41 @@ def _star_ints(left, right):
     """The product of two stems given as integer component lists
     (c0, c1, c2, c3): four integer lists, each of length m + n - 1 for the
     longest components m of `left` and n of `right` (untrimmed), or four
-    empty lists when a side has no coefficient.
-
-    A digit of an output component is a sum of four signed convolution
-    coefficients, each a sum of at most min(m, n) products of an entry of
-    each side; the digit width covers that bound, the 2 extra bits the
-    sum of four.
-    """
+    empty lists when a side has no coefficient."""
     m, n = max(map(len, left)), max(map(len, right))
     if not m or not n:
         return [[], [], [], []]
-    width = _digit_width(_max_bits(chain.from_iterable(left))
-                         + _max_bits(chain.from_iterable(right))
-                         + min(m, n).bit_length() + 2)
-    packed = [_pack(b, width) for b in right]
+    width = _star_width(left, right)
+    sums = _star_packed([_pack(a, width) for a in left],
+                        [_pack(b, width) for b in right])
+    return [_unpack(acc, m + n - 1, width) for acc in sums]
+
+
+def _star_width(left, right) -> int:
+    """The digit width at which `_star_packed` multiplies stems with these
+    integer component lists: an output digit sums four signed convolution
+    coefficients, each of at most min(m, n) products of an entry of each
+    side (m, n the longest lists), and 2 bits over that bound cover it."""
+    return _digit_width(_max_bits(chain.from_iterable(left))
+                        + _max_bits(chain.from_iterable(right))
+                        + min(max(map(len, left)),
+                              max(map(len, right))).bit_length() + 2)
+
+
+def _star_packed(left, right) -> list:
+    """The product of two stems given as components packed at one width
+    (`_star_width`), as four packed components: the sixteen products, summed
+    with the signs of the quaternion unit table."""
     sums = [0, 0, 0, 0]
     for s, a in enumerate(left):
-        if not a:
-            continue
-        a = _pack(a, width)
-        for t, b in enumerate(packed):
-            if b:
+        for t, b in enumerate(right):
+            if a and b:
                 r, sign = UNIT_PRODUCTS[s][t]
                 if sign > 0:
                     sums[r] += a * b
                 else:
                     sums[r] -= a * b
-    return [_unpack(acc, m + n - 1, width) for acc in sums]
+    return sums
 
 
 Z = StemPoly.monomial(1)

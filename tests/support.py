@@ -7,14 +7,21 @@ bounds used throughout (numerators and denominators up to 9).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from types import SimpleNamespace
 
-from slicereg import (CQuat, CQuatF, GaussRat, Poly, Quaternion, StemPoly,
-                      TruncSeries)
+from slicereg import (CQuat, CQuatF, GaussRat, Matrix, NotInWError, Poly,
+                      Quaternion, SO3Matrix, StemPoly, TruncSeries,
+                      ZeroPolynomialError)
+from slicereg.equiv import _relation_block
 from slicereg.parsing import render_stem
+from slicereg.poly import _over_one_denominator
 from slicereg.scalars import Record
+from slicereg.series import _cut
+from slicereg.stem import _star_ints
 
 
 # Values of `slicereg.poly._SHIFT_BELOW` that send every `_pack` and
@@ -116,6 +123,91 @@ def eval_slice_split(stem: StemPoly, q) -> Quaternion:
         b_sum += c * odd
         even, odd = even * x - n * odd, even + odd * x
     return p_sum + v * b_sum
+
+
+def leading(p: Poly) -> Fraction:
+    """The leading coefficient of a nonzero polynomial."""
+    if p.is_zero:
+        raise ZeroPolynomialError("zero polynomial has no leading coefficient")
+    return Fraction(p.nums[-1], p.den)
+
+
+def complex_conjugate(x: CQuat) -> CQuat:
+    """Complex conjugation E -> -E, componentwise.  Commutes with conj."""
+    return CQuat(*(c.conjugate() for c in x.components()))
+
+
+def so3_transpose(m: SO3Matrix) -> SO3Matrix:
+    return SO3Matrix(tuple(zip(*m.rows)))
+
+
+def so3_apply(m: SO3Matrix, v: CQuat) -> CQuat:
+    """m applied to a trace-free element, coordinates over (i, j, k)."""
+    if v.c0:
+        raise NotInWError("SO3Matrix acts on the trace-free part only")
+    coords = (v.c1, v.c2, v.c3)
+    return CQuat(GaussRat(0), *(sum((row[c] * coords[c] for c in range(3)),
+                                    GaussRat(0)) for row in m.rows))
+
+
+def series_from_stem(stem: StemPoly, order: int | None = None) -> TruncSeries:
+    """The series of a stem cut to `order` (default: one more than its
+    degree).  Cut below the degree, the dropped part is still a polynomial,
+    so a factorial majorant over the original coefficients stays valid."""
+    if order is None:
+        order = max(stem.degree + 1, 1)
+    if order > stem.degree:
+        return TruncSeries(order, stem)
+    den = stem.den
+    c = max((math.sqrt(sum((x / den) ** 2 for x in column))
+             * math.factorial(k)
+             for k, column in enumerate(zip_longest(*stem.nums,
+                                                    fillvalue=0))),
+            default=0.0)
+    return TruncSeries(order, _cut(stem, order), (c, 1.0), False)
+
+
+def reference_find_intertwiner(first: StemPoly, second: StemPoly,
+                               dmax: int) -> list:
+    """The intertwiner search on the rational `Matrix`: the integer system
+    of `find_intertwiner` (no early exit on trace or norm) handed to
+    `Matrix.nullspace`, each `Fraction` kernel vector scaled back to
+    integers, the stacked re-verification through `_star_ints`, and the
+    normalization of `normalize_intertwiner` as a rational multiple: the
+    reference that `find_intertwiner` is checked against."""
+    size = max(first.degree, second.degree) + 1
+    den = math.lcm(first.den, second.den)
+    f, h = ([[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
+             for xs in stem.nums] for stem in (first, second))
+    relations = ([_relation_block(c, d) for c, d in zip(zip(*f), zip(*h))],
+                 [_relation_block(d, c) for c, d in zip(zip(*f), zip(*h))])
+    top = dmax + max(first.degree, second.degree, 0)
+    rows = []
+    for blocks in relations:
+        for n in range(top + 1):
+            for r in range(4):
+                row = []
+                for p in range(dmax + 1):
+                    q = n - p
+                    row += blocks[q][r] if 0 <= q < len(blocks) else [0] * 4
+                rows.append(row)
+    scaled = [_over_one_denominator((vec,))
+              for vec in Matrix(rows).nullspace()]
+    stacked = [[], [], [], []]
+    for (nums,), _ in scaled:
+        for r, comp in enumerate(stacked):
+            comp += nums[r::4] + [0] * (top - dmax)
+    if (_star_ints(f, stacked) != _star_ints(stacked, h)
+            or _star_ints(stacked, f) != _star_ints(h, stacked)):
+        raise AssertionError("kernel vector failed re-verification")
+    basis = []
+    for (nums,), vec_den in scaled:
+        alpha = StemPoly._from_ints([nums[r::4] for r in range(4)], vec_den)
+        # Over the first nonzero component of the lowest-degree coefficient.
+        lead = next(xs[k] for k in range(alpha.degree + 1)
+                    for xs in alpha.nums if k < len(xs) and xs[k])
+        basis.append(alpha * Fraction(alpha.den, lead))
+    return basis
 
 
 def reference_stem_views(quats) -> dict:

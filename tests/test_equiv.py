@@ -18,11 +18,12 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             BRANCH_SLICE_PRESERVING, ISOTROPY_ADDITIVE,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE)
-from slicereg.poly import Matrix
+import slicereg.equiv
+from slicereg.poly import _integer_nullspace
 
 from support import (conjugate_stem, convolve_stems, rand_nonzero_quaternion,
                      rand_pure_imaginary_quaternion, rand_quaternion,
-                     rand_stem, rand_stem_nonslice)
+                     rand_stem, rand_stem_nonslice, reference_find_intertwiner)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -166,6 +167,12 @@ def test_normalize_intertwiner_divides_exactly():
     assert normalized == StemPoly([0, Quaternion(0, 1, Fraction(-1, 3))])
     assert all(type(x) is Fraction for p in normalized.parts for x in p.coeffs)
     assert normalize_intertwiner(StemPoly()) == StemPoly()
+    # A negative lead over a denominator, and a lead past zero coefficients.
+    gamma = StemPoly([Quaternion(0, 0, Fraction(-2, 3), 1),
+                      Quaternion(5, 0, 0, Fraction(1, 7))])
+    assert normalize_intertwiner(gamma) == gamma * Fraction(-3, 2)
+    delta = StemPoly([0, 0, Quaternion(0, 0, 0, -4), Quaternion(1, 2)])
+    assert normalize_intertwiner(delta) == delta * Fraction(-1, 4)
 
 
 def test_find_intertwiner_identity_and_constants():
@@ -189,41 +196,126 @@ def test_find_intertwiner_none_for_distinct_norms():
 @pytest.mark.parametrize("entry", [0, -1])
 def test_find_intertwiner_re_verifies_every_kernel_vector(
         monkeypatch, first, second, dmax, index, dim, entry):
-    """One entry of one kernel vector, the lowest or the highest, of the
-    first, a middle or the last vector, is off by one: the check by
+    """One entry of one integer kernel vector, the lowest or the highest,
+    of the first, a middle or the last vector, is off by one: the check by
     multiplication must refuse it."""
     assert len(find_intertwiner(first, second, dmax)) == dim
-    nullspace = Matrix.nullspace
 
-    def perturbed(self):
-        basis = nullspace(self)
-        vec = list(basis[index])
-        vec[entry] += 1
-        basis[index] = tuple(vec)
+    def perturbed(rows, cols):
+        basis = _integer_nullspace(rows, cols)
+        basis[index][entry] += 1
         return basis
 
-    monkeypatch.setattr(Matrix, "nullspace", perturbed)
+    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace", perturbed)
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(first, second, dmax)
 
 
 def test_find_intertwiner_re_verification_keeps_the_blocks_apart(monkeypatch):
-    """Two kernel vectors that intertwine nothing, 4*i*z^dmax and
-    (1/2)*j + (1/4)*(i + k)*z, scaled to integers and stacked only
-    dmax + 1 apart, would add up to z^dmax * 4*beta with beta an
-    intertwiner: the products of the blocks must not meet."""
+    """Two integer kernel vectors that intertwine nothing, 4*i*z^dmax and
+    2*j + (i + k)*z, stacked only dmax + 1 apart, would add up to
+    z^dmax * 4*beta with beta an intertwiner: the products of the blocks
+    must not meet."""
     beta = StemPoly([QI, QJ * Fraction(1, 2), (QI + QK) * Fraction(1, 4)])
     assert F_PAIR.star(beta) == beta.star(G_PAIR)
     assert beta.star(F_PAIR) == G_PAIR.star(beta)
     dmax = 12
-    low = [Fraction(0)] * (4 * dmax + 4)
-    low[4 * dmax + 1] = Fraction(4)
-    high = [Fraction(0)] * (4 * dmax + 4)
-    high[2], high[5], high[7] = Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)
-    monkeypatch.setattr(Matrix, "nullspace",
-                        lambda self: [tuple(low), tuple(high)])
+    low = [0] * (4 * dmax + 4)
+    low[4 * dmax + 1] = 4
+    high = [0] * (4 * dmax + 4)
+    high[2], high[5], high[7] = 2, 1, 1
+    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace",
+                        lambda rows, cols: [low, high])
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(F_PAIR, G_PAIR, dmax)
+
+
+# -- the integer kernel against the search on the rational Matrix -------------
+
+def _no_kernel(rows, cols):
+    raise AssertionError("the kernel ran")
+
+
+def _same_as_reference(first, second, dmax):
+    got = find_intertwiner(first, second, dmax)
+    want = reference_find_intertwiner(first, second, dmax)
+    assert got == want
+    assert [(a.nums, a.den) for a in got] == [(a.nums, a.den) for a in want]
+    return got
+
+
+def test_find_intertwiner_matches_the_matrix_reference_on_planted_pairs():
+    """A pure imaginary u conjugating F is an intertwiner at every degree
+    bound; a u with a real part may leave none, though F and u F u^-1
+    still share trace and norm."""
+    rng = random.Random(2411)
+    for degree in range(1, 9):
+        f = rand_stem_nonslice(rng, degree)
+        u = rand_pure_imaginary_quaternion(rng)
+        dmax = rng.randint(0, 5)
+        assert len(_same_as_reference(f, conjugate_stem(u, f), dmax)) >= dmax + 1
+        _same_as_reference(f, conjugate_stem(rand_nonzero_quaternion(rng), f),
+                           rng.randint(0, 5))
+
+
+def test_find_intertwiner_matches_the_matrix_reference_on_the_worked_pair():
+    """Every degree bound up to the unknowns cap; the pair's central
+    divisors differ (1 against 1 + z^2/2), and it still has intertwiners
+    from dmax 2 on."""
+    assert equivalent(F_PAIR, G_PAIR).reason == "cdiv"
+    for dmax in range(64):
+        assert len(_same_as_reference(F_PAIR, G_PAIR, dmax)) == max(dmax - 1, 0)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1 + z*i + z^2*j", "1 + z*i + z^2*j"),                  # F = H
+    ("i + z*j + (1/2)*z^2*k", "i + z*j + (1/2)*z^2*k"),
+    ("1 + z*i + z^2*j", "1 - z*i - z^2*j"),                  # W_H = -W_F
+    ("z*i + (2/3)*j - z^2*k", "-z*i - (2/3)*j + z^2*k"),
+    ("(z^2 + 1)*(i + z*j)", "-(z^2 + 1)*(i + z*j)"),
+    ("1 + z^2", "1 + z^2"),                                  # slice preserving
+    ("(1/2)*z", "(1/2)*z"),
+    ("0", "0"),
+])
+def test_find_intertwiner_matches_the_matrix_reference_on_degenerate_pairs(
+        first, second):
+    first, second = parse_stem(first), parse_stem(second)
+    assert [_same_as_reference(first, second, dmax) for dmax in range(5)][-1]
+
+
+@pytest.mark.parametrize("first, second", [
+    ("i", "2*i"), ("i + z*j", "i + 2*z*j"),                  # norms differ
+    ("1 + z*i", "2 + z*i"), ("z*i", "1 + z*i"),              # traces differ
+    ("1 + z^2", "1 + z^2 + z*i"), ("1 + z^2", "2 + z^2"),    # slice preserving
+    ("0", "i"), ("i", "0"),
+])
+def test_find_intertwiner_exits_on_trace_or_norm_before_the_kernel(
+        monkeypatch, first, second):
+    first, second = parse_stem(first), parse_stem(second)
+    for dmax in (0, 3, 63):
+        assert reference_find_intertwiner(first, second, dmax) == []
+    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace", _no_kernel)
+    for dmax in (0, 3, 63):
+        assert find_intertwiner(first, second, dmax) == []
+    # The refusals come first, as before.
+    with pytest.raises(ValueError):
+        find_intertwiner(first, second, -1)
+    with pytest.raises(LimitExceededError):
+        find_intertwiner(first, second, 64)
+
+
+@pytest.mark.parametrize("vec", [[1, 0, 0, -1], [1, 0, 0, 1]])
+def test_find_intertwiner_re_verification_checks_both_relations(
+        monkeypatch, vec):
+    """1 - k satisfies i * alpha = alpha * j alone, and 1 + k satisfies
+    alpha * i = j * alpha alone: each must be refused."""
+    alpha = StemPoly([Quaternion(*vec)])
+    one_sided = (QI * alpha == alpha * QJ, alpha * QI == QJ * alpha)
+    assert sorted(one_sided) == [False, True]
+    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace",
+                        lambda rows, cols: [list(vec)])
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
 
 
 def test_verify_conjugator_worked_pair():

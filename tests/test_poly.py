@@ -5,7 +5,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
@@ -13,9 +13,10 @@ from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
                       equivalent, find_intertwiner, parse_stem, poly_gcd,
                       poly_gcd_many, vanishing_order)
 import slicereg.poly as poly
-from slicereg.poly import _digits, _divides, _gcd_ints, _pack, _unpack
+from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_nullspace,
+                           _over_one_denominator, _pack, _unpack)
 
-from support import (PACKING_BRANCHES, rand_fraction, rand_poly,
+from support import (PACKING_BRANCHES, leading, rand_fraction, rand_poly,
                      rand_pure_imaginary_quaternion, rand_stem_nonslice)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -68,7 +69,7 @@ def test_gcd_properties_on_random_pairs():
             continue
         g = poly_gcd(a, b)
         assert g == poly_gcd(b, a)
-        assert g.is_zero or g.leading() == 1
+        assert g.is_zero or leading(g) == 1
         assert (a % g).is_zero if not a.is_zero else True
         assert (b % g).is_zero if not b.is_zero else True
         if not b.is_zero:
@@ -720,19 +721,102 @@ def test_rref_rank_and_nullspace_edge_cases_match_sympy():
         _check_against_sympy(sp, Matrix(rows))
 
 
+# -- the integer kernel against Matrix and sympy --------------------------------
+
+def _primitive(vectors):
+    """Rational vectors scaled to integers over their lcm denominator: the
+    primitive integer multiples that keep each vector's sign."""
+    return [_over_one_denominator((list(v),))[0][0] for v in vectors]
+
+
+def _check_kernel(rows, cols, sp=None):
+    """The kernel's contract on integer rows, its agreement with
+    `Matrix.nullspace` after scaling and, given sympy, with sympy's
+    nullspace after scaling."""
+    before = [list(row) for row in rows]
+    basis = _integer_nullspace(rows, cols)
+    assert rows == before
+    for v in basis:
+        assert len(v) == cols and all(type(e) is int for e in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert gcd(*v) == 1 and next(filter(None, reversed(v))) > 0
+    if rows:
+        m = Matrix(rows)
+        assert len(basis) == cols - m.rank()
+        assert basis == _primitive(m.nullspace())
+    if sp is not None:
+        oracle = sp.Matrix(rows) if rows else sp.zeros(0, cols)
+        want = [[Fraction(int(x.p), int(x.q)) for x in v]
+                for v in oracle.nullspace()]
+        assert basis == _primitive(want)
+    return basis
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer matrices with small and wide entries, rows that are integer
+    combinations of earlier rows, duplicates and zero rows mixed in."""
+    cols = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 20, 10 ** 20))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
+    for i, j, a, b in draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1),
+            st.integers(-4, 4), st.integers(-4, 4)), max_size=3)):
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[draw(st.integers(0, len(rows) - 1))]))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return rows
+
+
+@settings(deadline=None)
+@given(integer_rows())
+def test_integer_nullspace_matches_matrix_and_sympy(rows):
+    sp = pytest.importorskip("sympy")
+    _check_kernel(rows, len(rows[0]), sp)
+
+
+@pytest.mark.parametrize("rows, cols, dim", [
+    ([[1, 2, 3], [0, 0, 0], [4, 5, 6]], 3, 1),               # a zero row
+    ([[2, -4, 6, 8], [2, -4, 6, 8], [1, -2, 3, 4]], 4, 3),    # duplicates
+    ([[1, 0], [0, 1], [3, 5]], 2, 0),                        # full column rank
+    ([[6, 10, 15], [0, 7, 0], [0, 0, -11]], 3, 0),
+    ([[0, 0, 0], [0, 0, 0]], 3, 3),                          # all zero
+    ([], 3, 3),
+    ([[4, -6, 10]], 3, 2),                                   # 1 x n
+    ([[0, 5, 0, 0, -3]], 5, 4),
+    ([[2], [4], [0]], 1, 0),                                 # n x 1
+    ([[0], [0]], 1, 1),
+    ([[10 ** 30 + 1, 3], [2 * 10 ** 30 + 2, 6], [1, 1]], 2, 0),
+])
+def test_integer_nullspace_edge_cases(rows, cols, dim):
+    sp = pytest.importorskip("sympy")
+    assert len(_check_kernel(rows, cols, sp)) == dim
+
+
+def test_integer_nullspace_scales_each_line_to_primitive_integers():
+    # x + 2y + 3z = 0 over Q: the RREF null vectors (-2, 1, 0), (-3, 0, 1).
+    assert _integer_nullspace([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+    # 2x = 3y and 4x = 5z: the RREF null vector (5/4, 5/6, 1) scales to
+    # (15, 10, 12).
+    assert _integer_nullspace([[2, -3, 0], [4, 0, -5]], 3) == [[15, 10, 12]]
+    assert _integer_nullspace([[0, 4], [0, -6]], 2) == [[1, 0]]
+
+
 def _intertwiner_system(monkeypatch, first, second, dmax):
-    """The matrix that find_intertwiner hands to nullspace."""
+    """The integer rows, and their column count, that find_intertwiner
+    hands to the kernel."""
     import slicereg.equiv
     seen = []
 
-    class Recording(Matrix):
-        __slots__ = ()
+    def recording(rows, cols):
+        seen.append((rows, cols))
+        return _integer_nullspace(rows, cols)
 
-        def nullspace(self):
-            seen.append(self)
-            return super().nullspace()
-
-    monkeypatch.setattr(slicereg.equiv, "Matrix", Recording)
+    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace", recording)
     find_intertwiner(first, second, dmax)
     return seen[0]
 
@@ -745,9 +829,10 @@ def test_intertwiner_systems_match_sympy(monkeypatch):
     conjugated = parse_stem("1/3*j - 2/5*z*i + z^2*(1/7 - k)")    # by i + j
     for f, h, dmax in ((first, second, 2), (first, second, 8),
                        (first, second, 12), (planted, conjugated, 4)):
-        m = _intertwiner_system(monkeypatch, f, h, dmax)
-        assert m.cols == 4 * (dmax + 1)
-        _check_against_sympy(sp, m)
+        rows, cols = _intertwiner_system(monkeypatch, f, h, dmax)
+        assert cols == 4 * (dmax + 1)
+        _check_against_sympy(sp, Matrix(rows))
+        _check_kernel(rows, cols, sp)
 
 
 def test_matrix_entries_must_be_rational():

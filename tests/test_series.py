@@ -14,7 +14,7 @@ from slicereg.algebra import QI, QJ, QK
 from slicereg.series import DEFAULT_SAMPLES, parse_samples
 
 from support import (rand_fraction, rand_stem, reference_eval_numeric,
-                     truncated_convolution)
+                     series_from_stem, truncated_convolution)
 
 
 def series_triple(order):
@@ -59,8 +59,8 @@ def test_truncation_coherence_with_stem_operations():
         f = rand_stem(rng, 4)
         g = rand_stem(rng, 4)
         order = rng.randint(1, 6)
-        sf = TruncSeries.from_stem(f, order)
-        sg = TruncSeries.from_stem(g, order)
+        sf = series_from_stem(f, order)
+        sg = series_from_stem(g, order)
         full = f.star(g)
         truncated = sf.star(sg)
         assert all(truncated.coeff(k) == full.coeff(k) for k in range(order))
@@ -103,7 +103,7 @@ def test_polynomial_series_evaluates_exactly():
     rng = random.Random(777)
     for _ in range(20):
         stem = rand_stem(rng, 4)
-        series = TruncSeries.from_stem(stem)
+        series = series_from_stem(stem)
         x = rand_fraction(rng, 3, 3)
         value, tail = series.eval_numeric(CQuatF(float(x)))
         assert tail == 0.0
@@ -219,10 +219,10 @@ def test_series_star_matches_the_truncated_convolution_on_builders():
     stem = rand_stem(rng, 9)
     for first, second in ((taylor_series("cos", 40), taylor_series("sin", 23)),
                           (taylor_series("exp", 7) * QI,
-                           TruncSeries.from_stem(stem, 5)),
-                          (TruncSeries.from_stem(stem), taylor_series("cos_half", 30)),
-                          (TruncSeries.from_stem(stem, 12),
-                           TruncSeries.from_stem(stem, 4)),
+                           series_from_stem(stem, 5)),
+                          (series_from_stem(stem), taylor_series("cos_half", 30)),
+                          (series_from_stem(stem, 12),
+                           series_from_stem(stem, 4)),
                           # Polynomial operands whose degrees sum to just
                           # below, and to exactly, the order.
                           (TruncSeries(5, [1, QI, 2]), TruncSeries(5, [QJ, 0, 3])),
@@ -240,8 +240,8 @@ def test_series_from_a_list_equals_the_series_from_its_stem(order, coeffs):
     coeffs = coeffs[:order]
     series = TruncSeries(order, coeffs)
     stem = StemPoly(coeffs)
-    assert series == TruncSeries(order, stem) == TruncSeries.from_stem(stem, order)
-    assert series.stem == stem and series.to_stem() == stem
+    assert series == TruncSeries(order, stem) == series_from_stem(stem, order)
+    assert series.stem == stem
     assert len(series.coeffs) == order
     assert series.coeffs == stem.coeffs + (Quaternion(),) * (order - len(stem.coeffs))
     assert hash(series) == hash(TruncSeries(order, stem))
