@@ -48,6 +48,20 @@ def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
     )
 
 
+def _horner_left(q, rows):
+    """The components of sum_k q^k * a_k by Horner's rule, acc <- q * acc
+    + a_k with the point on the left: q given by its four components, the
+    a_k by four component lists, ascending (zeros past a list's end)."""
+    n = max(map(len, rows))
+    q0, q1, q2, q3 = q
+    a0 = a1 = a2 = a3 = 0
+    for c0, c1, c2, c3 in zip(*([0] * (n - len(xs)) + xs[::-1]
+                                for xs in rows)):
+        p0, p1, p2, p3 = _mul_components(q0, q1, q2, q3, a0, a1, a2, a3)
+        a0, a1, a2, a3 = p0 + c0, p1 + c1, p2 + c2, p3 + c3
+    return a0, a1, a2, a3
+
+
 def _unit_product(s: int, t: int):
     """(r, sign) with e_s * e_t = sign * e_r for the basis units
     (1, i, j, k), read off `_mul_components`."""
@@ -296,11 +310,16 @@ def _render_components(components) -> str:
             parts.append(f"({coeff})*{unit}")
         else:
             parts.append(f"{coeff}*{unit}")
-    if not parts:
+    return _join_terms(parts)
+
+
+def _join_terms(terms) -> str:
+    """The terms joined by " + ", or " - " for a term's leading "-"."""
+    if not terms:
         return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    out = terms[0]
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
 
 
@@ -353,14 +372,6 @@ class SO3Matrix(Frozen):
         object.__setattr__(self, "rows", rows)
         if not self._is_special_orthogonal():
             raise ValueError("matrix is not special orthogonal")
-
-    @classmethod
-    def identity(cls) -> "SO3Matrix":
-        one, zero = GaussRat(1), GaussRat(0)
-        return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
-
-    def entry(self, r: int, c: int) -> GaussRat:
-        return self.rows[r][c]
 
     def det(self) -> GaussRat:
         ((a, b, c), (d, e, f), (g, h, i)) = self.rows

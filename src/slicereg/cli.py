@@ -137,8 +137,7 @@ def _cmd_cdiv(args) -> int:
             lines.extend(f"  {r.real:+.6f}{r.imag:+.6f}i" for r in roots)
         else:
             lines.append("approximate roots (display only): none")
-    for line in lines:
-        print(line)
+    _emit(args, None, lines)
     return 0
 
 
@@ -148,16 +147,8 @@ def _cmd_equiv(args) -> int:
     first = parse_stem(args.first)
     second = parse_stem(args.second)
     verdict = equivalent(first, second)
-    reason = _reason_message(verdict, first, second)
-    document = {"command": "equiv", "inputs": [args.first, args.second],
-                "equivalent": verdict.equivalent, "branch": verdict.branch,
-                "reason": reason}
-    lines = [f"equivalent: {str(verdict.equivalent).lower()}",
-             f"branch: {verdict.branch}"]
-    if reason:
-        lines.append(f"reason: {reason}")
-    _emit(args, document, lines)
-    return 0 if verdict.equivalent else 1
+    return _emit_verdict(args, verdict.equivalent, "branch", verdict.branch,
+                         _reason_message(verdict, first, second))
 
 
 def _run_r3_equiv(args) -> int:
@@ -169,16 +160,21 @@ def _run_r3_equiv(args) -> int:
     else:
         parts = [v.reason for v in verdict.direct if v.reason]
         reason = "componentwise: " + ", ".join(parts) if parts else None
-    branch = verdict.pairing or "none"
+    return _emit_verdict(args, verdict.equivalent, "pairing",
+                         verdict.pairing or "none", reason)
+
+
+def _emit_verdict(args, equivalent: bool, label: str, branch: str,
+                  reason: str | None) -> int:
+    """Print an equivalence verdict, the branch (or pairing) it took,
+    under `label` in text, and its reason if any."""
     document = {"command": "equiv", "inputs": [args.first, args.second],
-                "equivalent": verdict.equivalent, "branch": branch,
-                "reason": reason}
-    lines = [f"equivalent: {str(verdict.equivalent).lower()}",
-             f"pairing: {branch}"]
+                "equivalent": equivalent, "branch": branch, "reason": reason}
+    lines = [f"equivalent: {str(equivalent).lower()}", f"{label}: {branch}"]
     if reason:
         lines.append(f"reason: {reason}")
     _emit(args, document, lines)
-    return 0 if verdict.equivalent else 1
+    return 0 if equivalent else 1
 
 
 def _cmd_orbit(args) -> int:
@@ -208,13 +204,9 @@ def _cmd_intertwine(args) -> int:
                 "intertwiners": [render_stem(a) for a in basis]}
     lines = [f"found {len(basis)} intertwiner(s) with degree <= {args.degree_max}"]
     if basis:
-        report = verify_conjugator(first, second, basis[0])
-        document["norm_alpha"] = render_poly(report.norm_alpha)
-        document["invertible_on_C"] = report.invertible_on_C
-        for alpha in basis:
-            lines.append(f"alpha: {render_stem(alpha)}")
-        lines.append(f"norm_alpha: {render_poly(report.norm_alpha)}")
-        lines.append(f"invertible_on_C: {str(report.invertible_on_C).lower()}")
+        lines += [f"alpha: {render_stem(alpha)}" for alpha in basis]
+        lines += _norm_lines(verify_conjugator(first, second, basis[0]),
+                             document)
     _emit(args, document, lines)
     return 0 if basis else 1
 
@@ -225,17 +217,22 @@ def _cmd_verify(args) -> int:
     alpha = parse_stem(args.alpha)
     report = verify_conjugator(first, second, alpha)
     document = {"command": "verify", "inputs": [args.first, args.second, args.alpha],
-                "equivalent": report.intertwines,
-                "norm_alpha": render_poly(report.norm_alpha),
-                "invertible_on_C": report.invertible_on_C}
+                "equivalent": report.intertwines}
     lines = [f"intertwines (alpha*F = H*alpha): {str(report.intertwines).lower()}",
-             f"norm_alpha: {render_poly(report.norm_alpha)}",
-             f"invertible_on_C: {str(report.invertible_on_C).lower()}"]
+             *_norm_lines(report, document)]
     if report.conjugation_identity is not None:
         state = "verified" if report.conjugation_identity else "FAILED"
         lines.append(f"conjugation identity F = alpha^-1 * H * alpha: {state}")
     _emit(args, document, lines)
     return 0 if report.intertwines else 1
+
+
+def _norm_lines(report, document: dict) -> list:
+    """A conjugator's norm and invertibility: into the document, as lines."""
+    document["norm_alpha"] = render_poly(report.norm_alpha)
+    document["invertible_on_C"] = report.invertible_on_C
+    return [f"norm_alpha: {document['norm_alpha']}",
+            f"invertible_on_C: {str(report.invertible_on_C).lower()}"]
 
 
 def _cmd_eval(args) -> int:
@@ -244,21 +241,19 @@ def _cmd_eval(args) -> int:
     if args.stem_mode:
         if not point.is_central:
             raise SliceRegError("--stem evaluation needs a central point")
-        value = stem.eval_stem(point.center_part())
-        print(f"value: {render_cquat(value)}")
+        value = render_cquat(stem.eval_stem(point.center_part()))
     else:
         if not point.is_real_quaternion:
             raise SliceRegError("--slice evaluation needs a real quaternion point")
-        value = stem.eval_slice(point.to_quaternion())
-        print(f"value: {render_quat(value)}")
+        value = render_quat(stem.eval_slice(point.to_quaternion()))
+    _emit(args, None, [f"value: {value}"])
     return 0
 
 
 def _cmd_series_check(args) -> int:
     checks = trig_example_checks(order=args.order, tol=args.tol,
                                  samples=args.samples)
-    for check in checks:
-        print(_check_line(check))
+    _emit(args, None, map(_check_line, checks))
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -460,8 +455,19 @@ def _samples(text: str) -> tuple:
     return samples
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Every option here but -h starts with "--", so an argument with one
+    leading "-" that names no option is a value, such as "-z*i" or "-i"."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:2] != "--"
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="slicereg",
         description="Exact invariants and equivalence for slice regular "
                     "polynomial functions over the quaternions and over H+H.")
@@ -548,16 +554,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Exact values are read and printed in full: lift CPython's default
+    # cap of 4300 digits on int <-> str (3.11, 3.10.7) for this call.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except SliceRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        try:
+            return args.func(args)
+        except SliceRegError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

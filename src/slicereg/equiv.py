@@ -223,10 +223,6 @@ class OrbitScanReport(Record):
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def failures(self) -> tuple:
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
                          samples) -> OrbitScanReport:
@@ -348,7 +344,7 @@ def _over_lead(vec) -> StemPoly:
     lead = next(filter(None, vec))
     if lead < 0:
         vec, lead = [-x for x in vec], -lead
-    return StemPoly._from_ints([vec[r::4] for r in range(4)], lead)
+    return StemPoly._from_rows([vec[r::4] for r in range(4)], lead)
 
 
 class ConjugatorReport(Record):

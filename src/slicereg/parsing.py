@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem,
+from .algebra import (QI, QJ, QK, CQuat, Quaternion, R3Elem, _join_terms,
                       _render_components)
 from .errors import (LimitExceededError, ParseError, UnitNotAllowedError,
                      VariableInPointError)
@@ -212,7 +212,7 @@ class _Parser:
         if self.stem:
             _check_degree(value.degree * exponent)
             if value is Z:
-                return StemPoly._from_ints([[0] * exponent + [1], [], [], []], 1)
+                return StemPoly.monomial(exponent)
         return value ** exponent
 
     def base(self):
@@ -283,10 +283,8 @@ def parse_r3_point(text: str) -> R3Elem:
 
 # -- rendering --------------------------------------------------------------------
 
-def render_poly(p: Poly, var: str = "z") -> str:
+def render_poly(p: Poly) -> str:
     """Ascending powers, rationals as a/b; reparses to the same polynomial."""
-    if p.is_zero:
-        return "0"
     parts = []
     for k, coeff in enumerate(p.coeffs):
         if not coeff:
@@ -295,17 +293,14 @@ def render_poly(p: Poly, var: str = "z") -> str:
         if k == 0:
             parts.append(text)
             continue
-        power = var if k == 1 else f"{var}^{k}"
+        power = "z" if k == 1 else f"z^{k}"
         if text == "1":
             parts.append(power)
         elif text == "-1":
             parts.append(f"-{power}")
         else:
             parts.append(f"{text}*{power}")
-    out = parts[0]
-    for item in parts[1:]:
-        out += f" - {item[1:]}" if item.startswith("-") else f" + {item}"
-    return out
+    return _join_terms(parts)
 
 
 def render_quat(q: Quaternion) -> str:
@@ -316,10 +311,8 @@ def render_cquat(x: CQuat) -> str:
     return str(x)
 
 
-def render_stem(stem: StemPoly, var: str = "z") -> str:
+def render_stem(stem: StemPoly) -> str:
     """Terms z^k*(coefficient), ascending; reparses to the same stem."""
-    if stem.is_zero:
-        return "0"
     parts = []
     columns = zip_longest(*(p.coeffs for p in stem.parts),
                           fillvalue=Fraction(0))
@@ -330,8 +323,8 @@ def render_stem(stem: StemPoly, var: str = "z") -> str:
         if k == 0:
             parts.append(body)
         elif k == 1:
-            parts.append(f"{var}*{body}")
+            parts.append(f"z*{body}")
         else:
-            parts.append(f"{var}^{k}*{body}")
-    return " + ".join(parts)
+            parts.append(f"z^{k}*{body}")
+    return " + ".join(parts) or "0"
 

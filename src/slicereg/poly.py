@@ -74,7 +74,7 @@ from .scalars import RATIONAL_TYPES, Frozen, as_rat, power
 class IntegerRows(Frozen):
     """The stored form that `Poly` and `stem.StemPoly` share, integer rows
     over one positive `den` in lowest terms, and the ring code that reads
-    only that form.  A subclass builds itself (`__new__`, `_from_ints`),
+    only that form.  A subclass builds itself (`__new__`, `_from_rows`),
     keeps its rows in `nums` (`_store` makes `nums` of the rows, `_rows`
     reads them back), names the scalars it lifts to constants (`_scalars`)
     and adds its coefficient views (`coeff` hashes a constant), its
@@ -109,7 +109,10 @@ class IntegerRows(Frozen):
 
     @classmethod
     def monomial(cls, degree: int, coeff=1):
-        return cls((0,) * degree + (coeff,))
+        """coeff * z^degree: the rows of the constant, shifted up."""
+        const = cls.constant(coeff)
+        return cls._from_rows([[0] * degree + xs if xs else xs
+                               for xs in const._rows], const.den)
 
     @property
     def is_zero(self) -> bool:
@@ -255,12 +258,9 @@ class Poly(IntegerRows):
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, z0):
-        """Horner evaluation on the integers, divided by den once; the
-        scalar kind follows z0 (a rational or a Gaussian rational)."""
-        acc = z0 * 0
-        for c in reversed(self.nums):
-            acc = acc * z0 + c
-        return acc * Fraction(1, self.den)
+        """Horner evaluation on the integers (`_divide_linear`), divided by
+        den once; the scalar kind follows z0 (rational or Gaussian)."""
+        return _divide_linear(self.nums, z0)[1] * Fraction(1, self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -532,19 +532,17 @@ def poly_gcd_many(polys) -> Poly:
 
 
 def _divide_linear(coeffs, z0):
-    """Synthetic division by (z - z0).
+    """Synthetic division by (z - z0), which is Horner's rule at z0.
 
     Returns (quotient coefficients ascending, remainder), where the
-    remainder equals the value at z0.
+    remainder equals the value at z0 (z0 * 0 for no coefficients).
     """
-    acc = coeffs[-1] * 0
+    acc = z0 * 0
     partial = []
     for c in reversed(coeffs):
         acc = acc * z0 + c
         partial.append(acc)
-    remainder = partial.pop()
-    partial.reverse()
-    return partial, remainder
+    return partial[-2::-1], acc
 
 
 def vanishing_order(p: Poly, z0) -> int:
@@ -652,15 +650,6 @@ class Matrix(Frozen):
     def _integer_rows(self) -> list:
         return _over_one_denominator(self.entries)[0]
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m, pivots = _integer_echelon(self._integer_rows(), self.cols)
-        reduced = [[Fraction(e, row[c]) for e in row]
-                   for row, c in zip(m, pivots)]
-        reduced += [[Fraction(0)] * self.cols
-                    for _ in range(self.rows - len(reduced))]
-        return reduced, pivots
-
     def rank(self) -> int:
         return len(_integer_echelon(self._integer_rows(), self.cols)[1])
 
@@ -673,12 +662,6 @@ class Matrix(Frozen):
             den = next(filter(None, reversed(v)))
             basis.append(tuple(Fraction(x, den) for x in v))
         return basis
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((row[c] * v[c] for c in range(self.cols)),
-                         Fraction(0)) for row in self.entries)
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"

@@ -17,7 +17,8 @@ tolerance, and evaluations report a truncation tail bound
 computed from a factorial majorant |a_k| <= C * A^k / k! tracked through
 the series operations.  For entire-function builders (cos, sin, exp and
 their half-argument variants) the majorant is sharp enough for practical
-certification; series that are plain polynomials report a zero tail.  For
+certification, and a series built from coefficients gets a majorant of
+them; series that are plain polynomials report a zero tail.  For
 evaluation points that are neither central nor real quaternions the bound
 uses sqrt(2)*|q| since the euclidean norm on the complexified algebra is
 only sqrt(2)-submultiplicative.
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
-from .algebra import CQuat, Quaternion, QuaternionBase, _mul_components
+from .algebra import CQuat, Quaternion, QuaternionBase, _horner_left
 from .errors import NearSingularSampleError
 from .poly import Poly
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat, Record
@@ -46,10 +48,10 @@ class TruncSeries(Frozen):
 
     __slots__ = ("order", "stem", "majorant", "is_polynomial")
 
-    def __init__(self, order: int, coeffs, majorant=(0.0, 0.0),
+    def __init__(self, order: int, coeffs, majorant=None,
                  is_polynomial: bool = True):
-        """coeffs is a StemPoly or a sequence of at most `order`
-        coefficients (quaternions or rationals)."""
+        """coeffs is a StemPoly or at most `order` coefficients (quaternions
+        or rationals); the majorant defaults to theirs (`_majorant`)."""
         if order < 1:
             raise ValueError("order must be at least 1")
         if isinstance(coeffs, StemPoly):
@@ -62,6 +64,8 @@ class TruncSeries(Frozen):
             raise ValueError("more coefficients than the order admits")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "stem", coeffs)
+        if majorant is None:
+            majorant = _majorant(coeffs)
         object.__setattr__(self, "majorant", (float(majorant[0]), float(majorant[1])))
         object.__setattr__(self, "is_polynomial", bool(is_polynomial))
 
@@ -162,24 +166,18 @@ class TruncSeries(Frozen):
         # sum_{k>=N} s^k/k! <= (s^N/N!) e^s, computed in log space.
         log_term = self.order * math.log(s) - math.lgamma(self.order + 1)
         try:
-            return c * math.exp(log_term + s)
+            return c * math.exp(log_term + s) if c < math.inf else c
         except OverflowError:
             return math.inf
 
     def eval_numeric(self, q) -> "EvalResult":
-        """Horner evaluation in double precision, with its tail bound.
-        The steps are the quaternion products and sums of `CQuatF`, run on
-        the four complex coordinates, so the value is the same to the bit."""
+        """Horner evaluation in double precision, with its tail bound: the
+        steps of `algebra._horner_left` are the quaternion products and
+        sums of `CQuatF`, so the value is the same to the bit."""
         q = CQuatF.coerce(q)
-        den, order = self.stem.den, self.order
-        parts = [[complex(x / den) for x in xs] + [0j] * (order - len(xs))
-                 for xs in self.stem.nums]
-        q0, q1, q2, q3 = q.components()
-        a0 = a1 = a2 = a3 = 0j
-        for c0, c1, c2, c3 in zip(*map(reversed, parts)):
-            p0, p1, p2, p3 = _mul_components(q0, q1, q2, q3, a0, a1, a2, a3)
-            a0, a1, a2, a3 = p0 + c0, p1 + c1, p2 + c2, p3 + c3
-        acc = CQuatF(a0, a1, a2, a3)
+        den = self.stem.den
+        acc = CQuatF(*_horner_left(q.components(), [
+            [complex(x / den) for x in xs] for xs in self.stem.nums]))
         radius = q.euclid()
         if not (q.is_central or q.is_real_quaternion):
             radius *= math.sqrt(2.0)
@@ -203,7 +201,19 @@ def _cut(stem: StemPoly, order: int) -> StemPoly:
     """The stem modulo z^order."""
     if stem.degree < order:
         return stem
-    return StemPoly._from_ints([xs[:order] for xs in stem.nums], stem.den)
+    return StemPoly._from_rows([xs[:order] for xs in stem.nums], stem.den)
+
+
+def _majorant(stem: StemPoly):
+    """(C, A) with |a_k| <= C * A**k / k! for the stem's coefficients:
+    (|a_0|, 0) for a constant, else (max |a_k| * k!, 1), or C = inf."""
+    try:
+        c = max((math.hypot(*(x / stem.den for x in a)) * math.factorial(k)
+                 for k, a in enumerate(zip_longest(*stem.nums, fillvalue=0))),
+                default=0.0)
+    except OverflowError:
+        c = math.inf
+    return c, float(stem.degree > 0)
 
 
 def _series_operand(value, order):

@@ -61,11 +61,12 @@ from fractions import Fraction
 from itertools import chain, zip_longest
 from math import lcm
 
-from .algebra import UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem
+from .algebra import (UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem,
+                      _horner_left)
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (_ZERO, IntegerRows, Poly, _digit_width, _fractions,
-                   _gcd_ints, _max_bits, _over_one_denominator, _pack,
-                   _unpack, vanishing_order)
+from .poly import (_ZERO, IntegerRows, Poly, _digit_width, _divide_linear,
+                   _fractions, _gcd_ints, _max_bits, _over_one_denominator,
+                   _pack, _unpack, vanishing_order)
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
@@ -149,7 +150,7 @@ class StemPoly(IntegerRows):
 
     def __new__(cls, coeffs=()):
         rows = [Quaternion.coerce(c).components() for c in coeffs]
-        return cls._from_ints(
+        return cls._from_rows(
             *_over_one_denominator(zip(*rows) if rows else [()] * 4))
 
     @classmethod
@@ -157,14 +158,8 @@ class StemPoly(IntegerRows):
         """The stem with these four component `Poly`s (any iterable)."""
         parts = tuple(parts)
         den = lcm(*(p.den for p in parts))
-        return cls._from_ints([[x * (den // p.den) for x in p.nums]
+        return cls._from_rows([[x * (den // p.den) for x in p.nums]
                                for p in parts], den)
-
-    @classmethod
-    def _from_ints(cls, nums, den: int) -> "StemPoly":
-        """The stem with components nums[r] / den, for four integer lists
-        and den > 0 (see `_from_rows`)."""
-        return cls._from_rows(nums, den)
 
     @property
     def _rows(self) -> tuple:
@@ -194,7 +189,7 @@ class StemPoly(IntegerRows):
         other = self._operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
-        return StemPoly._from_ints(_star_ints(self.nums, other.nums),
+        return StemPoly._from_rows(_star_ints(self.nums, other.nums),
                                    self.den * other.den)
 
     def __mul__(self, other):
@@ -216,7 +211,7 @@ class StemPoly(IntegerRows):
     def conj(self) -> "StemPoly":
         """Coefficientwise quaternionic conjugation; (F*G)^c = G^c * F^c."""
         n0, *imag = self.nums
-        return StemPoly._from_ints([n0] + [[-x for x in xs] for xs in imag],
+        return StemPoly._from_rows([n0] + [[-x for x in xs] for xs in imag],
                                    self.den)
 
     def trace(self) -> Poly:
@@ -235,7 +230,7 @@ class StemPoly(IntegerRows):
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""
-        return StemPoly._from_ints([[], *self.nums[1:]], self.den)
+        return StemPoly._from_rows([[], *self.nums[1:]], self.den)
 
     def is_slice_preserving(self) -> bool:
         return not any(self.nums[1:])
@@ -273,21 +268,17 @@ class StemPoly(IntegerRows):
     # -- evaluation ----------------------------------------------------------------
 
     def eval_stem(self, z0) -> CQuat:
-        """Value of the stem function at a point of C."""
+        """Value of the stem function at a point of C: each stored list
+        by Horner's rule (`_divide_linear`), over den once."""
         z0 = GaussRat.coerce(z0)
-        return CQuat(*(p(z0) for p in self.parts))
+        value = CQuat(*(_divide_linear(xs, z0)[1] for xs in self.nums))
+        return value * Fraction(1, self.den)
 
     def eval_slice(self, q) -> Quaternion:
-        """Value of the slice regular polynomial at a quaternion,
-        computed as the direct power sum with right coefficients."""
-        q = Quaternion.coerce(q)
-        coeffs = self.coeffs
-        if not coeffs:
-            return Quaternion()
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = q * acc + c
-        return acc
+        """Value of the slice regular polynomial at a quaternion (right
+        coefficients): `algebra._horner_left` on the stored lists."""
+        acc = _horner_left(Quaternion.coerce(q).components(), self.nums)
+        return Quaternion(*acc) * Fraction(1, self.den)
 
     # -- display --------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
 from types import SimpleNamespace
 
 from slicereg import (CQuat, CQuatF, GaussRat, Matrix, NotInWError, Poly,
@@ -20,7 +19,7 @@ from slicereg.equiv import _relation_block
 from slicereg.parsing import render_stem
 from slicereg.poly import _over_one_denominator
 from slicereg.scalars import Record
-from slicereg.series import _cut
+from slicereg.series import _cut, _majorant
 from slicereg.stem import _star_ints
 
 
@@ -158,13 +157,7 @@ def series_from_stem(stem: StemPoly, order: int | None = None) -> TruncSeries:
         order = max(stem.degree + 1, 1)
     if order > stem.degree:
         return TruncSeries(order, stem)
-    den = stem.den
-    c = max((math.sqrt(sum((x / den) ** 2 for x in column))
-             * math.factorial(k)
-             for k, column in enumerate(zip_longest(*stem.nums,
-                                                    fillvalue=0))),
-            default=0.0)
-    return TruncSeries(order, _cut(stem, order), (c, 1.0), False)
+    return TruncSeries(order, _cut(stem, order), _majorant(stem), False)
 
 
 def reference_find_intertwiner(first: StemPoly, second: StemPoly,
@@ -202,7 +195,7 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
         raise AssertionError("kernel vector failed re-verification")
     basis = []
     for (nums,), vec_den in scaled:
-        alpha = StemPoly._from_ints([nums[r::4] for r in range(4)], vec_den)
+        alpha = StemPoly._from_rows([nums[r::4] for r in range(4)], vec_den)
         # Over the first nonzero component of the lowest-degree coefficient.
         lead = next(xs[k] for k in range(alpha.degree + 1)
                     for xs in alpha.nums if k < len(xs) and xs[k])

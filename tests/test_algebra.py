@@ -150,7 +150,8 @@ def test_conj_by_unit_values():
 
 
 def test_aut_to_matrix_values():
-    assert aut_to_matrix(Quaternion(1)) == SO3Matrix.identity()
+    assert aut_to_matrix(Quaternion(1)) == SO3Matrix(((1, 0, 0), (0, 1, 0),
+                                                     (0, 0, 1)))
     m = aut_to_matrix(1 + QK)  # quarter turn about the k axis
     assert so3_apply(m, CQuat(0, 1)) == CQuat(0, 0, 1)
     assert so3_apply(m, CQuat(0, 0, 1)) == CQuat(0, -1)

@@ -157,6 +157,44 @@ def test_parse_and_usage_errors(capsys):
     assert "--samples: bad sample 'abc'" in capsys.readouterr().err
 
 
+def test_numbers_above_4300_digits_are_read_and_printed_in_full(capsys):
+    """CPython refuses int <-> str conversions above 4300 digits by
+    default; the command line lifts that cap for the length of a call."""
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    big = "1" + "0" * 5000
+    code, out = run_cli(capsys, "invariants", "(10^500)^5*z + i")
+    assert code == 0
+    assert f"norm: 1 + {big}*z^2" in out.splitlines()
+    code, doc = run_json(capsys, "invariants", "(10^500)^5*z + i")
+    assert code == 0 and doc["norm"] == f"1 + {big}*z^2"
+    assert run_cli(capsys, "eval", "z^17", "--at", "10^300") == (
+        0, f"value: 1{'0' * 5100}\n")
+    # A literal that long is read by the tokenizer.
+    code, out = run_cli(capsys, "cdiv", f"{big}*z*i + z^2*j")
+    assert (code, out) == (0, "cdiv: z\n")
+    assert get_limit() == limit
+
+
+def test_an_expression_may_start_with_a_minus(capsys):
+    """An argument with one leading "-" that names no option is a value,
+    as it is after "--"; the registered flags keep their meaning."""
+    assert run_cli(capsys, "orbit", "i", "-i") == (
+        0, "orbit-equivalent: true\n")
+    assert run_cli(capsys, "equiv", "i", "-j")[0] == 0
+    assert run_cli(capsys, "invariants", "-z*i") == run_cli(
+        capsys, "invariants", "--", "-z*i") == (
+        0, "trace: 0\nnorm: z^2\ncdiv: z\n")
+    code, doc = run_json(capsys, "invariants", "-z*i")
+    assert doc["inputs"] == ["-z*i"]
+    assert run_cli(capsys, "eval", "-z", "--at", "-i") == (0, "value: i\n")
+    code, out = run_cli(capsys, "invariants", "-h")
+    assert code == 0 and out.startswith("usage: slicereg invariants")
+    # A negative number still goes to the option that takes it.
+    assert main(["intertwine", "i", "j", "--degree-max", "-1"]) == 2
+    assert "--degree-max: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_series_check_command(capsys):
     code, out = run_cli(capsys, "series-check", "--order", "24")
     assert code == 0

@@ -13,8 +13,9 @@ from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
                       equivalent, find_intertwiner, parse_stem, poly_gcd,
                       poly_gcd_many, vanishing_order)
 import slicereg.poly as poly
-from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_nullspace,
-                           _over_one_denominator, _pack, _unpack)
+from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_echelon,
+                           _integer_nullspace, _over_one_denominator, _pack,
+                           _unpack)
 
 from support import (PACKING_BRANCHES, leading, rand_fraction, rand_poly,
                      rand_pure_imaginary_quaternion, rand_stem_nonslice)
@@ -138,7 +139,8 @@ def test_nullspace_contract_on_random_matrices():
         basis = m.nullspace()
         assert m.rank() + len(basis) == cols
         for v in basis:
-            assert all(entry == 0 for entry in m.mul_vector(v))
+            assert all(sum(e * x for e, x in zip(row, v)) == 0
+                       for row in m.entries)
 
 
 # -- the integer kernels against sympy and against the field routes ------------
@@ -694,10 +696,14 @@ def _check_against_sympy(sp, m: Matrix):
 
     oracle = sp.Matrix([[rat(e) for e in row] for row in m.entries])
     want, want_pivots = oracle.rref()
-    reduced, pivots = m.rref()
+    # The RREF is the integer echelon's rows over their pivots, then zeros.
+    echelon, pivots = _integer_echelon(_over_one_denominator(m.entries)[0],
+                                       m.cols)
+    reduced = [[Fraction(e, row[c]) for e in row]
+               for row, c in zip(echelon, pivots)]
+    reduced += [[0] * m.cols] * (m.rows - len(reduced))
     assert tuple(pivots) == want_pivots
     assert [[rat(e) for e in row] for row in reduced] == want.tolist()
-    assert all(type(e) is Fraction for row in reduced for e in row)
     assert m.rank() == oracle.rank()
     basis = m.nullspace()
     assert [[rat(e) for e in v] for v in basis] == [list(v) for v in oracle.nullspace()]

@@ -99,6 +99,51 @@ def test_tail_bound_is_honest_for_builders():
     assert taylor_series("cos", 40).tail_bound(1e10) == math.inf
 
 
+def test_tail_bound_is_honest_for_products_and_sums():
+    """Every reported tail bounds the true error of the truncated series,
+    for builders times constants (either side), sums and products, and a
+    product with a polynomial series, at central points with |z| <= 1.5."""
+    cos, sin, exp = (taylor_series(kind, 10) for kind in ("cos", "sin", "exp"))
+    poly = TruncSeries(10, [1, QI, QJ * Fraction(1, 2)])
+    cases = (
+        (cos * QI, lambda z: CQuatF(cmath.cos(z)) * QI),
+        (QJ * sin, lambda z: QJ * CQuatF(cmath.sin(z))),
+        (exp * (1 + QK), lambda z: CQuatF(cmath.exp(z)) * (1 + QK)),
+        (cos * QI + sin * QJ,
+         lambda z: CQuatF(0, cmath.cos(z), cmath.sin(z), 0)),
+        ((cos * QI) * (sin * QJ),
+         lambda z: CQuatF(0, 0, 0, cmath.cos(z) * cmath.sin(z))),
+        (exp * poly, lambda z: CQuatF(cmath.exp(z))
+         * CQuatF(1, z, z * z / 2, 0)),
+        (cos + exp * QK - poly,
+         lambda z: CQuatF(cmath.cos(z) - 1, -z, -z * z / 2, cmath.exp(z))),
+    )
+    points = DEFAULT_SAMPLES + (1.5, -1.5, 1.5j, cmath.rect(1.5, 2.0))
+    for series, function in cases:
+        assert series.majorant[0] > 0
+        for z in points:
+            value, tail = series.eval_numeric(CQuatF(z))
+            assert value.distance(function(z)) <= tail
+    # The example that read a zero tail: cos * i at 1.5.
+    value, tail = (cos * QI).eval_numeric(CQuatF(1.5))
+    assert value.distance(CQuatF(0, math.cos(1.5))) > 1e-5
+    assert tail == cos.eval_numeric(CQuatF(1.5)).tail_bound
+
+
+def test_a_series_from_coefficients_gets_their_majorant():
+    """A constant q gets (|q|, 0), a polynomial (max |a_k| * k!, 1), and a
+    polynomial series still reports an exact zero tail."""
+    assert TruncSeries.constant(QI + QJ, 3).majorant == (math.sqrt(2), 0.0)
+    assert TruncSeries.constant(0, 3).majorant == (0.0, 0.0)
+    series = TruncSeries(4, [1, QI, Fraction(-3, 2) * QJ])
+    assert series.majorant == (3.0, 1.0)
+    assert series.eval_numeric(CQuatF(1.5)).tail_bound == 0.0
+    # Past the largest factorial a float holds, the majorant is infinite.
+    assert TruncSeries(200, [0] * 199 + [1]).majorant == (math.inf, 1.0)
+    assert (TruncSeries(200, [0] * 199 + [1]) * taylor_series("exp", 200)
+            ).tail_bound(1e-3) == math.inf
+
+
 def test_polynomial_series_evaluates_exactly():
     rng = random.Random(777)
     for _ in range(20):

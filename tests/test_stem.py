@@ -5,7 +5,7 @@ from itertools import chain, product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicereg import (SLICE_PRESERVING, CQuat, Divisor, GaussRat, Poly,
@@ -38,6 +38,18 @@ F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
 G_PAIR = parse_stem("(1 + (1/2)*z^2)*i")
 QUARTIC = Poly([1, 0, 1, 0, Fraction(1, 4)])
 ZP = Poly.monomial(1)
+
+
+def test_monomial_shifts_the_rows_of_the_constant():
+    """`monomial` builds its rows from the constant's, and equals the
+    value built from the whole coefficient list."""
+    for k in (0, 1, 7):
+        for c in (0, 1, -3, Fraction(-4, 6)):
+            assert Poly.monomial(k, c) == Poly([0] * k + [c])
+            assert StemPoly.monomial(k, c) == StemPoly([0] * k + [c])
+        for q in (QI, Quaternion(Fraction(1, 2), 0, -3, Fraction(2, 3))):
+            assert StemPoly.monomial(k, q) == StemPoly([0] * k + [q])
+            assert StemPoly.monomial(k, q).coeffs == (0,) * k + (q,)
 
 
 def test_star_product_values():
@@ -482,6 +494,38 @@ def test_eval_slice_representation_consistency():
         stem = rand_stem(rng)
         q = rand_quaternion(rng)
         assert stem.eval_slice(q) == eval_slice_split(stem, q)
+
+
+@given(mixed_stems, mixed_quaternions)
+def test_eval_slice_matches_the_split_route(stem, q):
+    """The slice Horner (the point on the left of the stored integer
+    lists) against the center + imaginary-direction reference."""
+    assert stem.eval_slice(q) == eval_slice_split(stem, q)
+
+
+def _sympy_rational(sp, x: Fraction):
+    return sp.Rational(x.numerator, x.denominator)
+
+
+@settings(deadline=None, max_examples=50)
+@given(mixed_stems, mixed_fractions, mixed_fractions)
+def test_eval_stem_and_poly_call_match_sympy(stem, re, im):
+    """The scalar Horner of `eval_stem` and `Poly.__call__` at a Gaussian
+    point against sympy's expansion of each component's power sum."""
+    sp = pytest.importorskip("sympy")
+    z0 = GaussRat(re, im)
+    point = _sympy_rational(sp, re) + sp.I * _sympy_rational(sp, im)
+    value = stem.eval_stem(z0)
+    for part, got in zip(stem.parts, value.components()):
+        want = sp.expand(sum((_sympy_rational(sp, c) * point ** k
+                              for k, c in enumerate(part.coeffs)),
+                             sp.Integer(0)))
+        real, imag = (Fraction(int(x.p), int(x.q)) for x in want.as_real_imag())
+        assert (got.re, got.im) == (real, imag)
+        assert part(z0) == got
+    assert all(type(part(re)) is Fraction for part in stem.parts)
+    assert [part(re) for part in stem.parts] == [
+        c.re for c in stem.eval_stem(re).components()]
 
 
 def test_pointwise_norm_compatibility():
