@@ -9,6 +9,10 @@ Conventions
   rationals, `series.CQuatF` complex floats.  Mixed operands promote
   along Quaternion -> CQuat -> CQuatF, and a Gaussian scalar takes a
   `Quaternion` into `CQuat`, so every exact mix computes in `CQuat`.
+* `_mul_components` is the one quaternion product formula.  It holds
+  over any commutative coefficient ring, so it serves these three fields,
+  Horner's rule (`_horner_left`), the stem product on packed integers
+  (`poly._kronecker`) and the intertwiner's linear system alike.
 * The center is exactly the set of elements with zero i, j, k parts; in
   `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
   conjugation commute.
@@ -60,22 +64,6 @@ def _horner_left(q, rows):
         p0, p1, p2, p3 = _mul_components(q0, q1, q2, q3, a0, a1, a2, a3)
         a0, a1, a2, a3 = p0 + c0, p1 + c1, p2 + c2, p3 + c3
     return a0, a1, a2, a3
-
-
-def _unit_product(s: int, t: int):
-    """(r, sign) with e_s * e_t = sign * e_r for the basis units
-    (1, i, j, k), read off `_mul_components`."""
-    product = _mul_components(*(int(s == r) for r in range(4)),
-                              *(int(t == r) for r in range(4)))
-    return next((r, sign) for r, sign in enumerate(product) if sign)
-
-
-# The same product as a sign pattern on the basis units:
-# e_s * e_t = sign * e_r with (r, sign) = UNIT_PRODUCTS[s][t].  Kernels
-# that multiply whole component lists (stem products, the linear system
-# of an intertwiner) read it instead of spelling the product out again.
-UNIT_PRODUCTS = tuple(tuple(_unit_product(s, t) for t in range(4))
-                      for s in range(4))
 
 
 class QuaternionBase(Frozen):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -566,9 +567,19 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
         except SliceRegError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            # The reader closed stdout: an error, not a verdict.  What is
+            # still buffered goes to devnull, so the interpreter's flush at
+            # exit does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return 2
     finally:
         if limit is not None:

@@ -27,15 +27,16 @@ bound come out of one exact nullspace (none when trace or norm differ: a
 nonzero alpha is invertible over Q(z)).  The system is assembled on
 integers: F and H are scaled by one common denominator, each pair of
 coefficients (F_q, H_q) gives the 4x4 integer blocks of a -> F_q a - a H_q
-and a -> H_q a - a F_q once, from the sign pattern of the quaternion unit
-products, and the rows are block-Toeplitz strips of those blocks, which
-the integer kernel `poly._integer_nullspace` eliminates fraction-free.  Its
-integer null vectors are then checked by multiplication, independently of
-the rows: they are stacked into one integer stem A, vector i at
-z^(i*step), with step one more than the highest degree a product of F or
-H with one vector can reach.  Each relation is then two products of stems
-packed at one width (F A against A H, and A F against H A, through
-`stem._star_packed`), equal iff their balanced digits are.  Since z is
+and a -> H_q a - a F_q once, each column the image of a unit under the
+quaternion product `algebra._mul_components`, and the rows are
+block-Toeplitz strips of those blocks, which the integer kernel
+`poly._integer_nullspace` eliminates fraction-free.  Its integer null
+vectors are then checked by multiplication, independently of the rows:
+they are stacked into one integer stem A, vector i at z^(i*step), with
+step one more than the highest degree a product of F or H with one vector
+can reach.  Each relation is then two products of stems packed at one
+width (F A against A H, and A F against H A, each `_mul_components` of
+the packed components), equal iff their balanced digits are.  Since z is
 central and the blocks of a product never meet, A satisfies a relation
 exactly when every kernel vector does.  When trace(F) = trace(H)
 the two relations are exchanged by alpha -> alpha^c, so the solution
@@ -51,15 +52,16 @@ inverse exists only away from the norm's zero set.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain, zip_longest
 from math import lcm
 
-from .algebra import UNIT_PRODUCTS, CQuat, bform
+from .algebra import CQuat, _mul_components, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import Poly, _gcd_ints, _integer_nullspace, _max_bits, _pack
+from .poly import (Poly, _gcd_ints, _integer_nullspace, _max_bits, _pack,
+                   _product_width)
 from .scalars import GaussRat, Record
-from .stem import (SLICE_PRESERVING, R3StemPoly, StemPoly, _packed,
-                   _star_packed, _star_width)
+from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _packed
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -254,15 +256,11 @@ MAX_INTERTWINER_UNKNOWNS = 256
 
 def _relation_block(c, d):
     """The integer 4x4 matrix of a -> c * a - a * d on the components
-    (1, i, j, k) of a, for c and d given by their components."""
-    block = [[0] * 4 for _ in range(4)]
-    for s in range(4):
-        for t in range(4):
-            r, sign = UNIT_PRODUCTS[s][t]     # c_s e_s * e_t
-            block[r][t] += sign * c[s]
-            r, sign = UNIT_PRODUCTS[t][s]     # e_t * d_s e_s
-            block[r][t] -= sign * d[s]
-    return block
+    (1, i, j, k) of a, for c and d given by their components: column t is
+    the image c * e_t - e_t * d of the unit e_t."""
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return list(zip(*[map(operator.sub, _mul_components(*c, *e),
+                          _mul_components(*e, *d)) for e in units]))
 
 
 def find_intertwiner(first: StemPoly, second: StemPoly,
@@ -319,11 +317,11 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     for vec in kernel:
         for r, comp in enumerate(stacked):
             comp += vec[r::4] + [0] * (top - dmax)
-    width = _star_width(f + h, stacked)
+    width = max(_product_width(f, stacked), _product_width(h, stacked))
     f, h, stacked = ([_pack(xs, width) for xs in stem]
                      for stem in (f, h, stacked))
-    if (_star_packed(f, stacked) != _star_packed(stacked, h)
-            or _star_packed(stacked, f) != _star_packed(h, stacked)):
+    if (_mul_components(*f, *stacked) != _mul_components(*stacked, *h)
+            or _mul_components(*stacked, *f) != _mul_components(*h, *stacked)):
         raise AssertionError("kernel vector failed re-verification")
     return [_over_lead(vec) for vec in kernel]
 

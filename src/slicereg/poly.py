@@ -12,15 +12,17 @@ sums, negation, scalar multiples, powers, `==`, `hash`) is written once,
 in the base `IntegerRows` of `Poly` (one row) and `stem.StemPoly` (four).
 
 Operations run on the stored integers, and stay exact.  A sum brings both
-operands to the lcm of their denominators.  A product multiplies once as
-big integers by Kronecker substitution (each operand packed into one
-integer, a digit per coefficient, wide enough that no digit of the
-product overflows), unpacks and divides by the two denominators.  The
-packing (`_pack`, `_unpack`) is shared with the stem product of `stem.py`.
-A list shorter than `_SHIFT_BELOW` is packed by shifts and unpacked by
-masks, a longer one by one byte copy (`_pack` gives the sweep that set
-the crossover).  Both paths raise OverflowError on a digit that does not
-fit the width and on a value that n digits cannot hold.
+operands to the lcm of their denominators.  A product runs through
+`_kronecker`, the one packed-product kernel, which the stem product of
+`stem.py` shares: each component list of an operand (one here, four for
+a stem) is packed into one integer, a digit per coefficient, at one width
+(`_product_width`) wide enough that no digit of the product overflows;
+the packed components are multiplied as big integers (Kronecker
+substitution), and each sum is unpacked once and divided by the two
+denominators.  A list shorter than `_SHIFT_BELOW` is packed by shifts
+and unpacked by masks, a longer one by one byte copy (`_pack` gives the
+sweep that set the crossover).  Both paths raise OverflowError on a digit
+that does not fit the width and on a value that n digits cannot hold.
 
 `_gcd_ints`, behind `poly_gcd_many`, `StemPoly.central_divisor` and the
 equivalence decision, takes the heuristic gcd GCDHEU (Char, Geddes and
@@ -215,9 +217,7 @@ class Poly(IntegerRows):
         if isinstance(other, RATIONAL_TYPES):
             return self._scaled(other)
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            return Poly._from_ints(_kronecker(self.nums, other.nums),
+            return Poly._from_rows(_kronecker(self._rows, other._rows),
                                    self.den * other.den)
         return NotImplemented
 
@@ -408,15 +408,32 @@ def _max_bits(xs) -> int:
     return max(map(abs, xs), default=0).bit_length()
 
 
-def _kronecker(a, b):
-    """The coefficients of the product of two nonzero integer polynomials:
-    one big-integer multiply of the packed operands.  A product
-    coefficient is a sum of at most min(len a, len b) products of an
-    entry of a and an entry of b, which bounds its bit length."""
-    width = _digit_width(_max_bits(a) + _max_bits(b)
-                         + min(len(a), len(b)).bit_length())
-    return _unpack(_pack(a, width) * _pack(b, width),
-                   len(a) + len(b) - 1, width)
+def _kronecker(left, right, product=lambda a, b: (a * b,)):
+    """The product of two integer polynomials given by their component
+    lists (one for a `Poly`, four for a stem), as component lists of
+    length m + n - 1 for the longest lists m of `left` and n of `right`
+    (untrimmed).  Each list is packed once at `_product_width`, `product`
+    multiplies the packed components into packed sums (the default one
+    row by one row, `algebra._mul_components` four by four), and each sum
+    is unpacked once."""
+    width = _product_width(left, right)
+    sums = product(*(_pack(xs, width) for xs in left),
+                   *(_pack(xs, width) for xs in right))
+    n = max(map(len, left)) + max(map(len, right)) - 1
+    return [_unpack(acc, n, width) for acc in sums]
+
+
+def _product_width(left, right) -> int:
+    """The digit width at which `_kronecker` multiplies these component
+    lists: an output digit sums len(left) signed convolution coefficients,
+    each of at most min(m, n) products of an entry of each side (m, n the
+    longest lists), and (len(left) - 1).bit_length() bits over that bound
+    cover the sum."""
+    return _digit_width(_max_bits(chain.from_iterable(left))
+                        + _max_bits(chain.from_iterable(right))
+                        + min(max(map(len, left)),
+                              max(map(len, right))).bit_length()
+                        + (len(left) - 1).bit_length())
 
 
 # Evaluation points a heuristic gcd tries before it falls back to Euclid.
@@ -444,7 +461,7 @@ def _divides(g, at_g, x, at_x, width: int) -> bool:
     if max(_max_bits(q) + _max_bits(g) + min(len(q), len(g)).bit_length(),
            _max_bits(x)) < 8 * width:
         return True
-    return _kronecker(q, g) == x
+    return _kronecker([q], [g]) == [x]
 
 
 def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
@@ -649,9 +666,6 @@ class Matrix(Frozen):
 
     def _integer_rows(self) -> list:
         return _over_one_denominator(self.entries)[0]
-
-    def rank(self) -> int:
-        return len(_integer_echelon(self._integer_rows(), self.cols)[1])
 
     def nullspace(self):
         """Exact basis of the right kernel {v : M v = 0}, empty iff it is

@@ -34,13 +34,13 @@ packed sum of squares (`_packed`) over den**2.
 
 The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
-the stored lists (`_star_ints`): each of the eight components is packed
-once into one big integer (Kronecker substitution, at one digit width
-wide enough for every digit of the result; `poly._pack` shifts a short
-list in and byte-copies a long one).  The sixteen products of packed
-components are accumulated, with the signs of the quaternion unit
-table, into four packed sums; each sum is unpacked once, over the
-product of the two denominators.
+the stored lists through `poly._kronecker`, the kernel of the `Poly`
+product: each of the eight components is packed once into one big
+integer (Kronecker substitution, at one digit width wide enough for every
+digit of the result), and the quaternion product formula
+`algebra._mul_components`, which holds over any commutative ring and so
+over Z, multiplies the packed components into four packed sums; each sum
+is unpacked once, over the product of the two denominators.
 
 The center / trace-free split F = (F', F'') is read off `nums`: F' = c0,
 and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
@@ -58,15 +58,15 @@ under pointwise conjugation by invertible elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from math import lcm
 
-from .algebra import (UNIT_PRODUCTS, CQuat, Pair, Quaternion, R3Elem,
-                      _horner_left)
+from .algebra import (CQuat, Pair, Quaternion, R3Elem, _horner_left,
+                      _mul_components)
 from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (_ZERO, IntegerRows, Poly, _digit_width, _divide_linear,
-                   _fractions, _gcd_ints, _max_bits, _over_one_denominator,
-                   _pack, _unpack, vanishing_order)
+                   _fractions, _gcd_ints, _kronecker, _max_bits,
+                   _over_one_denominator, _pack, _unpack, vanishing_order)
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
@@ -189,8 +189,9 @@ class StemPoly(IntegerRows):
         other = self._operand(other)
         if other is None:
             raise TypeError("star expects a stem polynomial or a coefficient")
-        return StemPoly._from_rows(_star_ints(self.nums, other.nums),
-                                   self.den * other.den)
+        return StemPoly._from_rows(
+            _kronecker(self.nums, other.nums, _mul_components),
+            self.den * other.den)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -301,47 +302,6 @@ def _packed(parts, bits: int, n: int):
     xi determines it."""
     width = _digit_width(2 * bits + n.bit_length() + 2)
     return [_pack(p, width) for p in parts], width
-
-
-def _star_ints(left, right):
-    """The product of two stems given as integer component lists
-    (c0, c1, c2, c3): four integer lists, each of length m + n - 1 for the
-    longest components m of `left` and n of `right` (untrimmed), or four
-    empty lists when a side has no coefficient."""
-    m, n = max(map(len, left)), max(map(len, right))
-    if not m or not n:
-        return [[], [], [], []]
-    width = _star_width(left, right)
-    sums = _star_packed([_pack(a, width) for a in left],
-                        [_pack(b, width) for b in right])
-    return [_unpack(acc, m + n - 1, width) for acc in sums]
-
-
-def _star_width(left, right) -> int:
-    """The digit width at which `_star_packed` multiplies stems with these
-    integer component lists: an output digit sums four signed convolution
-    coefficients, each of at most min(m, n) products of an entry of each
-    side (m, n the longest lists), and 2 bits over that bound cover it."""
-    return _digit_width(_max_bits(chain.from_iterable(left))
-                        + _max_bits(chain.from_iterable(right))
-                        + min(max(map(len, left)),
-                              max(map(len, right))).bit_length() + 2)
-
-
-def _star_packed(left, right) -> list:
-    """The product of two stems given as components packed at one width
-    (`_star_width`), as four packed components: the sixteen products, summed
-    with the signs of the quaternion unit table."""
-    sums = [0, 0, 0, 0]
-    for s, a in enumerate(left):
-        for t, b in enumerate(right):
-            if a and b:
-                r, sign = UNIT_PRODUCTS[s][t]
-                if sign > 0:
-                    sums[r] += a * b
-                else:
-                    sums[r] -= a * b
-    return sums
 
 
 Z = StemPoly.monomial(1)

@@ -15,12 +15,12 @@ from types import SimpleNamespace
 from slicereg import (CQuat, CQuatF, GaussRat, Matrix, NotInWError, Poly,
                       Quaternion, SO3Matrix, StemPoly, TruncSeries,
                       ZeroPolynomialError)
+from slicereg.algebra import _mul_components
 from slicereg.equiv import _relation_block
 from slicereg.parsing import render_stem
-from slicereg.poly import _over_one_denominator
+from slicereg.poly import _kronecker, _over_one_denominator
 from slicereg.scalars import Record
 from slicereg.series import _cut, _majorant
-from slicereg.stem import _star_ints
 
 
 # Values of `slicereg.poly._SHIFT_BELOW` that send every `_pack` and
@@ -165,7 +165,7 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
     """The intertwiner search on the rational `Matrix`: the integer system
     of `find_intertwiner` (no early exit on trace or norm) handed to
     `Matrix.nullspace`, each `Fraction` kernel vector scaled back to
-    integers, the stacked re-verification through `_star_ints`, and the
+    integers, the stacked re-verification through `_kronecker`, and the
     normalization of `normalize_intertwiner` as a rational multiple: the
     reference that `find_intertwiner` is checked against."""
     size = max(first.degree, second.degree) + 1
@@ -190,8 +190,10 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
     for (nums,), _ in scaled:
         for r, comp in enumerate(stacked):
             comp += nums[r::4] + [0] * (top - dmax)
-    if (_star_ints(f, stacked) != _star_ints(stacked, h)
-            or _star_ints(stacked, f) != _star_ints(h, stacked)):
+    if (_kronecker(f, stacked, _mul_components)
+            != _kronecker(stacked, h, _mul_components)
+            or _kronecker(stacked, f, _mul_components)
+            != _kronecker(h, stacked, _mul_components)):
         raise AssertionError("kernel vector failed re-verification")
     basis = []
     for (nums,), vec_den in scaled:

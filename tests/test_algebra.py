@@ -341,10 +341,14 @@ def test_repr_str_and_immutability_are_pinned():
             value.c0 = 0
 
 
-def test_unit_products_table_matches_the_quaternion_product():
-    from slicereg.algebra import UNIT_PRODUCTS
-    units = (Quaternion(1), QI, QJ, QK)
-    for s, es in enumerate(units):
-        for t, et in enumerate(units):
-            r, sign = UNIT_PRODUCTS[s][t]
-            assert es * et == units[r] * sign
+def test_relation_block_matches_the_quaternion_product():
+    from slicereg.equiv import _relation_block
+    rng = random.Random(344)
+    for _ in range(20):
+        c, d, a = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(3))
+        block = _relation_block(c, d)
+        cq, dq = Quaternion(*c), Quaternion(*d)
+        for aq in (Quaternion(1), QI, QJ, QK, Quaternion(*a)):
+            image = [sum(e * x for e, x in zip(row, aq.components()))
+                     for row in block]
+            assert Quaternion(*image) == cq * aq - aq * dq

@@ -232,6 +232,21 @@ def test_module_entry_point_smoke():
     assert "cdiv mismatch" in proc.stdout
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    # 117 kB of invariants, more than a pipe holds: the reader takes 10
+    # bytes and closes, so a later write meets a closed pipe, whatever
+    # the buffering.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slicereg", "invariants", "(1+z*i+z^2*j)^300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
 def test_import_pulls_in_no_heavy_standard_modules():
     # Start-up sets the wait for every CLI command, so importing the
     # package and its CLI must not load `dataclasses` (with `inspect`

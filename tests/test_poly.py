@@ -129,6 +129,11 @@ def test_nullspace_values():
     assert v[0] * Fraction(-1) == v[1]
 
 
+def _rank(m: Matrix) -> int:
+    return len(_integer_echelon(_over_one_denominator(m.entries)[0],
+                                m.cols)[1])
+
+
 def test_nullspace_contract_on_random_matrices():
     rng = random.Random(5280)
     for _ in range(40):
@@ -137,7 +142,7 @@ def test_nullspace_contract_on_random_matrices():
         m = Matrix([[rand_fraction(rng, 4, 4) for _ in range(cols)]
                     for _ in range(rows)])
         basis = m.nullspace()
-        assert m.rank() + len(basis) == cols
+        assert _rank(m) + len(basis) == cols
         for v in basis:
             assert all(sum(e * x for e, x in zip(row, v)) == 0
                        for row in m.entries)
@@ -209,6 +214,30 @@ def test_products_of_large_coefficients_match_the_schoolbook():
                   for _ in range(rng.randint(0, 12))] + [Fraction(2 ** bits - 1)])
         assert a * b == _schoolbook(a, b)
         assert a * a == _schoolbook(a, a)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+def test_product_digit_width_holds_at_the_worst_case(bits, monkeypatch):
+    """Every entry +-(2**bits - 1), signed so that all products of a
+    digit add: the largest digits a packed `Poly` product can have,
+    against the schoolbook product, on both packing paths."""
+    c = 2 ** bits - 1
+    lengths = (1, 2, 3, 4, 5, 6, 7, 8, 256)
+    cases = []
+    for sign in (1, -1):               # the most negative digits as well
+        for m in lengths:
+            for n in lengths:
+                a, b = [sign * c] * m, [c] * n
+                out = [0] * (m + n - 1)
+                for i, x in enumerate(a):
+                    for k, y in enumerate(b):
+                        out[i + k] += x * y
+                cases.append((a, b, out))
+    for crossover in PACKING_BRANCHES.values():
+        monkeypatch.setattr(poly, "_SHIFT_BELOW", crossover)
+        for a, b, out in cases:
+            assert poly._kronecker([a], [b]) == [out]
+            assert Poly(a) * Poly(b) == Poly(out)
 
 
 def test_products_of_int_and_fraction_coefficients_are_fractions():
@@ -704,7 +733,7 @@ def _check_against_sympy(sp, m: Matrix):
     reduced += [[0] * m.cols] * (m.rows - len(reduced))
     assert tuple(pivots) == want_pivots
     assert [[rat(e) for e in row] for row in reduced] == want.tolist()
-    assert m.rank() == oracle.rank()
+    assert len(pivots) == oracle.rank()
     basis = m.nullspace()
     assert [[rat(e) for e in v] for v in basis] == [list(v) for v in oracle.nullspace()]
     assert all(type(e) is Fraction for v in basis for e in v)
@@ -748,7 +777,7 @@ def _check_kernel(rows, cols, sp=None):
         assert gcd(*v) == 1 and next(filter(None, reversed(v))) > 0
     if rows:
         m = Matrix(rows)
-        assert len(basis) == cols - m.rank()
+        assert len(basis) == cols - _rank(m)
         assert basis == _primitive(m.nullspace())
     if sp is not None:
         oracle = sp.Matrix(rows) if rows else sp.zeros(0, cols)

@@ -123,7 +123,8 @@ def test_star_digit_width_holds_at_the_worst_case(bits, monkeypatch):
 
 
 def _check_star_at_the_worst_case(bits):
-    from slicereg.stem import _star_ints
+    from slicereg.algebra import _mul_components
+    from slicereg.poly import _kronecker
     c = 2 ** bits - 1
     lengths = (1, 2, 3, 4, 7, 8)
     for r, signs in enumerate(_ALIGNED_SIGNS):
@@ -137,7 +138,8 @@ def _check_star_at_the_worst_case(bits):
             left, right = StemPoly([lcoef] * m), StemPoly([rcoef] * n)
             expected = convolve_stems(left, right)
             assert left.star(right) == expected
-            assert _star_ints(_ints(left), _ints(right)) == [
+            assert _kronecker(_ints(left), _ints(right),
+                              _mul_components) == [
                 [p.coeff(k) for k in range(m + n - 1)] for p in expected.parts]
         # Up to 256 products add in one digit here; the convolution is
         # taken in closed form, as the reference would take seconds.
@@ -146,7 +148,8 @@ def _check_star_at_the_worst_case(bits):
             expected = [[top * (min(k, m - 1, n - 1, m + n - 2 - k) + 1)
                          if t == r else 0 for k in range(m + n - 1)]
                         for t in range(4)]
-            assert _star_ints(_ints(left), _ints(right)) == expected
+            assert _kronecker(_ints(left), _ints(right),
+                              _mul_components) == expected
             assert left.star(right).parts == tuple(map(Poly, expected))
 
 
