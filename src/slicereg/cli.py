@@ -20,7 +20,7 @@ from .algebra import QI, QJ, QK
 from .equiv import (EquivVerdict, classify_orbit, equivalent,
                     find_intertwiner, invariants, normalize_intertwiner,
                     orbit_equivalent, r3_equivalent, verify_conjugator)
-from .errors import SliceRegError
+from .errors import LimitExceededError, SliceRegError
 from .parsing import (parse_point, parse_r3_stem, parse_stem, render_cquat,
                       render_poly, render_quat, render_stem)
 from .poly import Poly
@@ -30,6 +30,8 @@ from .series import (DEFAULT_ORDER, DEFAULT_SAMPLES, DEFAULT_TOL, CQuatF,
                      parse_samples, taylor_series)
 from .stem import SLICE_PRESERVING, Divisor
 
+# The largest series-check order: 0.7 s at 320, 1.8 s at 400 (2 vCPUs).
+MAX_SERIES_ORDER = 320
 RESULT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -93,15 +95,12 @@ def _emit(args, document: dict, text_lines) -> None:
 def _reason_message(verdict: EquivVerdict, first, second) -> str | None:
     if verdict.reason is None:
         return None
-    if verdict.reason == "trace":
-        return (f"trace mismatch: {render_poly(first.trace())}"
-                f" vs {render_poly(second.trace())}")
-    if verdict.reason == "norm":
-        return (f"norm mismatch: {render_poly(first.norm())}"
-                f" vs {render_poly(second.norm())}")
-    if verdict.reason == "cdiv":
-        return (f"cdiv mismatch: {_render_cdiv(first.central_divisor())}"
-                f" vs {_render_cdiv(second.central_divisor())}")
+    views = {"trace": lambda stem: render_poly(stem.trace()),
+             "norm": lambda stem: render_poly(stem.norm()),
+             "cdiv": lambda stem: _render_cdiv(stem.central_divisor())}
+    if verdict.reason in views:
+        view = views[verdict.reason]
+        return f"{verdict.reason} mismatch: {view(first)} vs {view(second)}"
     return "slice preserving branch requires literal equality"
 
 
@@ -252,6 +251,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_series_check(args) -> int:
+    if args.order > MAX_SERIES_ORDER:
+        raise LimitExceededError(
+            f"order {args.order} is above the limit of {MAX_SERIES_ORDER}")
     checks = trig_example_checks(order=args.order, tol=args.tol,
                                  samples=args.samples)
     _emit(args, None, map(_check_line, checks))

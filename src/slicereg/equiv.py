@@ -24,25 +24,27 @@ stems alpha satisfying the intertwining relation in both orders,
 
 which is linear in alpha's coefficients, so all candidates up to a degree
 bound come out of one exact nullspace (none when trace or norm differ: a
-nonzero alpha is invertible over Q(z)).  The system is assembled on
-integers: F and H are scaled by one common denominator, each pair of
-coefficients (F_q, H_q) gives the 4x4 integer blocks of a -> F_q a - a H_q
-and a -> H_q a - a F_q once, each column the image of a unit under the
+nonzero alpha is invertible over Q(z)).  With equal traces write F = c + V,
+H = c + W and alpha = a + A (c, a central; V, W, A trace-free): VA - AW and
+AV - WA share their central part and have opposite trace-free parts, so
+alpha solves both relations iff a(V - W) = 0 and A solves the first, and
+K = (K1 ∩ center) ⊕ (K1 ∩ pure), K1 the first relation's kernel, whose
+central part is the center when V = W and 0 otherwise.  K1 ∩ pure is
+solved on integers: F and H are scaled by one common denominator, each
+pair of coefficients (F_q, H_q) gives the integer block of A -> F_q A -
+A H_q on the pure units once, each column the image of a unit under the
 quaternion product `algebra._mul_components`, and the rows are
-block-Toeplitz strips of those blocks, which the integer kernel
-`poly._integer_nullspace` eliminates fraction-free.  Its integer null
-vectors are then checked by multiplication, independently of the rows:
-they are stacked into one integer stem A, vector i at z^(i*step), with
-step one more than the highest degree a product of F or H with one vector
-can reach.  Each relation is then two products of stems packed at one
-width (F A against A H, and A F against H A, each `_mul_components` of
-the packed components), equal iff their balanced digits are.  Since z is
-central and the blocks of a product never meet, A satisfies a relation
-exactly when every kernel vector does.  When trace(F) = trace(H)
-the two relations are exchanged by alpha -> alpha^c, so the solution
-space is the conjugation-stable part of either one-sided kernel; the
-one-sided kernels alone are strictly larger (they admit mixed-symmetry
-solutions) and would not be pinned down by a canonical generator.
+block-Toeplitz strips of those blocks, 4(top + 1) by 3(dmax + 1), which
+the integer kernel `poly._integer_nullspace` eliminates fraction-free.
+The vectors of K are then checked against both relations by
+multiplication, independently of the rows: they are stacked into one
+integer stem S, vector i at z^(i*step), with step one more than the
+highest degree a product of F or H with one vector can reach.  Each
+relation is then two products of stems packed at one width (F S against
+S H, and S F against H S, each `_mul_components` of the packed
+components), equal iff their balanced digits are.  Since z is central
+and the blocks of a product never meet, S satisfies a relation exactly
+when every kernel vector does.
 `verify_conjugator` checks a candidate against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha.
 When norm(alpha) is a nonzero constant, alpha is invertible with
@@ -250,7 +252,7 @@ def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
 
 
 # The largest intertwiner search accepted: 4 * (dmax + 1) unknowns, so
-# dmax <= 63.  The README's worked pair at dmax 12 has 52.
+# dmax <= 63, of which the system solves the 3 * (dmax + 1) pure ones.
 MAX_INTERTWINER_UNKNOWNS = 256
 
 
@@ -261,6 +263,27 @@ def _relation_block(c, d):
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     return list(zip(*[map(operator.sub, _mul_components(*c, *e),
                           _mul_components(*e, *d)) for e in units]))
+
+
+def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
+    """K of the module docstring for integer lists f, h with equal traces,
+    (1, i, j, k) of z^p at entries 4p..4p+3, ordered by last nonzero entry
+    as `_integer_nullspace` orders the kernel of both relations stacked."""
+    # blocks[q][r] maps the pure part of alpha's coefficient of z^p to
+    # component r of the coefficient of z^(p+q) in f * alpha - alpha * h.
+    blocks = [[row[1:] for row in _relation_block(c, d)]
+              for c, d in zip(zip(*f), zip(*h))]
+    rows = [list(chain.from_iterable(
+                blocks[n - p][r] if 0 <= n - p < len(blocks) else (0, 0, 0)
+                for p in range(dmax + 1)))
+            for n in range(top + 1) for r in range(4)]
+    kernel = [[x for i in range(0, len(v), 3) for x in (0, *v[i:i + 3])]
+              for v in _integer_nullspace(rows, 3 * (dmax + 1))]
+    if f == h:
+        kernel += ([int(i == 4 * p) for i in range(4 * dmax + 4)]
+                   for p in range(dmax + 1))
+        kernel.sort(key=lambda vec: max(i for i, x in enumerate(vec) if x))
+    return kernel
 
 
 def find_intertwiner(first: StemPoly, second: StemPoly,
@@ -294,23 +317,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     den = lcm(first.den, second.den)
     f, h = ([[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
              for xs in stem.nums] for stem in (first, second))
-    # blocks[q] maps alpha's coefficient of z^p to the coefficient of
-    # z^(p+q) in first * alpha - alpha * second, and in
-    # second * alpha - alpha * first (the second relation, negated).
-    relations = ([_relation_block(c, d) for c, d in zip(zip(*f), zip(*h))],
-                 [_relation_block(d, c) for c, d in zip(zip(*f), zip(*h))])
-    zero = [0] * 4
     top = dmax + max(first.degree, second.degree, 0)
-    rows = []
-    for blocks in relations:
-        for n in range(top + 1):
-            for r in range(4):
-                row = []
-                for p in range(dmax + 1):
-                    q = n - p
-                    row += blocks[q][r] if 0 <= q < len(blocks) else zero
-                rows.append(row)
-    kernel = _integer_nullspace(rows, unknowns)
+    kernel = _intertwiner_kernel(f, h, dmax, top)
     # The stacked check of the module docstring, with step = top + 1: a
     # product of first or second with one vector has degree at most top.
     stacked = [[], [], [], []]

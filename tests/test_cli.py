@@ -210,6 +210,17 @@ def test_series_check_command(capsys):
         assert "FAIL trig-conjugation: max pointwise error inf" in out
 
 
+def test_series_check_order_is_capped_at_320(capsys):
+    code, out = run_cli(capsys, "series-check", "--order", "320")
+    assert code == 0 and out.count("PASS") == 3 and "mod z^320" in out
+    for order in ("321", str(10 ** 12)):
+        code = main(["series-check", "--order", order])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: order {order} is above the limit "
+                                "of 320\n")
+
+
 def test_paper_examples_command(capsys):
     code, out = run_cli(capsys, "paper-examples")
     assert code == 0

@@ -17,13 +17,14 @@ from slicereg.algebra import QI, QJ, QK
 from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             BRANCH_SLICE_PRESERVING, ISOTROPY_ADDITIVE,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
-                            KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE)
+                            KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE,
+                            _intertwiner_kernel)
 import slicereg.equiv
-from slicereg.poly import _integer_nullspace
 
 from support import (conjugate_stem, convolve_stems, rand_nonzero_quaternion,
-                     rand_pure_imaginary_quaternion, rand_quaternion,
-                     rand_stem, rand_stem_nonslice, reference_find_intertwiner)
+                     rand_poly, rand_pure_imaginary_quaternion,
+                     rand_quaternion, rand_stem, rand_stem_nonslice,
+                     reference_find_intertwiner)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -201,12 +202,12 @@ def test_find_intertwiner_re_verifies_every_kernel_vector(
     multiplication must refuse it."""
     assert len(find_intertwiner(first, second, dmax)) == dim
 
-    def perturbed(rows, cols):
-        basis = _integer_nullspace(rows, cols)
+    def perturbed(*system):
+        basis = _intertwiner_kernel(*system)
         basis[index][entry] += 1
         return basis
 
-    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace", perturbed)
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", perturbed)
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(first, second, dmax)
 
@@ -224,8 +225,8 @@ def test_find_intertwiner_re_verification_keeps_the_blocks_apart(monkeypatch):
     low[4 * dmax + 1] = 4
     high = [0] * (4 * dmax + 4)
     high[2], high[5], high[7] = 2, 1, 1
-    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace",
-                        lambda rows, cols: [low, high])
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: [low, high])
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(F_PAIR, G_PAIR, dmax)
 
@@ -256,6 +257,27 @@ def test_find_intertwiner_matches_the_matrix_reference_on_planted_pairs():
         assert len(_same_as_reference(f, conjugate_stem(u, f), dmax)) >= dmax + 1
         _same_as_reference(f, conjugate_stem(rand_nonzero_quaternion(rng), f),
                            rng.randint(0, 5))
+
+
+def test_find_intertwiner_matches_the_matrix_reference_on_rotated_generators():
+    """F = c + N(a)*K and H = c + a*K*a^c, with a stem a of degree 1-2 and a
+    pure K, share trace and norm; the generator N(a)*K + a*K*a^c has
+    positive degree and nonzero lower entries, so the echelon basis is not
+    the shifts z^k * g of one vector, and a wrong reduction shows."""
+    rng = random.Random(2127)
+    z = StemPoly([0, 1])
+    unshifted = 0
+    for _ in range(60):
+        a = StemPoly([rand_quaternion(rng) for _ in range(rng.randint(1, 2))]
+                     + [rand_nonzero_quaternion(rng)])
+        k = StemPoly.constant(rand_pure_imaginary_quaternion(rng))
+        c = StemPoly(rand_poly(rng, 2).coeffs)
+        first = c + StemPoly(a.norm().coeffs).star(k)
+        second = c + a.star(k).star(a.conj())
+        basis = _same_as_reference(first, second, rng.randint(0, 6))
+        unshifted += any(high != low.star(z)
+                         for low, high in zip(basis, basis[1:]))
+    assert unshifted >= 10
 
 
 def test_find_intertwiner_matches_the_matrix_reference_on_the_worked_pair():
@@ -312,8 +334,8 @@ def test_find_intertwiner_re_verification_checks_both_relations(
     alpha = StemPoly([Quaternion(*vec)])
     one_sided = (QI * alpha == alpha * QJ, alpha * QI == QJ * alpha)
     assert sorted(one_sided) == [False, True]
-    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace",
-                        lambda rows, cols: [list(vec)])
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: [list(vec)])
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
 

@@ -864,8 +864,11 @@ def test_intertwiner_systems_match_sympy(monkeypatch):
     conjugated = parse_stem("1/3*j - 2/5*z*i + z^2*(1/7 - k)")    # by i + j
     for f, h, dmax in ((first, second, 2), (first, second, 8),
                        (first, second, 12), (planted, conjugated, 4)):
+        # The first relation on the pure unknowns alone: 4 rows per
+        # degree up to top, 3 columns per degree up to dmax.
         rows, cols = _intertwiner_system(monkeypatch, f, h, dmax)
-        assert cols == 4 * (dmax + 1)
+        top = dmax + max(f.degree, h.degree)
+        assert (len(rows), cols) == (4 * (top + 1), 3 * (dmax + 1))
         _check_against_sympy(sp, Matrix(rows))
         _check_kernel(rows, cols, sp)
 
