@@ -5,8 +5,9 @@ The package computes the automorphism invariants of such functions
 (trace, norm, central divisor), decides equivalence under pointwise
 automorphism conjugation, searches for and verifies explicit polynomial
 intertwiners, classifies automorphism orbits in the complexified algebra,
-and reproduces the transcendental rotation identity through exactly
-truncated power series with certified numeric tolerances.
+and checks the transcendental rotation identity on exactly truncated
+power series: double-precision errors at sample points against a
+tolerance, with the truncation tail bounds reported but not used.
 
 All core arithmetic is exact (arbitrary-precision rationals); floating
 point is confined to the `series` evaluation layer.

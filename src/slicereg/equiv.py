@@ -22,29 +22,32 @@ stems alpha satisfying the intertwining relation in both orders,
 
     F * alpha = alpha * H   and   alpha * F = H * alpha,
 
-which is linear in alpha's coefficients, so all candidates up to a degree
-bound come out of one exact nullspace (none when trace or norm differ: a
-nonzero alpha is invertible over Q(z)).  With equal traces write F = c + V,
-H = c + W and alpha = a + A (c, a central; V, W, A trace-free): VA - AW and
-AV - WA share their central part and have opposite trace-free parts, so
-alpha solves both relations iff a(V - W) = 0 and A solves the first, and
-K = (K1 ∩ center) ⊕ (K1 ∩ pure), K1 the first relation's kernel, whose
-central part is the center when V = W and 0 otherwise.  K1 ∩ pure is
-solved on integers: F and H are scaled by one common denominator, each
-pair of coefficients (F_q, H_q) gives the integer block of A -> F_q A -
-A H_q on the pure units once, each column the image of a unit under the
-quaternion product `algebra._mul_components`, and the rows are
-block-Toeplitz strips of those blocks, 4(top + 1) by 3(dmax + 1), which
-the integer kernel `poly._integer_nullspace` eliminates fraction-free.
-The vectors of K are then checked against both relations by
-multiplication, independently of the rows: they are stacked into one
-integer stem S, vector i at z^(i*step), with step one more than the
-highest degree a product of F or H with one vector can reach.  Each
-relation is then two products of stems packed at one width (F S against
-S H, and S F against H S, each `_mul_components` of the packed
-components), equal iff their balanced digits are.  Since z is central
-and the blocks of a product never meet, S satisfies a relation exactly
-when every kernel vector does.
+which is linear in alpha's coefficients: its solutions of degree at most
+dmax form a space K, zero when trace or norm differ (a nonzero alpha is
+invertible over Q(z)).  With equal traces write F = c + V, H = c + W and
+alpha = a + A (c, a central; V, W, A trace-free): VA - AW and AV - WA
+share their central part and have opposite trace-free parts, so alpha
+solves both relations iff a(V - W) = 0 and VA = AW.  Equal norms give
+V**2 = -B(V, V) = W**2, so V(V + W) = (V + W)W.  If V + W != 0, the
+solutions of VA = AW over Q(z) are (V + W)(x + yW) (Skolem-Noether), of
+central part -y B(V + W, W) = -y B(V + W, V + W) / 2, so A = x(V + W): the
+pure solutions are Q[z] g, g = (V + W) over the gcd of its components
+(Gauss's lemma), spanned in K by the shifts z^k g.  V + W = 0 is central
+F = H, solved by every alpha, or W = -V, where VA + AV = -2 B(A, V) leaves
+B(A, V) = 0: one integer row per degree up to top = dmax + deg, on
+3(dmax + 1) unknowns.  K comes in the normal form of an exact nullspace
+(one vector per free column, its last nonzero entry, zero at the other
+free columns): `poly._integer_echelon` of the spanning set (with the z^k
+when V = W) read from the last column, or `poly._integer_nullspace` of
+the W = -V system.  The vectors are then checked against both relations
+by multiplication, independently of how they were found: they are
+stacked into one integer stem S, vector i at z^(i*step), with step one
+more than the highest degree a product of F or H with one vector can
+reach.  Each relation is then two products of stems packed at one width
+(F S against S H, and S F against H S, each `_mul_components` of the
+packed components), equal iff their balanced digits are.  Since z is
+central and the blocks of a product never meet, S satisfies a relation
+exactly when every kernel vector does.
 `verify_conjugator` checks a candidate against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha.
 When norm(alpha) is a nonzero constant, alpha is invertible with
@@ -54,14 +57,13 @@ inverse exists only away from the norm's zero set.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain, zip_longest
 from math import lcm
 
 from .algebra import CQuat, _mul_components, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import (Poly, _gcd_ints, _integer_nullspace, _max_bits, _pack,
-                   _product_width)
+from .poly import (Poly, _gcd_ints, _integer_echelon, _integer_nullspace,
+                   _max_bits, _pack, _product_width)
 from .scalars import GaussRat, Record
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _packed
 
@@ -251,39 +253,37 @@ def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
     return OrbitScanReport(tuple(checks))
 
 
-# The largest intertwiner search accepted: 4 * (dmax + 1) unknowns, so
-# dmax <= 63, of which the system solves the 3 * (dmax + 1) pure ones.
+# The largest intertwiner search accepted: 4 * (dmax + 1) unknowns, the
+# columns of the echelon (3 * (dmax + 1) for W = -V), so dmax <= 63.
 MAX_INTERTWINER_UNKNOWNS = 256
 
 
-def _relation_block(c, d):
-    """The integer 4x4 matrix of a -> c * a - a * d on the components
-    (1, i, j, k) of a, for c and d given by their components: column t is
-    the image c * e_t - e_t * d of the unit e_t."""
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    return list(zip(*[map(operator.sub, _mul_components(*c, *e),
-                          _mul_components(*e, *d)) for e in units]))
-
-
 def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
-    """K of the module docstring for integer lists f, h with equal traces,
-    (1, i, j, k) of z^p at entries 4p..4p+3, ordered by last nonzero entry
-    as `_integer_nullspace` orders the kernel of both relations stacked."""
-    # blocks[q][r] maps the pure part of alpha's coefficient of z^p to
-    # component r of the coefficient of z^(p+q) in f * alpha - alpha * h.
-    blocks = [[row[1:] for row in _relation_block(c, d)]
-              for c, d in zip(zip(*f), zip(*h))]
-    rows = [list(chain.from_iterable(
-                blocks[n - p][r] if 0 <= n - p < len(blocks) else (0, 0, 0)
-                for p in range(dmax + 1)))
-            for n in range(top + 1) for r in range(4)]
-    kernel = [[x for i in range(0, len(v), 3) for x in (0, *v[i:i + 3])]
-              for v in _integer_nullspace(rows, 3 * (dmax + 1))]
+    """K of the module docstring, in its normal form, for integer lists f, h
+    with equal traces and norms: (1, i, j, k) of z^p at entries 4p..4p+3."""
+    cols = 4 * (dmax + 1)
+    pure = [Poly._from_ints([x + y for x, y in zip(xs, ys)])
+            for xs, ys in zip(f[1:], h[1:])]
+    if not any(pure) and f != h:
+        # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
+        pad = [0] * (3 * dmax)
+        strip = pad + [x for c in list(zip(*f[1:]))[::-1] for x in c] + pad
+        rows = [strip[3 * s:3 * (s + dmax + 1)] for s in range(top, -1, -1)]
+        return [[x for i in range(0, len(v), 3) for x in (0, *v[i:i + 3])]
+                for v in _integer_nullspace(rows, 3 * (dmax + 1))]
+    # The shifts z^k g of g = (V + W) / gcd; if F = H the z^k, or all units.
+    rows = []
+    if any(pure):
+        d = Poly._from_ints(_gcd_ints([p.nums for p in pure if p]))
+        g = list(chain.from_iterable(zip_longest(
+            (), *((p // d).nums for p in pure), fillvalue=0)))
+        rows = [[0] * (4 * k) + g + [0] * (cols - 4 * k - len(g))
+                for k in range((cols - len(g)) // 4 + 1)]
     if f == h:
-        kernel += ([int(i == 4 * p) for i in range(4 * dmax + 4)]
-                   for p in range(dmax + 1))
-        kernel.sort(key=lambda vec: max(i for i, x in enumerate(vec) if x))
-    return kernel
+        rows += ([0] * u + [1] + [0] * (cols - u - 1)
+                 for u in range(0, cols, 4 if any(pure) else 1))
+    m, _ = _integer_echelon([row[::-1] for row in rows], cols)
+    return [row[::-1] for row in reversed(m)]
 
 
 def find_intertwiner(first: StemPoly, second: StemPoly,
@@ -292,12 +292,11 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     first * alpha = alpha * second and alpha * first = second * alpha.
 
     Returns an exact basis of the solution space (empty when there is no
-    solution at this degree bound).  Basis vectors are normalized so the
+    solution at this degree bound), each vector normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
-    (component order 1, i, j, k) equal to 1, and are re-verified by
-    multiplication before being returned, all at once in the stacked
-    integer products of the module docstring.  More than
-    MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
+    (order 1, i, j, k) equal to 1 and re-verified by multiplication, all
+    at once in the stacked integer products of the module docstring.
+    More than MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
         raise ValueError("degree bound must be nonnegative")

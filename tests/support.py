@@ -8,6 +8,7 @@ bounds used throughout (numerators and denominators up to 9).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ from slicereg import (CQuat, CQuatF, GaussRat, Matrix, NotInWError, Poly,
                       Quaternion, SO3Matrix, StemPoly, TruncSeries,
                       ZeroPolynomialError)
 from slicereg.algebra import _mul_components
-from slicereg.equiv import _relation_block
 from slicereg.parsing import render_stem
 from slicereg.poly import _kronecker, _over_one_denominator
 from slicereg.scalars import Record
@@ -160,10 +160,20 @@ def series_from_stem(stem: StemPoly, order: int | None = None) -> TruncSeries:
     return TruncSeries(order, _cut(stem, order), _majorant(stem), False)
 
 
+def _relation_block(c, d):
+    """The integer 4x4 matrix of a -> c * a - a * d on the components
+    (1, i, j, k) of a, for c and d given by their components: column t is
+    the image c * e_t - e_t * d of the unit e_t."""
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return list(zip(*[map(operator.sub, _mul_components(*c, *e),
+                          _mul_components(*e, *d)) for e in units]))
+
+
 def reference_find_intertwiner(first: StemPoly, second: StemPoly,
                                dmax: int) -> list:
-    """The intertwiner search on the rational `Matrix`: the integer system
-    of `find_intertwiner` (no early exit on trace or norm) handed to
+    """The intertwiner search on the rational `Matrix`: both relations on
+    all unknowns, stacked as block-Toeplitz strips of `_relation_block`
+    (no early exit on trace or norm, no generator), handed to
     `Matrix.nullspace`, each `Fraction` kernel vector scaled back to
     integers, the stacked re-verification through `_kronecker`, and the
     normalization of `normalize_intertwiner` as a rational multiple: the

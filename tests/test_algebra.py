@@ -342,7 +342,7 @@ def test_repr_str_and_immutability_are_pinned():
 
 
 def test_relation_block_matches_the_quaternion_product():
-    from slicereg.equiv import _relation_block
+    from support import _relation_block
     rng = random.Random(344)
     for _ in range(20):
         c, d, a = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(3))

@@ -21,9 +21,10 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             _intertwiner_kernel)
 import slicereg.equiv
 
-from support import (conjugate_stem, convolve_stems, rand_nonzero_quaternion,
-                     rand_poly, rand_pure_imaginary_quaternion,
-                     rand_quaternion, rand_stem, rand_stem_nonslice,
+from support import (conjugate_stem, convolve_stems, rand_fraction,
+                     rand_nonzero_quaternion, rand_poly,
+                     rand_pure_imaginary_quaternion, rand_quaternion,
+                     rand_stem, rand_stem_nonslice,
                      reference_find_intertwiner)
 
 IOTA = GaussRat(0, 1)
@@ -233,7 +234,7 @@ def test_find_intertwiner_re_verification_keeps_the_blocks_apart(monkeypatch):
 
 # -- the integer kernel against the search on the rational Matrix -------------
 
-def _no_kernel(rows, cols):
+def _no_kernel(*system):
     raise AssertionError("the kernel ran")
 
 
@@ -263,8 +264,12 @@ def test_find_intertwiner_matches_the_matrix_reference_on_rotated_generators():
     """F = c + N(a)*K and H = c + a*K*a^c, with a stem a of degree 1-2 and a
     pure K, share trace and norm; the generator N(a)*K + a*K*a^c has
     positive degree and nonzero lower entries, so the echelon basis is not
-    the shifts z^k * g of one vector, and a wrong reduction shows."""
+    the shifts z^k * g of one vector, and a wrong reduction shows.  A
+    common factor p of degree 1-2, F = c + p*N(a)*K and H = c + p*a*K*a^c,
+    cancels in g = (V + W) / gcd and leaves the basis as it is; a degree
+    bound below deg g finds none."""
     rng = random.Random(2127)
+    factors = random.Random(2128)
     z = StemPoly([0, 1])
     unshifted = 0
     for _ in range(60):
@@ -274,9 +279,17 @@ def test_find_intertwiner_matches_the_matrix_reference_on_rotated_generators():
         c = StemPoly(rand_poly(rng, 2).coeffs)
         first = c + StemPoly(a.norm().coeffs).star(k)
         second = c + a.star(k).star(a.conj())
-        basis = _same_as_reference(first, second, rng.randint(0, 6))
+        dmax = rng.randint(0, 6)
+        basis = _same_as_reference(first, second, dmax)
         unshifted += any(high != low.star(z)
                          for low, high in zip(basis, basis[1:]))
+        p = StemPoly([rand_fraction(factors)
+                      for _ in range(factors.randint(1, 2))]
+                     + [factors.choice((-2, -1, Fraction(1, 3), 1, 5))])
+        assert _same_as_reference(c + p.star(first - c),
+                                  c + p.star(second - c), dmax) == basis
+        if basis and basis[0].degree > 0:
+            assert not _same_as_reference(first, second, basis[0].degree - 1)
     assert unshifted >= 10
 
 
@@ -316,7 +329,7 @@ def test_find_intertwiner_exits_on_trace_or_norm_before_the_kernel(
     first, second = parse_stem(first), parse_stem(second)
     for dmax in (0, 3, 63):
         assert reference_find_intertwiner(first, second, dmax) == []
-    monkeypatch.setattr(slicereg.equiv, "_integer_nullspace", _no_kernel)
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", _no_kernel)
     for dmax in (0, 3, 63):
         assert find_intertwiner(first, second, dmax) == []
     # The refusals come first, as before.

@@ -857,18 +857,19 @@ def _intertwiner_system(monkeypatch, first, second, dmax):
 
 
 def test_intertwiner_systems_match_sympy(monkeypatch):
+    """W = -V is the one case the intertwiner search solves as a system."""
     sp = pytest.importorskip("sympy")
-    first = parse_stem("i + z*j + (1/2)*z^2*k")
-    second = parse_stem("(1 + (1/2)*z^2)*i")
+    first = parse_stem("1 + z*i + z^2*j")
     planted = parse_stem("1/3*i - 2/5*z*j + z^2*(1/7 + k)")
-    conjugated = parse_stem("1/3*j - 2/5*z*i + z^2*(1/7 - k)")    # by i + j
-    for f, h, dmax in ((first, second, 2), (first, second, 8),
-                       (first, second, 12), (planted, conjugated, 4)):
-        # The first relation on the pure unknowns alone: 4 rows per
-        # degree up to top, 3 columns per degree up to dmax.
+    wide = parse_stem("z*i + (2/3)*j - z^2*k + 5*z^3*i")
+    for f, dmax in ((first, 2), (first, 8), (first, 12), (planted, 4),
+                    (wide, 6)):
+        h = f.conj()    # c - V: W = -V
+        # B(A, V) = 0 on the pure unknowns: one row per degree up to
+        # top, 3 columns per degree up to dmax.
         rows, cols = _intertwiner_system(monkeypatch, f, h, dmax)
-        top = dmax + max(f.degree, h.degree)
-        assert (len(rows), cols) == (4 * (top + 1), 3 * (dmax + 1))
+        top = dmax + f.degree
+        assert (len(rows), cols) == (top + 1, 3 * (dmax + 1))
         _check_against_sympy(sp, Matrix(rows))
         _check_kernel(rows, cols, sp)
 
