@@ -50,9 +50,13 @@ met so far is carried on as g(xi), so the next pair (g, x) has
 xi > 2*|x| + 2 again.  When g divides the next list x, gcd(g, x) = g and
 no GCDHEU runs: that is the common case of a planted divisor, whose
 lists are constant multiples of one polynomial.  Once g is 1, the lists
-left are not read.  A failed candidate at least doubles w, enough to
-pack both lists again; after `_HEU_ATTEMPTS` points the gcd falls back
-to monic Euclid over Q.
+left are not read.  Each failed candidate at least doubles w (enough to
+pack both lists again) until one passes; xi only grows, so
+xi > 2*min(|a|, |b|) + 2 still holds and the accepted g is the gcd.
+The loop ends: for a = g*a', b = g*b', a' and b' coprime, h(xi) =
+|g(xi)|*c, where c = gcd(a'(xi), b'(xi)) divides Res(a', b') != 0, as
+Res = s*a' + t*b' with s, t in Z[z]; once xi/2 is above c*|g| and the
+entries of a' and b', the candidate is g and `_divides` accepts it.
 
 Row reduction is fraction-free as well: the integer kernel
 (`_integer_echelon`, `_integer_nullspace`) clears columns by integer row
@@ -70,7 +74,7 @@ from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import RATIONAL_TYPES, Frozen, as_rat, power
+from .scalars import EXACT_SCALARS, RATIONAL_TYPES, Frozen, as_rat, power
 
 
 class IntegerRows(Frozen):
@@ -436,10 +440,6 @@ def _product_width(left, right) -> int:
                         + (len(left) - 1).bit_length())
 
 
-# Evaluation points a heuristic gcd tries before it falls back to Euclid.
-_HEU_ATTEMPTS = 6
-
-
 def _digits(value: int, width: int) -> list:
     """The integer polynomial h with h(xi) = value, xi = 2**(8*width), and
     balanced digits |h_k| <= xi/2 (trailing zeros dropped)."""
@@ -467,29 +467,26 @@ def _divides(g, at_g, x, at_x, width: int) -> bool:
 def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
     """(g, g(xi)) for the primitive gcd g of two nonzero primitive integer
     lists a, b, given with at_a = a(xi) and at_b = b(xi) at
-    xi = 2**(8*width) > 2*min(|a|, |b|) + 2: GCDHEU from xi on, then the
-    Euclidean fallback, whose monic result's `nums` are that list."""
+    xi = 2**(8*width) > 2*min(|a|, |b|) + 2: GCDHEU from xi on, widening
+    the point until a candidate divides both (module docstring)."""
     point = width
-    for _ in range(_HEU_ATTEMPTS):
+    while True:
         at_h = gcd(at_a, at_b)
         if at_h.bit_length() < 8 * width:
-            # Below xi/2 the balanced digits of at_h are at_h alone, so
-            # h is a constant and g is 1; above it h has a positive
-            # degree.
+            # Below xi/2 the balanced digits of at_h are at_h alone, so h is
+            # a constant and g is 1; above it h has a positive degree.
             return [1], 1
         h = _digits(at_h, width)
         content = gcd(*h)
         g, at_g = [c // content for c in h], at_h // content
         if (_divides(g, at_g, a, at_a, width)
                 and _divides(g, at_g, b, at_b, width)):
-            if width == point:
-                return g, at_g
             break
         width = max(2 * width, _digit_width(max(_max_bits(a),
                                                 _max_bits(b)) + 1))
         at_a, at_b = _pack(a, width), _pack(b, width)
-    else:
-        g = _euclid(Poly._from_ints(a), Poly._from_ints(b)).nums
+    if width == point:
+        return g, at_g
     # g(xi) at the given point by Horner's rule, for entries of any size.
     return g, reduce(lambda acc, c: (acc << 8 * point) + c, reversed(g), 0)
 
@@ -521,16 +518,6 @@ def _gcd_ints(lists, packed=None, width: int = 0):
     return g if g[-1] > 0 else [-c for c in g]
 
 
-def _euclid(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of nonzero a and b by the Euclidean scheme over Q, with
-    remainders renormalized to monic at every step so coefficient sizes
-    stay tame at desk scale."""
-    a, b = a.monic(), b.monic()
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (see `poly_gcd_many`)."""
     if a.is_zero and b.is_zero:
@@ -552,8 +539,11 @@ def _divide_linear(coeffs, z0):
     """Synthetic division by (z - z0), which is Horner's rule at z0.
 
     Returns (quotient coefficients ascending, remainder), where the
-    remainder equals the value at z0 (z0 * 0 for no coefficients).
+    remainder equals the value at z0 (z0 * 0 for no coefficients); a z0
+    that is not an exact scalar (a float, say) raises TypeError.
     """
+    if not isinstance(z0, EXACT_SCALARS):
+        raise TypeError(f"expected an exact scalar, got {type(z0).__name__}")
     acc = z0 * 0
     partial = []
     for c in reversed(coeffs):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicereg import (BothZeroError, GaussRat, Matrix, Poly,
+from slicereg import (BothZeroError, Divisor, GaussRat, Matrix, Poly,
                       PolyDivisionByZeroError, StemPoly, ZeroPolynomialError,
                       equivalent, find_intertwiner, parse_stem, poly_gcd,
                       poly_gcd_many, vanishing_order)
@@ -103,6 +103,19 @@ def test_vanishing_order_at_complex_points():
     p = Z ** 2 + 2  # vanishes at +- sqrt(2) E, not at E
     assert vanishing_order(p, IOTA) == 0
     assert vanishing_order((Z ** 2 + 1) ** 3, IOTA) == 3
+
+
+def test_evaluation_refuses_a_float_point():
+    # The float 0.1 is 3602879701896397 / 2**55, where 10z - 1 is
+    # 1 / 2**54, not 0; an exact answer needs an exact point.
+    p = Poly([-1, 10])
+    for evaluate in (p, Divisor(p).multiplicity,
+                     lambda z0: vanishing_order(p, z0)):
+        with pytest.raises(TypeError):
+            evaluate(0.1)
+    with pytest.raises(TypeError):
+        Poly([1, 2])(0.5)
+    assert vanishing_order(p, Fraction(1, 10)) == 1
 
 
 def test_vanishing_order_additive_over_products():
@@ -398,42 +411,46 @@ def test_gcd_of_coefficients_near_ten_to_the_thirty_matches_sympy():
             assert poly_gcd(x, y) == want
 
 
-@pytest.fixture
-def euclid_calls(monkeypatch):
-    """The argument pairs of every Euclidean fallback, in call order."""
-    import slicereg.poly as poly
-    calls = []
-    euclid = poly._euclid
+def test_gcd_widens_past_six_refused_candidates(monkeypatch):
+    # With the first seven checks refused (the divisibility shortcut and
+    # six candidates), a pair with a nonconstant gcd is read at a seventh
+    # point: the point widens for as long as candidates fail.
+    divides, widths = poly._divides, []
 
-    def counting_euclid(a, b):
-        calls.append((a, b))
-        return euclid(a, b)
+    def refusing_divides(*args):
+        widths.append(args[-1])
+        return len(widths) > 7 and divides(*args)
 
-    monkeypatch.setattr(poly, "_euclid", counting_euclid)
-    return calls
-
-
-def test_gcd_falls_back_to_euclid_when_no_point_is_tried(monkeypatch,
-                                                         euclid_calls):
-    monkeypatch.setattr("slicereg.poly._HEU_ATTEMPTS", 0)
+    monkeypatch.setattr(poly, "_divides", refusing_divides)
     rng = random.Random(0)
     for degree in (1, 4, 9):
         family, planted = _planted_family(rng, degree, 6, count=2)
         for a, b in (family, [p * planted for p in family],
                      (family[0] * planted ** 2, family[1] * planted)):
-            assert poly_gcd(a, b) == _euclid(a, b)
+            widths.clear()
+            want = _euclid(a, b)
+            assert poly_gcd(a, b) == want
+            if want.degree > 0:
+                assert len(set(widths)) == 7
+    widths.clear()
     assert poly_gcd(Z + P61, Z) == _euclid(Z + P61, Z) == Poly([1])
-    assert len(euclid_calls) == 10
 
 
-def test_gcd_widens_the_point_after_a_failed_candidate(monkeypatch,
-                                                       euclid_calls):
+def test_gcd_widens_the_point_after_a_failed_candidate(monkeypatch):
     # (2z - 1) times two coprime cubics: the candidate read back at
-    # xi = 2**8 fails its check, the one at xi = 2**16 passes.
+    # xi = 2**8 fails its check, the one at xi = 2**16 passes.  The inputs
+    # are packed at the first point and once more at the widened one.
     a, b = Poly([-2, 6, -2, -5, 2]), Poly([-2, 3, 0, 2, 4])
-    assert poly_gcd(a, b) == Z - Fraction(1, 2) and not euclid_calls
-    monkeypatch.setattr("slicereg.poly._HEU_ATTEMPTS", 1)
-    assert poly_gcd(a, b) == Z - Fraction(1, 2) and len(euclid_calls) == 1
+    pack, widths = poly._pack, []
+
+    def recording_pack(xs, width):
+        if xs in (a.nums, b.nums):
+            widths.append(width)
+        return pack(xs, width)
+
+    monkeypatch.setattr(poly, "_pack", recording_pack)
+    assert poly_gcd(a, b) == Z - Fraction(1, 2)
+    assert widths == [1, 1, 2, 2]
 
 
 @pytest.fixture
@@ -594,9 +611,15 @@ def test_pack_and_unpack_follow_the_digit_formula(branch, width,
 def test_divisibility_shortcut_matches_sympy(heu_calls):
     """Families of three lists: constant multiples of one polynomial with
     repeated roots, where the gcd met first divides the others and no
-    GCDHEU runs, and families where it does not divide them."""
+    GCDHEU runs, and families where it does not divide them.  The pair
+    of `test_gcd_widens_the_point_after_a_failed_candidate`, followed by
+    a small third list, has its gcd 2z - 1 found at a widened point and
+    then carried on at the first: the third list is a multiple of 2z - 1
+    (the divisibility shortcut) or is coprime to it (GCDHEU again)."""
     sp = pytest.importorskip("sympy")
     rng = random.Random(13)
+    small_rng = random.Random(14)
+    widens = [Poly([-2, 6, -2, -5, 2]), Poly([-2, 3, 0, 2, 4])]
     for _ in range(25):
         root = Poly([rng.randint(-9, 9), rng.randint(1, 4)])
         base = rng.choice((root ** 2, root ** 3 * (Z ** 2 + 1),
@@ -606,11 +629,17 @@ def test_divisibility_shortcut_matches_sympy(heu_calls):
         multiples = [base * c for c in scales]
         other = _diff_poly(rng, rng.randint(1, 6))
         cofactors = [_diff_poly(rng, rng.randint(0, 5)) for _ in range(3)]
+        # Entries below 2**6 keep the first point at xi = 2**8.
+        small = Poly([small_rng.randint(-3, 3)
+                      for _ in range(small_rng.randint(0, 4))]
+                     + [small_rng.choice((-3, -2, -1, 1, 2, 3))])
         for family, shortcut in (
                 (multiples, True),
                 ([multiples[0], multiples[1], base * other], False),
                 ([base * c for c in cofactors], False),
-                ([base * cofactors[0], base, base * cofactors[1]], False)):
+                ([base * cofactors[0], base, base * cofactors[1]], False),
+                (widens + [(2 * Z - 1) * small], False),
+                (widens + [(2 * Z - 1) * small + 1], False)):
             heu_calls.clear()
             lists = [p.nums for p in family]
             want = _from_sympy(reduce(sp.Poly.gcd, [_to_sympy(sp, p)
