@@ -39,31 +39,38 @@ B(A, V) = 0: one integer row per degree up to top = dmax + deg, on
 (one vector per free column, its last nonzero entry, zero at the other
 free columns): `poly._integer_echelon` of the spanning set (with the z^k
 when V = W) read from the last column, or `poly._integer_nullspace` of
-the W = -V system.  The vectors are then checked against both relations
-by multiplication, independently of how they were found: they are
-stacked into one integer stem S, vector i at z^(i*step), with step one
-more than the highest degree a product of F or H with one vector can
-reach.  Each relation is then two products of stems packed at one width
-(F S against S H, and S F against H S, each `_mul_components` of the
-packed components), equal iff their balanced digits are.  Since z is
-central and the blocks of a product never meet, S satisfies a relation
-exactly when every kernel vector does.
-`verify_conjugator` checks a candidate against alpha * F = H * alpha,
-the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha.
-When norm(alpha) is a nonzero constant, alpha is invertible with
-polynomial inverse on all of C; a nonconstant norm(alpha) means the
-inverse exists only away from the norm's zero set.
+the W = -V system; g comes from the integer lists of V + W, their
+`_gcd_ints` and `poly._pseudo_divmod`.  The vectors are then checked
+against both relations by multiplication, independently of how they were
+found: each must have 4(dmax + 1) entries, and they are stacked into one
+integer stem S, vector i at z^(i*step), with step one more than the
+highest degree a product of F or H with one vector can reach.  Each
+relation is then two products of stems packed at one width (F S against
+S H, and S F against H S, each `_mul_components` of the packed
+components), equal iff their balanced digits are.  Since z is central
+and the blocks of a product never meet, S satisfies a relation exactly
+when every kernel vector does.
+`verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha
+(F = f / d_F, H = h / d_H), the form in which an invertible alpha exhibits
+F = alpha**-1 * H * alpha, by packing a, f and h once: (a f) d_H against
+(h a) d_F.  If norm(alpha) is a nonzero constant c_num / c_den, alpha is
+invertible with polynomial inverse on all of C, and the identity is one
+packed triple product, (a^c h a) d_F c_den against f c_num d_a**2 d_H.
+Each width is the `_product_width` bound plus the bits of the scaling
+factor and of the second product, so equal values mean equal stems.  A
+nonconstant norm(alpha) means the inverse exists only off its zero set.
 """
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from itertools import chain, compress, count, zip_longest
 from math import lcm
 
 from .algebra import CQuat, _mul_components, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import (Poly, _gcd_ints, _integer_echelon, _integer_nullspace,
-                   _max_bits, _pack, _product_width)
+from .poly import (Poly, _digit_width, _gcd_ints, _integer_echelon,
+                   _integer_nullspace, _lowest_terms, _max_bits, _pack,
+                   _product_width, _pseudo_divmod)
 from .scalars import GaussRat, Record
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _packed
 
@@ -262,8 +269,8 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
     with equal traces and norms: (1, i, j, k) of z^p at entries 4p..4p+3."""
     cols = 4 * (dmax + 1)
-    pure = [Poly._from_ints([x + y for x, y in zip(xs, ys)])
-            for xs, ys in zip(f[1:], h[1:])]
+    pure, _ = _lowest_terms([[x + y for x, y in zip(xs, ys)]
+                             for xs, ys in zip(f[1:], h[1:])], 1)
     if not any(pure) and f != h:
         # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
         pad = [0] * (3 * dmax)
@@ -274,9 +281,9 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     # The shifts z^k g of g = (V + W) / gcd; if F = H the z^k, or all units.
     rows = []
     if any(pure):
-        d = Poly._from_ints(_gcd_ints([p.nums for p in pure if p]))
+        d = _gcd_ints([p for p in pure if p])
         g = list(chain.from_iterable(zip_longest(
-            (), *((p // d).nums for p in pure), fillvalue=0)))
+            (), *(_pseudo_divmod(p, d)[0] for p in pure), fillvalue=0)))
         rows = [[0] * (4 * k) + g + [0] * (cols - 4 * k - len(g))
                 for k in range((cols - len(g)) // 4 + 1)]
     if f == h:
@@ -322,9 +329,14 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     # product of first or second with one vector has degree at most top.
     stacked = [[], [], [], []]
     for vec in kernel:
+        if len(vec) != unknowns:
+            raise AssertionError("kernel vector above the degree bound")
         for r, comp in enumerate(stacked):
             comp += vec[r::4] + [0] * (top - dmax)
-    width = max(_product_width(f, stacked), _product_width(h, stacked))
+    # The larger `_product_width` of (f, stacked) and (h, stacked).
+    width = _digit_width(_max_bits(chain(*f, *h))
+                         + _max_bits(chain(*stacked))
+                         + min(size, len(stacked[0])).bit_length() + 2)
     f, h, stacked = ([_pack(xs, width) for xs in stem]
                      for stem in (f, h, stacked))
     if (_mul_components(*f, *stacked) != _mul_components(*stacked, *h)
@@ -345,11 +357,14 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
 
 def _over_lead(vec) -> StemPoly:
     """The stem with the components (1, i, j, k) of z^p at vec[4p:4p + 4],
-    divided by its first nonzero entry (see `normalize_intertwiner`)."""
+    divided by its first nonzero entry (see `normalize_intertwiner`); cut
+    at its last nonzero entry, so that `_from_rows` has little to trim."""
+    end = next(compress(count(len(vec), -1), reversed(vec)))
     lead = next(filter(None, vec))
     if lead < 0:
-        vec, lead = [-x for x in vec], -lead
-    return StemPoly._from_rows([vec[r::4] for r in range(4)], lead)
+        vec, lead = [-x for x in vec[:end]], -lead
+    rows = (vec[r:end:4] for r in range(4))
+    return StemPoly._from_rows([xs if any(xs) else [] for xs in rows], lead)
 
 
 class ConjugatorReport(Record):
@@ -375,11 +390,29 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
         alpha = StemPoly((alpha,))
     if alpha.is_zero:
         raise ZeroAlphaError("conjugator candidate must be nonzero")
-    intertwines = alpha.star(first) == second.star(alpha)
+    a, f, h = alpha.nums, first.nums, second.nums
+    f_den, h_den = first.den, second.den
     norm_alpha = alpha.norm()
     invertible = norm_alpha.degree == 0 and not norm_alpha.is_zero
+    # (a*f)*h_den against (h*a)*f_den, each digit inside the width.
+    width = max(_product_width(a, f, h_den.bit_length()),
+                _product_width(h, a, f_den.bit_length()))
+    if invertible:
+        # (a^c*h*a)*left against f*right, for c = c_num / c_den: the second
+        # product sums 4 convolutions of at most len(a) terms.
+        left = f_den * norm_alpha.den
+        right = norm_alpha.nums[0] * alpha.den ** 2 * h_den
+        width = max(width, _digit_width(_max_bits(chain(*f))
+                                        + right.bit_length()),
+                    _product_width(a, h, _max_bits(chain(*a)) + 2
+                                   + max(map(len, a)).bit_length()
+                                   + left.bit_length()))
+    a, f, h = ([_pack(xs, width) for xs in nums] for nums in (a, f, h))
+    intertwines = all(x * h_den == y * f_den for x, y in zip(
+        _mul_components(*a, *f), _mul_components(*h, *a)))
     identity = None
     if invertible:
-        c = norm_alpha.coeff(0)
-        identity = alpha.conj().star(second).star(alpha) == first * c
+        a_conj = (a[0], -a[1], -a[2], -a[3])
+        identity = all(x * left == y * right for x, y in zip(
+            _mul_components(*_mul_components(*a_conj, *h), *a), f))
     return ConjugatorReport(intertwines, norm_alpha, invertible, identity)

@@ -228,30 +228,22 @@ class Poly(IntegerRows):
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        """Division with remainder: self = q*other + r, deg r < deg other.
-        Integer pseudo-division of a = self.nums by b = other.nums: with a
-        scaled by s = |lead b|**(dq + 1) up front, step k leaves entries
-        that are multiples of |lead b|**(dq + 1 - k), so each quotient
-        entry divides exactly, and s*a = Q*b + R."""
+        """Division with remainder: self = q*other + r, deg r < deg other,
+        by `_pseudo_divmod` of the stored lists at s = |lead b|**(dq + 1)."""
         other = self._operand(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise PolyDivisionByZeroError("polynomial division by zero")
         b = other.nums
-        n = len(b)
-        dq = len(self.nums) - n
+        dq = len(self.nums) - len(b)
         if dq < 0:
             return Poly(), self
         scale = abs(b[-1]) ** (dq + 1)
-        rem, quot = [scale * x for x in self.nums], [0] * (dq + 1)
-        for shift in range(dq, -1, -1):
-            factor = quot[shift] = rem[shift + n - 1] // b[-1]
-            for m, y in enumerate(b):
-                rem[shift + m] -= factor * y
+        quot, rem = _pseudo_divmod(self.nums, b, scale)
         den = scale * self.den
         return (Poly._from_ints([x * other.den for x in quot], den),
-                Poly._from_ints(rem[:n - 1], den))
+                Poly._from_ints(rem, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -311,6 +303,21 @@ def _lowest_terms(lists, den: int):
             lists = [[x // g for x in xs] for xs in lists]
             den //= g
     return lists, den
+
+
+def _pseudo_divmod(a, b, scale: int = 1):
+    """(Q, R) with scale*a = Q*b + R, len R < len b, for integer lists a, b
+    (b trimmed, nonzero): step k leaves multiples of |lead b|**(dq + 1 - k),
+    dq = len a - len b, so each quotient entry divides exactly at
+    scale = |lead b|**(dq + 1), and at scale 1 when b divides a in Z[z]."""
+    n = len(b)
+    dq = len(a) - n
+    rem, quot = [scale * x for x in a], [0] * (dq + 1)
+    for shift in range(dq, -1, -1):
+        factor = quot[shift] = rem[shift + n - 1] // b[-1]
+        for m, y in enumerate(b):
+            rem[shift + m] -= factor * y
+    return quot, rem[:n - 1]
 
 
 def _fractions(xs, den: int) -> list:
@@ -427,17 +434,17 @@ def _kronecker(left, right, product=lambda a, b: (a * b,)):
     return [_unpack(acc, n, width) for acc in sums]
 
 
-def _product_width(left, right) -> int:
+def _product_width(left, right, extra: int = 0) -> int:
     """The digit width at which `_kronecker` multiplies these component
     lists: an output digit sums len(left) signed convolution coefficients,
     each of at most min(m, n) products of an entry of each side (m, n the
     longest lists), and (len(left) - 1).bit_length() bits over that bound
-    cover the sum."""
+    cover the sum (`extra` more bits, a factor below 2**extra)."""
     return _digit_width(_max_bits(chain.from_iterable(left))
                         + _max_bits(chain.from_iterable(right))
                         + min(max(map(len, left)),
                               max(map(len, right))).bit_length()
-                        + (len(left) - 1).bit_length())
+                        + (len(left) - 1).bit_length() + extra)
 
 
 def _digits(value: int, width: int) -> list:

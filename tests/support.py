@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from slicereg import (CQuat, CQuatF, GaussRat, Matrix, NotInWError, Poly,
-                      Quaternion, SO3Matrix, StemPoly, TruncSeries,
-                      ZeroPolynomialError)
+from slicereg import (ConjugatorReport, CQuat, CQuatF, GaussRat, Matrix,
+                      NotInWError, Poly, Quaternion, SO3Matrix, StemPoly,
+                      TruncSeries, ZeroAlphaError, ZeroPolynomialError)
 from slicereg.algebra import _mul_components
 from slicereg.parsing import render_stem
 from slicereg.poly import _kronecker, _over_one_denominator
@@ -213,6 +213,27 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
                     for xs in alpha.nums if k < len(xs) and xs[k])
         basis.append(alpha * Fraction(alpha.den, lead))
     return basis
+
+
+def reference_verify_conjugator(first: StemPoly, second: StemPoly,
+                                alpha) -> ConjugatorReport:
+    """The conjugator check on product stems: alpha * F against H * alpha,
+    and alpha^c * H * alpha against F * norm(alpha) when that norm is a
+    nonzero constant, each as two `StemPoly.star` products brought to
+    lowest terms and compared: the reference that `verify_conjugator` is
+    checked against."""
+    if not isinstance(alpha, StemPoly):
+        alpha = StemPoly((alpha,))
+    if alpha.is_zero:
+        raise ZeroAlphaError("conjugator candidate must be nonzero")
+    intertwines = alpha.star(first) == second.star(alpha)
+    norm_alpha = alpha.norm()
+    invertible = norm_alpha.degree == 0 and not norm_alpha.is_zero
+    identity = None
+    if invertible:
+        c = norm_alpha.coeff(0)
+        identity = alpha.conj().star(second).star(alpha) == first * c
+    return ConjugatorReport(intertwines, norm_alpha, invertible, identity)
 
 
 def reference_stem_views(quats) -> dict:

@@ -25,7 +25,7 @@ from support import (conjugate_stem, convolve_stems, rand_fraction,
                      rand_nonzero_quaternion, rand_poly,
                      rand_pure_imaginary_quaternion, rand_quaternion,
                      rand_stem, rand_stem_nonslice,
-                     reference_find_intertwiner)
+                     reference_find_intertwiner, reference_verify_conjugator)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -353,6 +353,19 @@ def test_find_intertwiner_re_verification_checks_both_relations(
         find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
 
 
+def test_find_intertwiner_re_verification_checks_the_degree_bound(
+        monkeypatch):
+    """The worked pair's basis at degree bound 2 handed to a search at 1:
+    its one vector has degree 2, and its block of the stacked stem would
+    reach into the next block's place, so it must be refused."""
+    def one_degree_up(f, h, dmax, top):
+        return _intertwiner_kernel(f, h, dmax + 1, top + 1)
+
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", one_degree_up)
+    with pytest.raises(AssertionError, match="degree bound"):
+        find_intertwiner(F_PAIR, G_PAIR, 1)
+
+
 def test_verify_conjugator_worked_pair():
     report = verify_conjugator(F_PAIR, G_PAIR, ALPHA_PAIR)
     assert report.intertwines
@@ -373,6 +386,107 @@ def test_verify_conjugator_trivial_and_failing():
 
     with pytest.raises(ZeroAlphaError):
         verify_conjugator(F_PAIR, G_PAIR, StemPoly())
+
+
+def _same_report(first, second, alpha):
+    got = verify_conjugator(first, second, alpha)
+    want = reference_verify_conjugator(first, second, alpha)
+    assert (got.intertwines, got.norm_alpha, got.invertible_on_C,
+            got.conjugation_identity) == (
+        want.intertwines, want.norm_alpha, want.invertible_on_C,
+        want.conjugation_identity)
+    return got
+
+
+def test_verify_conjugator_matches_the_product_stem_reference():
+    """Packed checks against `StemPoly.star` products, on 1,250 triples: a
+    constant conjugator, as a `Quaternion` and as a stem, with F and H
+    scaled by one rational (mixed denominators); a polynomial alpha with
+    alpha * (N(alpha) F) = (alpha F alpha^c) * alpha, whose norm is not
+    constant; the same alpha scaled by a rational; and invertible and
+    polynomial candidates that do not intertwine."""
+    rng = random.Random(2431)
+    seen = set()
+    for _ in range(250):
+        f = rand_stem(rng, rng.randint(0, 6))
+        u = rand_nonzero_quaternion(rng)
+        t = rand_fraction(rng) or Fraction(1, 7)
+        h = conjugate_stem(u, f)
+        a = StemPoly([rand_quaternion(rng) for _ in range(rng.randint(0, 2))]
+                     + [rand_nonzero_quaternion(rng)])
+        nf = f.star(StemPoly(a.norm().coeffs))
+        triples = [(f * t, h * t, u), (f, h, StemPoly.constant(u * t)),
+                   (nf, a.star(f).star(a.conj()), a * t),
+                   (f, conjugate_stem(rand_nonzero_quaternion(rng), f), u),
+                   (f, rand_stem(rng, 6), a)]
+        for first, second, alpha in triples:
+            report = _same_report(first, second, alpha)
+            seen.add((report.intertwines, report.conjugation_identity))
+    assert seen == {(True, True), (True, None), (False, False),
+                    (False, None)}
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 31, 64])
+def test_verify_conjugator_at_the_worst_case_width(bits):
+    """Entries +-(2**bits - 1) of one sign, so that the convolutions reach
+    their bounds, and near misses whose difference has a root at a
+    packing point.  For alpha = m*z (m = 2**bits - 1, norm not constant),
+    F = f0 = 2**b - 1 and H = (h0 + z)/d with h0 = f0*d - xi and
+    xi = 2**(8*w), the compared integer stems (m*z*f0)*d and (h0 + z)*m*z
+    differ by m*z*(xi - z), which vanishes at xi alone: the check errs
+    only when it packs at exactly w bytes.  The bits of d carry the width
+    past w; a width without them lands on w for one of these triples.
+    The pair is also checked the other way round, F = (h0 + z)/d and
+    H = f0, and with alpha = m (constant norm), identity included."""
+    m = 2 ** bits - 1
+    one = Quaternion(1, 1, 1, 1)
+    for sign, terms in itertools.product((1, -1), (1, 3, 8)):
+        f = StemPoly([one * (sign * m)] * terms)
+        for alpha in (StemPoly([one * m] * terms), StemPoly.constant(one * m),
+                      StemPoly.constant(Quaternion(m, m)),
+                      StemPoly([0, m] * terms)):
+            _same_report(f, f, alpha)
+            _same_report(f, f * Fraction(1, m + 2), alpha)
+    for b, w in itertools.product(range(1, 30), range(1, 9)):
+        f0, xi = 2 ** b - 1, 2 ** (8 * w)
+        d = -(-xi // f0)
+        near = StemPoly([Fraction(f0 * d - xi, d), Fraction(1, d)])
+        for alpha in (StemPoly([0, m]), StemPoly.constant(m)):
+            for first, second in ((StemPoly.constant(f0), near),
+                                  (near, StemPoly.constant(f0))):
+                report = _same_report(first, second, alpha)
+                assert not report.intertwines
+                assert report.conjugation_identity is (
+                    None if alpha.degree else False)
+
+
+@pytest.mark.parametrize("first, second", [
+    (F_PAIR, G_PAIR),
+    ("1 + z*i + z^2*j", "1 + z*i + z^2*j"),                  # W = V
+    ("1 + z*i + z^2*j", "1 - z*i - z^2*j"),                  # W = -V
+    ("1 + z^2", "1 + z^2"),                                  # central F = H
+])
+def test_intertwiners_are_checked_without_product_stems_or_quotients(
+        monkeypatch, first, second):
+    """The search, its re-verification and the conjugator check run on the
+    stored integer lists: no `StemPoly.star` and no `Poly` division."""
+    first, second = (parse_stem(x) if isinstance(x, str) else x
+                     for x in (first, second))
+    basis = find_intertwiner(first, second, 6)
+    report = verify_conjugator(first, second, basis[0])
+
+    def refused(*args):
+        raise AssertionError("product stem or Poly quotient built")
+
+    monkeypatch.setattr(StemPoly, "star", refused)
+    monkeypatch.setattr(Poly, "__divmod__", refused)
+    with pytest.raises(AssertionError, match="built"):
+        divmod(Poly([1, 1]), Poly([1]))
+    with pytest.raises(AssertionError, match="built"):
+        first.star(second)
+    assert find_intertwiner(first, second, 6) == basis
+    assert verify_conjugator(first, second, basis[0]) == report
+    assert report.intertwines
 
 
 def test_pointwise_scan_passes_despite_global_inequivalence():
