@@ -47,6 +47,7 @@ RESULT_SCHEMA = {
         "intertwiners": {"type": "array", "items": {"type": "string"}},
         "norm_alpha": {"type": "string"},
         "invertible_on_C": {"type": "boolean"},
+        "conjugation_identity": {"type": ["boolean", "null"]},
         "orbit": {
             "type": "object",
             "properties": {
@@ -220,6 +221,7 @@ def _cmd_verify(args) -> int:
                 "equivalent": report.intertwines}
     lines = [f"intertwines (alpha*F = H*alpha): {str(report.intertwines).lower()}",
              *_norm_lines(report, document)]
+    document["conjugation_identity"] = report.conjugation_identity
     if report.conjugation_identity is not None:
         state = "verified" if report.conjugation_identity else "FAILED"
         lines.append(f"conjugation identity F = alpha^-1 * H * alpha: {state}")

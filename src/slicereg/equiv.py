@@ -50,15 +50,15 @@ S H, and S F against H S, each `_mul_components` of the packed
 components), equal iff their balanced digits are.  Since z is central
 and the blocks of a product never meet, S satisfies a relation exactly
 when every kernel vector does.
-`verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha
-(F = f / d_F, H = h / d_H), the form in which an invertible alpha exhibits
-F = alpha**-1 * H * alpha, by packing a, f and h once: (a f) d_H against
-(h a) d_F.  If norm(alpha) is a nonzero constant c_num / c_den, alpha is
-invertible with polynomial inverse on all of C, and the identity is one
-packed triple product, (a^c h a) d_F c_den against f c_num d_a**2 d_H.
-Each width is the `_product_width` bound plus the bits of the scaling
-factor and of the second product, so equal values mean equal stems.  A
-nonconstant norm(alpha) means the inverse exists only off its zero set.
+`verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
+the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
+on the lists f, h of F and H over one denominator (`_scaled_to_lcm`): a f
+against h a, packed at the larger `_product_width`, so equal values mean
+equal stems.  If norm(alpha) is a nonzero constant c, alpha is invertible
+with polynomial inverse alpha^c / c on all of C, and as alpha alpha^c = c
+the identity holds exactly when alpha intertwines: multiply
+alpha^c H alpha = c F on the left by alpha.  A nonconstant norm(alpha)
+means the inverse exists only off its zero set.
 """
 
 from __future__ import annotations
@@ -293,6 +293,16 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     return [row[::-1] for row in reversed(m)]
 
 
+def _scaled_to_lcm(first: StemPoly, second: StemPoly):
+    """The integer lists f, h of first and second over the lcm of their
+    denominators, padded to one length.  The intertwining relations are
+    linear in (F, H) jointly, so this scaling leaves their solutions alone."""
+    size = max(first.degree, second.degree) + 1
+    den = lcm(first.den, second.den)
+    return [[[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
+             for xs in stem.nums] for stem in (first, second)]
+
+
 def find_intertwiner(first: StemPoly, second: StemPoly,
                      dmax: int) -> list[StemPoly]:
     """All alpha with deg alpha <= dmax intertwining first and second:
@@ -317,12 +327,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     # and norm: with either different, only alpha = 0 intertwines.
     if _trace_norm_mismatch(first, second)[0]:
         return []
-    # Both relations are linear in (F, H) jointly, so scaling both stems
-    # by one common denominator leaves the solution space unchanged.
-    size = max(first.degree, second.degree) + 1
-    den = lcm(first.den, second.den)
-    f, h = ([[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
-             for xs in stem.nums] for stem in (first, second))
+    f, h = _scaled_to_lcm(first, second)
     top = dmax + max(first.degree, second.degree, 0)
     kernel = _intertwiner_kernel(f, h, dmax, top)
     # The stacked check of the module docstring, with step = top + 1: a
@@ -333,10 +338,12 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             raise AssertionError("kernel vector above the degree bound")
         for r, comp in enumerate(stacked):
             comp += vec[r::4] + [0] * (top - dmax)
-    # The larger `_product_width` of (f, stacked) and (h, stacked).
+    # The larger `_product_width` of (f, stacked) and (h, stacked): f and h
+    # have one length, so one scan of both gives it, and the stacked lists,
+    # the longest here, are read once rather than once per product.
     width = _digit_width(_max_bits(chain(*f, *h))
                          + _max_bits(chain(*stacked))
-                         + min(size, len(stacked[0])).bit_length() + 2)
+                         + min(len(f[0]), len(stacked[0])).bit_length() + 2)
     f, h, stacked = ([_pack(xs, width) for xs in stem]
                      for stem in (f, h, stacked))
     if (_mul_components(*f, *stacked) != _mul_components(*stacked, *h)
@@ -373,8 +380,9 @@ class ConjugatorReport(Record):
     intertwines: bool                 # alpha * F = H * alpha, exactly
     norm_alpha: Poly
     invertible_on_C: bool             # norm(alpha) is a nonzero constant
-    conjugation_identity: bool | None  # F = alpha**-1 * H * alpha; None if
-                                       # alpha is not invertible on all of C
+    conjugation_identity: bool | None  # F = alpha**-1 * H * alpha, read off
+                                       # intertwines; None if alpha is not
+                                       # invertible on all of C
 
 
 def verify_conjugator(first: StemPoly, second: StemPoly,
@@ -390,29 +398,14 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
         alpha = StemPoly((alpha,))
     if alpha.is_zero:
         raise ZeroAlphaError("conjugator candidate must be nonzero")
-    a, f, h = alpha.nums, first.nums, second.nums
-    f_den, h_den = first.den, second.den
     norm_alpha = alpha.norm()
     invertible = norm_alpha.degree == 0 and not norm_alpha.is_zero
-    # (a*f)*h_den against (h*a)*f_den, each digit inside the width.
-    width = max(_product_width(a, f, h_den.bit_length()),
-                _product_width(h, a, f_den.bit_length()))
-    if invertible:
-        # (a^c*h*a)*left against f*right, for c = c_num / c_den: the second
-        # product sums 4 convolutions of at most len(a) terms.
-        left = f_den * norm_alpha.den
-        right = norm_alpha.nums[0] * alpha.den ** 2 * h_den
-        width = max(width, _digit_width(_max_bits(chain(*f))
-                                        + right.bit_length()),
-                    _product_width(a, h, _max_bits(chain(*a)) + 2
-                                   + max(map(len, a)).bit_length()
-                                   + left.bit_length()))
+    # The relation is linear in alpha, so its denominator drops out.
+    a, (f, h) = alpha.nums, _scaled_to_lcm(first, second)
+    width = max(_product_width(a, f), _product_width(h, a))
     a, f, h = ([_pack(xs, width) for xs in nums] for nums in (a, f, h))
-    intertwines = all(x * h_den == y * f_den for x, y in zip(
-        _mul_components(*a, *f), _mul_components(*h, *a)))
-    identity = None
-    if invertible:
-        a_conj = (a[0], -a[1], -a[2], -a[3])
-        identity = all(x * left == y * right for x, y in zip(
-            _mul_components(*_mul_components(*a_conj, *h), *a), f))
-    return ConjugatorReport(intertwines, norm_alpha, invertible, identity)
+    intertwines = _mul_components(*a, *f) == _mul_components(*h, *a)
+    # alpha * alpha^c = norm(alpha) = c != 0, so alpha^c * H * alpha = c * F
+    # holds iff alpha * F = H * alpha (multiply on the left by alpha).
+    return ConjugatorReport(intertwines, norm_alpha, invertible,
+                            intertwines if invertible else None)

@@ -434,17 +434,17 @@ def _kronecker(left, right, product=lambda a, b: (a * b,)):
     return [_unpack(acc, n, width) for acc in sums]
 
 
-def _product_width(left, right, extra: int = 0) -> int:
+def _product_width(left, right) -> int:
     """The digit width at which `_kronecker` multiplies these component
     lists: an output digit sums len(left) signed convolution coefficients,
     each of at most min(m, n) products of an entry of each side (m, n the
     longest lists), and (len(left) - 1).bit_length() bits over that bound
-    cover the sum (`extra` more bits, a factor below 2**extra)."""
+    cover the sum."""
     return _digit_width(_max_bits(chain.from_iterable(left))
                         + _max_bits(chain.from_iterable(right))
                         + min(max(map(len, left)),
                               max(map(len, right))).bit_length()
-                        + (len(left) - 1).bit_length() + extra)
+                        + (len(left) - 1).bit_length())
 
 
 def _digits(value: int, width: int) -> list:

@@ -106,6 +106,19 @@ def test_verify_command(capsys):
     assert code == 1
 
 
+def test_verify_json_carries_the_conjugation_identity(capsys):
+    """True for a constant alpha that conjugates, false for one that does
+    not, null when norm(alpha) is not constant (the worked pair)."""
+    for argv, code, identity in (
+            (("i + z*j", "j + z*k", "1 + i + j + k"), 0, True),
+            (("i", "j", "1"), 1, False),
+            ((F, G, PAIR_ALPHA), 0, None)):
+        got, doc = run_json(capsys, "verify", *argv)
+        assert got == code
+        assert doc["conjugation_identity"] is identity
+        assert doc["equivalent"] is (code == 0)
+
+
 def test_eval_command(capsys):
     code, out = run_cli(capsys, "eval", "z^2", "--at", "j")
     assert code == 0 and out.strip() == "value: -1"

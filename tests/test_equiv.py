@@ -432,12 +432,15 @@ def test_verify_conjugator_at_the_worst_case_width(bits):
     their bounds, and near misses whose difference has a root at a
     packing point.  For alpha = m*z (m = 2**bits - 1, norm not constant),
     F = f0 = 2**b - 1 and H = (h0 + z)/d with h0 = f0*d - xi and
-    xi = 2**(8*w), the compared integer stems (m*z*f0)*d and (h0 + z)*m*z
-    differ by m*z*(xi - z), which vanishes at xi alone: the check errs
-    only when it packs at exactly w bytes.  The bits of d carry the width
-    past w; a width without them lands on w for one of these triples.
-    The pair is also checked the other way round, F = (h0 + z)/d and
-    H = f0, and with alpha = m (constant norm), identity included."""
+    xi = 2**(8*w), the integer stems compared over the one denominator d,
+    m*z*(f0*d) and (h0 + z)*m*z, differ by m*z*(xi - z), which vanishes at
+    xi alone: a check that packed at exactly w bytes would call them
+    equal.  The bits of d enter the width through the scaled entry
+    f0*d >= xi, which carries it past w; a width read off the unscaled
+    entries is too narrow for that entry for one of these triples, and
+    packing it raises.  The pair is also checked the other way round,
+    F = (h0 + z)/d and H = f0, and with alpha = m (constant norm), whose
+    identity has no width of its own: it is read off the same check."""
     m = 2 ** bits - 1
     one = Quaternion(1, 1, 1, 1)
     for sign, terms in itertools.product((1, -1), (1, 3, 8)):
