@@ -12,7 +12,7 @@ Conventions
 * `_mul_components` is the one quaternion product formula.  It holds
   over any commutative coefficient ring, so it serves these three fields,
   Horner's rule (`_horner_left`), the stem product on packed integers
-  (`poly._kronecker`) and the intertwiner's linear system alike.
+  (`poly._kronecker`) and the intertwiner and conjugator checks alike.
 * The center is exactly the set of elements with zero i, j, k parts; in
   `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
   conjugation commute.

@@ -45,20 +45,20 @@ against both relations by multiplication, independently of how they were
 found: each must have 4(dmax + 1) entries, and they are stacked into one
 integer stem S, vector i at z^(i*step), with step one more than the
 highest degree a product of F or H with one vector can reach.  Each
-relation is then two products of stems packed at one width (F S against
-S H, and S F against H S, each `_mul_components` of the packed
-components), equal iff their balanced digits are.  Since z is central
-and the blocks of a product never meet, S satisfies a relation exactly
-when every kernel vector does.
+relation is then two products of stems packed at the `_product_width`
+of (f + h, S) (F S against S H, and S F against H S, each
+`_mul_components` of the packed components), equal iff their balanced
+digits are.  Since z is central and the blocks of a product never meet,
+S satisfies a relation exactly when every kernel vector does.
 `verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
 on the lists f, h of F and H over one denominator (`_scaled_to_lcm`): a f
-against h a, packed at the larger `_product_width`, so equal values mean
-equal stems.  If norm(alpha) is a nonzero constant c, alpha is invertible
-with polynomial inverse alpha^c / c on all of C, and as alpha alpha^c = c
-the identity holds exactly when alpha intertwines: multiply
-alpha^c H alpha = c F on the left by alpha.  A nonconstant norm(alpha)
-means the inverse exists only off its zero set.
+against h a, packed at the `_product_width` of (f + h, a), so equal
+values mean equal stems.  If norm(alpha) is a nonzero constant c, alpha
+is invertible with polynomial inverse alpha^c / c on all of C, and as
+alpha alpha^c = c the identity holds exactly when alpha intertwines:
+multiply alpha^c H alpha = c F on the left by alpha.  A nonconstant
+norm(alpha) means the inverse exists only off its zero set.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .poly import (Poly, _digit_width, _gcd_ints, _integer_echelon,
                    _integer_nullspace, _lowest_terms, _max_bits, _pack,
                    _product_width, _pseudo_divmod)
 from .scalars import GaussRat, Record
-from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly, _packed
+from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
 
 BRANCH_NOT_SLICE_PRESERVING = "NotSlicePreserving"
 BRANCH_SLICE_PRESERVING = "SlicePreservingIdentical"
@@ -115,8 +115,8 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     stored integer lists f, h over the denominators d_F, d_H: the traces
     agree iff f0 * d_H = h0 * d_F; then the norms agree iff the trace-free
     parts f'' = (f1, f2, f3) and h'' do, |f''|**2 * d_H**2 = |h''|**2 * d_F**2,
-    three squares a side read at the point of `_packed` for the lists times
-    the other d; and the central divisors iff f'' and h'' share `_gcd_ints`,
+    three squares a side packed at one width sized for the lists times the
+    other d; and the central divisors iff f'' and h'' share `_gcd_ints`,
     which reuses those packs: c0 is never packed."""
     if first.is_slice_preserving() or second.is_slice_preserving():
         same = first == second
@@ -137,10 +137,14 @@ def _trace_norm_mismatch(first: StemPoly, second: StemPoly):
     if (f0 != h0 if f_den == h_den
             else [x * h_den for x in f0] != [x * f_den for x in h0]):
         return "trace", None
+    # Sized by hand, not by `_product_width`: each side's squares are
+    # compared times the other denominator squared, which the lists alone do
+    # not show, so its bits go in with the entries; 2 bits cover three
+    # squares.
     bits = max(_max_bits(chain.from_iterable(f)) + h_den.bit_length(),
                _max_bits(chain.from_iterable(h)) + f_den.bit_length())
-    n = max(map(len, f + h))
-    (f_at, width), (h_at, _) = _packed(f, bits, n), _packed(h, bits, n)
+    width = _digit_width(2 * bits + max(map(len, f + h)).bit_length() + 2)
+    f_at, h_at = ([_pack(xs, width) for xs in lists] for lists in (f, h))
     if (sum(x * x for x in f_at) * h_den ** 2
             != sum(x * x for x in h_at) * f_den ** 2):
         return "norm", None
@@ -338,12 +342,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             raise AssertionError("kernel vector above the degree bound")
         for r, comp in enumerate(stacked):
             comp += vec[r::4] + [0] * (top - dmax)
-    # The larger `_product_width` of (f, stacked) and (h, stacked): f and h
-    # have one length, so one scan of both gives it, and the stacked lists,
-    # the longest here, are read once rather than once per product.
-    width = _digit_width(_max_bits(chain(*f, *h))
-                         + _max_bits(chain(*stacked))
-                         + min(len(f[0]), len(stacked[0])).bit_length() + 2)
+    width = _product_width(f + h, stacked)
     f, h, stacked = ([_pack(xs, width) for xs in stem]
                      for stem in (f, h, stacked))
     if (_mul_components(*f, *stacked) != _mul_components(*stacked, *h)
@@ -402,7 +401,7 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
     invertible = norm_alpha.degree == 0 and not norm_alpha.is_zero
     # The relation is linear in alpha, so its denominator drops out.
     a, (f, h) = alpha.nums, _scaled_to_lcm(first, second)
-    width = max(_product_width(a, f), _product_width(h, a))
+    width = _product_width(f + h, a)
     a, f, h = ([_pack(xs, width) for xs in nums] for nums in (a, f, h))
     intertwines = _mul_components(*a, *f) == _mul_components(*h, *a)
     # alpha * alpha^c = norm(alpha) = c != 0, so alpha^c * H * alpha = c * F

@@ -86,9 +86,10 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        # Only ASCII digits: str.isdigit() also accepts '²' and '١'.
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(_Token("num", text[start:pos], start,
                                  int(text[start:pos])))

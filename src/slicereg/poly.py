@@ -16,10 +16,10 @@ operands to the lcm of their denominators.  A product runs through
 `_kronecker`, the one packed-product kernel, which the stem product of
 `stem.py` shares: each component list of an operand (one here, four for
 a stem) is packed into one integer, a digit per coefficient, at one width
-(`_product_width`) wide enough that no digit of the product overflows;
-the packed components are multiplied as big integers (Kronecker
-substitution), and each sum is unpacked once and divided by the two
-denominators.  A list shorter than `_SHIFT_BELOW` is packed by shifts
+(`_product_width`, which also sizes the norm and the intertwiner
+checks) wide enough that no digit of the product overflows; the packed
+components are multiplied as big integers (Kronecker substitution), and
+each sum is unpacked once and divided by the two denominators.  A list shorter than `_SHIFT_BELOW` is packed by shifts
 and unpacked by masks, a longer one by one byte copy (`_pack` gives the
 sweep that set the crossover).  Both paths raise OverflowError on a digit
 that does not fit the width and on a value that n digits cannot hold.
@@ -435,11 +435,12 @@ def _kronecker(left, right, product=lambda a, b: (a * b,)):
 
 
 def _product_width(left, right) -> int:
-    """The digit width at which `_kronecker` multiplies these component
-    lists: an output digit sums len(left) signed convolution coefficients,
-    each of at most min(m, n) products of an entry of each side (m, n the
-    longest lists), and (len(left) - 1).bit_length() bits over that bound
-    cover the sum."""
+    """The digit width at which these component lists multiply, in
+    `_kronecker`, `StemPoly.norm` and the intertwiner checks: an output
+    digit sums at most len(left) signed convolution coefficients, each of
+    at most min(m, n) products of an entry of each side (m, n the longest
+    lists), and (len(left) - 1).bit_length() bits over that bound cover
+    the sum."""
     return _digit_width(_max_bits(chain.from_iterable(left))
                         + _max_bits(chain.from_iterable(right))
                         + min(max(map(len, left)),

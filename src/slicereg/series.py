@@ -16,12 +16,13 @@ tolerance, and evaluations report a truncation tail bound
 
 computed from a factorial majorant |a_k| <= C * A^k / k! tracked through
 the series operations.  For entire-function builders (cos, sin, exp and
-their half-argument variants) the majorant is sharp enough for practical
-certification, and a series built from coefficients gets a majorant of
-them; series that are plain polynomials report a zero tail.  For
-evaluation points that are neither central nor real quaternions the bound
-uses sqrt(2)*|q| since the euclidean norm on the complexified algebra is
-only sqrt(2)-submultiplicative.
+their half-argument variants) the builder supplies the majorant, and a
+series built from coefficients gets a majorant of them; series that are
+plain polynomials report a zero tail.  The bounds are reported beside
+the tolerance checks but do not decide them.  For evaluation points that
+are neither central nor real quaternions the bound uses sqrt(2)*|q|
+since the euclidean norm on the complexified algebra is only
+sqrt(2)-submultiplicative.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .algebra import CQuat, Quaternion, QuaternionBase, _horner_left
-from .errors import NearSingularSampleError
+from .errors import NearSingularSampleError, SliceRegError
 from .poly import Poly
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat, Record
 from .stem import StemPoly
@@ -346,7 +347,11 @@ def check_conjugation_identity(first: TruncSeries, second: TruncSeries,
 
 def numeric_roots(p: Poly) -> list[complex]:
     """Approximate roots of an exact polynomial, for display only."""
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise SliceRegError("approximate roots need numpy, which is not "
+                            "installed") from exc
 
     if p.degree < 1:
         return []

@@ -30,7 +30,7 @@ since the imaginary parts of F * F^c cancel in pairs.  Every operation
 works on the stored integers and divides out one gcd at the end: a sum
 brings both operands to the lcm of their denominators, a scalar a/b
 multiplies the lists by a and the denominator by b, and the norm is one
-packed sum of squares (`_packed`) over den**2.
+packed sum of squares over den**2, packed at `poly._product_width`.
 
 The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
@@ -64,9 +64,9 @@ from math import lcm
 from .algebra import (CQuat, Pair, Quaternion, R3Elem, _horner_left,
                       _mul_components)
 from .errors import SlicePreservingError, ZeroFunctionError
-from .poly import (_ZERO, IntegerRows, Poly, _digit_width, _divide_linear,
-                   _fractions, _gcd_ints, _kronecker, _max_bits,
-                   _over_one_denominator, _pack, _unpack, vanishing_order)
+from .poly import (_ZERO, IntegerRows, Poly, _divide_linear, _fractions,
+                   _gcd_ints, _kronecker, _over_one_denominator, _pack,
+                   _product_width, _unpack, vanishing_order)
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
@@ -219,13 +219,15 @@ class StemPoly(IntegerRows):
         return Poly._from_ints([2 * x for x in self.nums[0]], self.den)
 
     def norm(self) -> Poly:
-        """norm(F) = F * F^c, a central (rational) polynomial: the packed
-        sum of squares of `_packed`, unpacked and divided by den**2."""
+        """norm(F) = F * F^c, a central (rational) polynomial: the sum of
+        the four components' squares, packed at the `_product_width` of
+        the lists with themselves, unpacked and divided by den**2."""
         nums = self.nums
         n = max(map(len, nums))
         if not n:
             return Poly()
-        packed, width = _packed(nums, max(map(_max_bits, nums)), n)
+        width = _product_width(nums, nums)
+        packed = [_pack(xs, width) for xs in nums]
         return Poly._from_ints(_unpack(sum(x * x for x in packed), 2 * n - 1,
                                        width), self.den ** 2)
 
@@ -289,19 +291,6 @@ class StemPoly(IntegerRows):
     def __str__(self):
         from .parsing import render_stem
         return render_stem(self)
-
-
-def _packed(parts, bits: int, n: int):
-    """(packed, width): the integer component lists packed at
-    xi = 2**(8*width), wide enough that the sum of their squares (the norm
-    of four lists, or the three squares of the trace-free part that
-    `equivalent` compares) is sum(x * x for x in packed) read at xi.  With
-    entries below 2**bits and lengths at most n, a coefficient of a square
-    sums at most n products and 2 more bits cover four squares, so every
-    coefficient of the sum is below xi/2 in absolute value and its value at
-    xi determines it."""
-    width = _digit_width(2 * bits + n.bit_length() + 2)
-    return [_pack(p, width) for p in parts], width
 
 
 Z = StemPoly.monomial(1)

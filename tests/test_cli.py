@@ -59,6 +59,10 @@ def test_equiv_command_exit_codes(capsys):
     code, doc = run_json(capsys, "equiv", F, F)
     assert code == 0 and doc["equivalent"] is True and doc["reason"] is None
 
+    code, out = run_cli(capsys, "equiv", "1", "2")
+    assert code == 1
+    assert "reason: slice preserving branch requires literal equality" in out
+
 
 def test_equiv_r3_and_alias(capsys):
     pair_a = f"( i ; {G} )"
@@ -137,6 +141,17 @@ def test_cdiv_command(capsys):
     assert "1.414214" in out
     code, _ = run_cli(capsys, "cdiv", "1 + z^2")
     assert code == 2  # undefined for slice preserving input
+    code, out = run_cli(capsys, "cdiv", "i + z*j", "--roots")
+    assert code == 0
+    assert "approximate roots (display only): none" in out
+
+
+def test_cdiv_roots_without_numpy_is_an_error(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code = main(["cdiv", G, "--roots"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "numpy" in captured.err
 
 
 def test_parse_and_usage_errors(capsys):
@@ -331,7 +346,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
 # -- argv fuzzing -----------------------------------------------------------------
 
 _EXPR_TOKENS = ("z", "q", "i", "j", "k", "E", "0", "1", "2", "3", "10", "/",
-                "+", "-", "*", "^", "(", ")", ";", " ")
+                "+", "-", "*", "^", "(", ")", ";", " ", "²", "١")
 _SAMPLE_TOKENS = ("0", "1", "2", ".", "5", "e", "1e10", "1e200", "1e400",
                   "+", "-", "i", "j", ",", " ", "inf", "nan")
 _expressions = st.lists(st.sampled_from(_EXPR_TOKENS), max_size=10).map("".join)

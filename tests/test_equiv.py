@@ -683,9 +683,11 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
     """Integer stems of coefficients +-(2**bits - 1), of unequal lengths,
     all with trace 2*(2**bits - 1).  With equal signs and full-length
     parts a norm coefficient reaches nearly 4*n*(2**bits - 1)**2 for
-    length n, the most the digit width of `_packed` allows; length 1
-    (odd bit sizes) and lengths 64-127 (even ones) put that bound right at
-    a byte boundary, where a width two bits short overflows a digit.
+    length n, the most the digit width of `StemPoly.norm` (the
+    `_product_width` of the lists with themselves) and of the norm
+    comparison allows; length 1 (odd bit sizes) and lengths 64-127 (even
+    ones) put that bound right at a byte boundary, where a width two bits
+    short overflows a digit.
     Every norm must match the schoolbook sum of squares, and two of these
     stems must compare equal in norm exactly when their norms are equal."""
     rng = random.Random(bits)

@@ -79,6 +79,17 @@ def test_parse_errors_carry_positions():
         parse_stem("")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("z²", 1), ("١+z", 0), ("2 + 3٣*z", 5)])
+def test_only_ascii_digits_are_digits(text, position):
+    # str.isdigit() also holds for superscripts and other scripts' digits.
+    with pytest.raises(ParseError) as err:
+        parse_stem(text)
+    assert err.value.position == position
+    assert str(err.value).startswith(
+        f"unexpected character {text[position]!r}")
+
+
 def test_pair_parsing():
     pair = parse_r3_stem("( 1 + z*i ; j )")
     assert pair.first == StemPoly([1, QI])
@@ -107,6 +118,9 @@ def test_pair_parsing():
     (parse_r3_stem, "(E ; j)", UnitNotAllowedError, 1),
     (parse_r3_point, "(1 ; z)", VariableInPointError, 5),
     (parse_r3_stem, "(i ; j ; k)", ParseError, 7),
+    (parse_r3_stem, "(i) + (j ; k)", ParseError, 2),
+    (parse_r3_stem, "(i)", ParseError, 2),
+    (parse_r3_stem, "(i j)", ParseError, 3),
 ])
 def test_pair_errors_count_positions_in_the_whole_text(parse, text, error,
                                                        position):
