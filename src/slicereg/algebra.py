@@ -12,7 +12,8 @@ Conventions
 * `_mul_components` is the one quaternion product formula.  It holds
   over any commutative coefficient ring, so it serves these three fields,
   Horner's rule (`_horner_left`), the stem product on packed integers
-  (`poly._kronecker`) and the intertwiner and conjugator checks alike.
+  (`poly._kronecker`) and the intertwiner and conjugator checks alike;
+  `_inner_components`, the real part of a * b^c, gives packed stem norms.
 * The center is exactly the set of elements with zero i, j, k parts; in
   `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
   conjugation commute.
@@ -50,6 +51,11 @@ def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
     )
+
+
+def _inner_components(a0, a1, a2, a3, b0, b1, b2, b3):
+    """The real part of a * b^c, as one sum: a * a^c is the norm of a."""
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,)
 
 
 def _horner_left(q, rows):

@@ -423,7 +423,8 @@ def _int_at_least(minimum: int):
     """An argparse type: an int no smaller than minimum."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            # As bytes, only ASCII is read: int("١") would be 1.
+            value = int(text.encode("ascii"))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
@@ -437,7 +438,8 @@ def _int_at_least(minimum: int):
 def _tolerance(text: str) -> float:
     """An argparse type: a finite float greater than zero."""
     try:
-        value = float(text)
+        # As bytes, only ASCII is read: float("١") would be 1.0.
+        value = float(text.encode("ascii"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid float value: {text!r}") from None

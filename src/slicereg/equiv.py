@@ -4,7 +4,8 @@ Two stem polynomials F, H are equivalent when one is carried to the other
 by a pointwise-varying algebra automorphism.  The decision is exact:
 
 * If neither is slice preserving, equivalence holds iff trace, norm and
-  central divisor all agree.
+  central divisor all agree, compared (as the intertwiners below are) on
+  the lists f, h of F and H over one denominator (`_scaled_to_lcm`).
 * If either is slice preserving, automorphisms fix its values pointwise,
   so equivalence degenerates to literal equality F = H.
 
@@ -52,11 +53,10 @@ digits are.  Since z is central and the blocks of a product never meet,
 S satisfies a relation exactly when every kernel vector does.
 `verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
-on the lists f, h of F and H over one denominator (`_scaled_to_lcm`): a f
-against h a, packed at the `_product_width` of (f + h, a), so equal
-values mean equal stems.  If norm(alpha) is a nonzero constant c, alpha
-is invertible with polynomial inverse alpha^c / c on all of C, and as
-alpha alpha^c = c the identity holds exactly when alpha intertwines:
+on f and h: a f against h a, packed at the `_product_width` of (f + h, a),
+so equal values mean equal stems.  If norm(alpha) is a nonzero constant
+c, alpha is invertible with polynomial inverse alpha^c / c on all of C,
+and as alpha alpha^c = c the identity holds exactly when it intertwines:
 multiply alpha^c H alpha = c F on the left by alpha.  A nonconstant
 norm(alpha) means the inverse exists only off its zero set.
 """
@@ -68,9 +68,8 @@ from math import lcm
 
 from .algebra import CQuat, _mul_components, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import (Poly, _digit_width, _gcd_ints, _integer_echelon,
-                   _integer_nullspace, _lowest_terms, _max_bits, _pack,
-                   _product_width, _pseudo_divmod)
+from .poly import (Poly, _gcd_ints, _integer_echelon, _integer_nullspace,
+                   _lowest_terms, _pack, _product_width, _pseudo_divmod)
 from .scalars import GaussRat, Record
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
 
@@ -112,41 +111,31 @@ class EquivVerdict(Record):
 
 def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
     """Decide equivalence under pointwise automorphism conjugation, on the
-    stored integer lists f, h over the denominators d_F, d_H: the traces
-    agree iff f0 * d_H = h0 * d_F; then the norms agree iff the trace-free
-    parts f'' = (f1, f2, f3) and h'' do, |f''|**2 * d_H**2 = |h''|**2 * d_F**2,
-    three squares a side packed at one width sized for the lists times the
-    other d; and the central divisors iff f'' and h'' share `_gcd_ints`,
-    which reuses those packs: c0 is never packed."""
+    lists f, h of F and H over one denominator (`_scaled_to_lcm`): the
+    traces agree iff f0 = h0; then the norms agree iff the trace-free parts
+    f'' = (f1, f2, f3) and h'' do, three squares a side packed at the
+    `_product_width` of (f'' + h'') with itself; and the central divisors
+    iff f'' and h'' share `_gcd_ints`, which reuses those packs."""
     if first.is_slice_preserving() or second.is_slice_preserving():
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
-    reason, packs = _trace_norm_mismatch(first, second)
+    reason, packs = _trace_norm_mismatch(*_scaled_to_lcm(first, second))
     if reason is None and _gcd_ints(*packs[0]) != _gcd_ints(*packs[1]):
         reason = "cdiv"
     return EquivVerdict(reason is None, BRANCH_NOT_SLICE_PRESERVING, reason)
 
 
-def _trace_norm_mismatch(first: StemPoly, second: StemPoly):
+def _trace_norm_mismatch(f, h):
     """("trace" or "norm", None) for the first of them that differs, read as
     in `equivalent`; else (None, the `_gcd_ints` arguments of each W part)."""
-    (f0, *f), f_den = first.nums, first.den
-    (h0, *h), h_den = second.nums, second.den
     # The trace is 2*c0, so comparing c0 compares traces.
-    if (f0 != h0 if f_den == h_den
-            else [x * h_den for x in f0] != [x * f_den for x in h0]):
+    if f[0] != h[0]:
         return "trace", None
-    # Sized by hand, not by `_product_width`: each side's squares are
-    # compared times the other denominator squared, which the lists alone do
-    # not show, so its bits go in with the entries; 2 bits cover three
-    # squares.
-    bits = max(_max_bits(chain.from_iterable(f)) + h_den.bit_length(),
-               _max_bits(chain.from_iterable(h)) + f_den.bit_length())
-    width = _digit_width(2 * bits + max(map(len, f + h)).bit_length() + 2)
+    f, h = f[1:], h[1:]
+    width = _product_width(f + h, f + h)
     f_at, h_at = ([_pack(xs, width) for xs in lists] for lists in (f, h))
-    if (sum(x * x for x in f_at) * h_den ** 2
-            != sum(x * x for x in h_at) * f_den ** 2):
+    if sum(x * x for x in f_at) != sum(x * x for x in h_at):
         return "norm", None
     return None, ((f, f_at, width), (h, h_at, width))
 
@@ -273,15 +262,16 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
     with equal traces and norms: (1, i, j, k) of z^p at entries 4p..4p+3."""
     cols = 4 * (dmax + 1)
-    pure, _ = _lowest_terms([[x + y for x, y in zip(xs, ys)]
-                             for xs, ys in zip(f[1:], h[1:])], 1)
+    pure, _ = _lowest_terms(
+        [[x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
+         for xs, ys in zip(f[1:], h[1:])], 1)
     if not any(pure) and f != h:
         # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
-        pad = [0] * (3 * dmax)
-        strip = pad + [x for c in list(zip(*f[1:]))[::-1] for x in c] + pad
+        v = [x for c in [*zip_longest(*f[1:], fillvalue=0)][::-1] for x in c]
+        strip = [0] * (3 * (top + 1) - len(v)) + v + [0] * (3 * dmax)
         rows = [strip[3 * s:3 * (s + dmax + 1)] for s in range(top, -1, -1)]
-        return [[x for i in range(0, len(v), 3) for x in (0, *v[i:i + 3])]
-                for v in _integer_nullspace(rows, 3 * (dmax + 1))]
+        return [[x for i in range(0, len(vec), 3) for x in (0, *vec[i:i + 3])]
+                for vec in _integer_nullspace(rows, 3 * (dmax + 1))]
     # The shifts z^k g of g = (V + W) / gcd; if F = H the z^k, or all units.
     rows = []
     if any(pure):
@@ -299,12 +289,12 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
 
 def _scaled_to_lcm(first: StemPoly, second: StemPoly):
     """The integer lists f, h of first and second over the lcm of their
-    denominators, padded to one length.  The intertwining relations are
-    linear in (F, H) jointly, so this scaling leaves their solutions alone."""
-    size = max(first.degree, second.degree) + 1
+    denominators (a stem over it gives its own `nums`), unpadded.  The
+    invariants and the intertwining relations compare on them as on F, H."""
     den = lcm(first.den, second.den)
-    return [[[x * (den // stem.den) for x in xs] + [0] * (size - len(xs))
-             for xs in stem.nums] for stem in (first, second)]
+    return [stem.nums if stem.den == den
+            else tuple([x * (den // stem.den) for x in xs] for xs in stem.nums)
+            for stem in (first, second)]
 
 
 def find_intertwiner(first: StemPoly, second: StemPoly,
@@ -329,9 +319,9 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
     # Over Q(z) a nonzero alpha is invertible, and conjugation keeps trace
     # and norm: with either different, only alpha = 0 intertwines.
-    if _trace_norm_mismatch(first, second)[0]:
-        return []
     f, h = _scaled_to_lcm(first, second)
+    if _trace_norm_mismatch(f, h)[0]:
+        return []
     top = dmax + max(first.degree, second.degree, 0)
     kernel = _intertwiner_kernel(f, h, dmax, top)
     # The stacked check of the module docstring, with step = top + 1: a

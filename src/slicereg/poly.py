@@ -13,16 +13,18 @@ in the base `IntegerRows` of `Poly` (one row) and `stem.StemPoly` (four).
 
 Operations run on the stored integers, and stay exact.  A sum brings both
 operands to the lcm of their denominators.  A product runs through
-`_kronecker`, the one packed-product kernel, which the stem product of
-`stem.py` shares: each component list of an operand (one here, four for
-a stem) is packed into one integer, a digit per coefficient, at one width
-(`_product_width`, which also sizes the norm and the intertwiner
-checks) wide enough that no digit of the product overflows; the packed
-components are multiplied as big integers (Kronecker substitution), and
-each sum is unpacked once and divided by the two denominators.  A list shorter than `_SHIFT_BELOW` is packed by shifts
-and unpacked by masks, a longer one by one byte copy (`_pack` gives the
-sweep that set the crossover).  Both paths raise OverflowError on a digit
-that does not fit the width and on a value that n digits cannot hold.
+`_kronecker`, the one packed-product kernel, which the stem product and
+norm of `stem.py` share: each component list of an operand (one here,
+four for a stem) is packed into one integer, a digit per coefficient, at
+one width (`_product_width`, which also sizes the decision's norm compare
+and the intertwiner checks) wide enough that no digit of the product
+overflows; the packed components are multiplied as big integers
+(Kronecker substitution), and each sum is unpacked once and divided by
+the two denominators.  A list shorter than `_SHIFT_BELOW` is packed by
+shifts and unpacked by masks, a longer one by one byte copy (`_pack`
+gives the sweep that set the crossover).  Both paths raise OverflowError
+on a digit that does not fit the width and on a value that n digits
+cannot hold.
 
 `_gcd_ints`, behind `poly_gcd_many`, `StemPoly.central_divisor` and the
 equivalence decision, takes the heuristic gcd GCDHEU (Char, Geddes and
@@ -115,7 +117,9 @@ class IntegerRows(Frozen):
 
     @classmethod
     def monomial(cls, degree: int, coeff=1):
-        """coeff * z^degree: the rows of the constant, shifted up."""
+        """coeff * z^degree, degree >= 0: the constant's rows, shifted up."""
+        if degree < 0:
+            raise ValueError(f"monomial degree must be >= 0, got {degree}")
         const = cls.constant(coeff)
         return cls._from_rows([[0] * degree + xs if xs else xs
                                for xs in const._rows], const.den)
@@ -367,7 +371,8 @@ def _pack(xs, width: int) -> int:
     with gc.collect() before each call as the benchmark runs an op (median
     of 600, pack + unpack) at lengths 17 / 25 / 33: width 4 41/55, 44/57,
     53/65; width 12 42/53, 50/57, 61/66; width 16 50/61, 67/69, 116/122.
-    The equivalence decision packs at most 33 entries, at widths 2 to 17.
+    On 200 `decide` benchmark rounds (seed 1) the equivalence decision
+    packs at most 33 entries, at widths 4 to 12.
     """
     half = 1 << (8 * width - 1)
     if len(xs) < _SHIFT_BELOW:
@@ -423,24 +428,25 @@ def _kronecker(left, right, product=lambda a, b: (a * b,)):
     """The product of two integer polynomials given by their component
     lists (one for a `Poly`, four for a stem), as component lists of
     length m + n - 1 for the longest lists m of `left` and n of `right`
-    (untrimmed).  Each list is packed once at `_product_width`, `product`
-    multiplies the packed components into packed sums (the default one
-    row by one row, `algebra._mul_components` four by four), and each sum
-    is unpacked once."""
+    (untrimmed).  Each list is packed once at `_product_width` (one
+    operand, when `right is left`); `product` multiplies the packed lists
+    into packed sums (the default row by row, `algebra._mul_components`
+    or `_inner_components` four by four), and each sum is unpacked once."""
     width = _product_width(left, right)
-    sums = product(*(_pack(xs, width) for xs in left),
-                   *(_pack(xs, width) for xs in right))
+    packed = [_pack(xs, width) for xs in left]
+    sums = product(*packed, *(packed if right is left
+                              else (_pack(xs, width) for xs in right)))
     n = max(map(len, left)) + max(map(len, right)) - 1
     return [_unpack(acc, n, width) for acc in sums]
 
 
 def _product_width(left, right) -> int:
     """The digit width at which these component lists multiply, in
-    `_kronecker`, `StemPoly.norm` and the intertwiner checks: an output
-    digit sums at most len(left) signed convolution coefficients, each of
-    at most min(m, n) products of an entry of each side (m, n the longest
-    lists), and (len(left) - 1).bit_length() bits over that bound cover
-    the sum."""
+    `_kronecker`, the decision's norm compare and the intertwiner checks:
+    an output digit sums at most len(left) signed convolution
+    coefficients, each of at most min(m, n) products of an entry of each
+    side (m, n the longest lists), and (len(left) - 1).bit_length() bits
+    over that bound cover the sum."""
     return _digit_width(_max_bits(chain.from_iterable(left))
                         + _max_bits(chain.from_iterable(right))
                         + min(max(map(len, left)),

@@ -364,13 +364,14 @@ def parse_samples(text: str) -> tuple:
     """Parse a comma- or space-separated list of complex samples.
 
     Accepts python complex syntax with either i or j as the imaginary
-    suffix, e.g. "0.3, 1, -0.7, 0.5+0.5i, -1.2i".
+    suffix, e.g. "0.3, 1, -0.7, 0.5+0.5i, -1.2i", in ASCII digits only.
     """
     out = []
     for chunk in text.replace(",", " ").split():
-        normalized = chunk.replace("i", "j")
+        if not chunk.isascii():  # complex() would read '١' as 1
+            raise ValueError(f"bad sample {chunk!r}")
         try:
-            out.append(complex(normalized))
+            out.append(complex(chunk.replace("i", "j")))
         except ValueError as exc:
             raise ValueError(f"bad sample {chunk!r}") from exc
     if not out:

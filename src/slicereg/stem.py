@@ -28,9 +28,8 @@ With the coefficientwise quaternionic conjugation F^c = c0 - c1 i - c2 j
 
 since the imaginary parts of F * F^c cancel in pairs.  Every operation
 works on the stored integers and divides out one gcd at the end: a sum
-brings both operands to the lcm of their denominators, a scalar a/b
-multiplies the lists by a and the denominator by b, and the norm is one
-packed sum of squares over den**2, packed at `poly._product_width`.
+brings both operands to the lcm of their denominators, and a scalar a/b
+multiplies the lists by a and the denominator by b.
 
 The product is coefficient convolution (`star`), which is exactly the
 pointwise product of the stem functions since z is central.  It runs on
@@ -40,7 +39,9 @@ integer (Kronecker substitution, at one digit width wide enough for every
 digit of the result), and the quaternion product formula
 `algebra._mul_components`, which holds over any commutative ring and so
 over Z, multiplies the packed components into four packed sums; each sum
-is unpacked once, over the product of the two denominators.
+is unpacked once, over the product of the two denominators.  The norm
+F * F^c takes the same kernel with `algebra._inner_components`, the real
+part of a * b^c, for the product: one sum of squares, over den**2.
 
 The center / trace-free split F = (F', F'') is read off `nums`: F' = c0,
 and F'' = (c1, c2, c3) over (i, j, k).  The central divisor of a
@@ -62,11 +63,11 @@ from itertools import zip_longest
 from math import lcm
 
 from .algebra import (CQuat, Pair, Quaternion, R3Elem, _horner_left,
-                      _mul_components)
+                      _inner_components, _mul_components)
 from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (_ZERO, IntegerRows, Poly, _divide_linear, _fractions,
-                   _gcd_ints, _kronecker, _over_one_denominator, _pack,
-                   _product_width, _unpack, vanishing_order)
+                   _gcd_ints, _kronecker, _over_one_denominator,
+                   vanishing_order)
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
@@ -219,17 +220,10 @@ class StemPoly(IntegerRows):
         return Poly._from_ints([2 * x for x in self.nums[0]], self.den)
 
     def norm(self) -> Poly:
-        """norm(F) = F * F^c, a central (rational) polynomial: the sum of
-        the four components' squares, packed at the `_product_width` of
-        the lists with themselves, unpacked and divided by den**2."""
-        nums = self.nums
-        n = max(map(len, nums))
-        if not n:
-            return Poly()
-        width = _product_width(nums, nums)
-        packed = [_pack(xs, width) for xs in nums]
-        return Poly._from_ints(_unpack(sum(x * x for x in packed), 2 * n - 1,
-                                       width), self.den ** 2)
+        """norm(F) = F * F^c, a central (rational) polynomial, as the
+        module docstring computes it."""
+        return Poly._from_rows(_kronecker(self.nums, self.nums,
+                                          _inner_components), self.den ** 2)
 
     def hat(self) -> "StemPoly":
         """The trace-free reduction (F - F^c) / 2."""

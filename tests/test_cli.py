@@ -173,7 +173,13 @@ def test_parse_and_usage_errors(capsys):
                  ("series-check", "--samples", ""),
                  ("series-check", "--samples", "inf"),
                  ("series-check", "--samples", "nan"),
-                 ("series-check", "--samples", "1e400")):
+                 ("series-check", "--samples", "1e400"),
+                 # int(), float() and complex() read any Unicode digit;
+                 # the flags take ASCII only, as the expression parser does.
+                 ("intertwine", "i", "i", "--degree-max", "\u0661"),
+                 ("series-check", "--order", "\u0661"),
+                 ("series-check", "--tol", "\u0661"),
+                 ("series-check", "--samples", "\u0660.\u0665")):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

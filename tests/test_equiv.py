@@ -670,12 +670,21 @@ def test_equivalent_matches_sympy_invariants():
 
 
 def _schoolbook_norm(stem):
+    """The sum of the squares of the stored lists, entry by entry, over
+    den**2."""
     out = [0] * (2 * stem.degree + 1)
-    for p in stem.parts:
-        for m, x in enumerate(p.coeffs):
-            for n, y in enumerate(p.coeffs):
+    for xs in stem.nums:
+        for m, x in enumerate(xs):
+            for n, y in enumerate(xs):
                 out[m + n] += x * y
-    return Poly(out)
+    return Poly(out) * Fraction(1, stem.den ** 2)
+
+
+# Trace-free stems f / 22 and h / 26 of degree 1.  Over the lcm 286 their
+# lists are 13 f and 11 h, and 169 |f''|**2 - 121 |h''|**2 = 2z - 2**17,
+# which is not zero but vanishes at z = 2**16.
+CARRY = (StemPoly._from_rows([[], [-6, -15], [9, -4], [-4, -1]], 22),
+         StemPoly._from_rows([[], [-16, -16], [22, -9], [-23, -1]], 26))
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
@@ -688,11 +697,20 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
     comparison allows; length 1 (odd bit sizes) and lengths 64-127 (even
     ones) put that bound right at a byte boundary, where a width two bits
     short overflows a digit.
-    Every norm must match the schoolbook sum of squares, and two of these
-    stems must compare equal in norm exactly when their norms are equal."""
+    The same parts, trace-free, also come over denominators 4, 22, 26 and
+    44 in turn, which share factors and are prime to 2**bits - 1, so they
+    stay in lowest terms.  The comparison scales two stems to the lcm of
+    their denominators, which multiplies the lists by up to 13, so its
+    width must come from the scaled lists.  `CARRY` adds a pair over 22
+    and 26 whose norms differ although the sums of squares agree at
+    z = 2**16, the point of a width sized from the stored lists (2 bytes
+    instead of 3).  Conjugating by 1 + 2k multiplies a denominator by 5 and
+    must keep a stem equivalent.  Every norm must match the schoolbook sum
+    of squares, and two stems of one trace must compare equal in norm
+    exactly when their norms are equal."""
     rng = random.Random(bits)
     top = 2 ** bits - 1
-    stems = []
+    stems, rational, dens = [], list(CARRY), itertools.cycle((4, 22, 26, 44))
     for n in (1, 2, 3, 70, 100, 127):
         for equal_signs in (True, False):
             lengths = [n] * 3 if equal_signs else [rng.randint(1, n)
@@ -702,14 +720,19 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
                                 for _ in range(m)] for m in lengths]
             flipped = [list(p) for p in parts]
             flipped[2][len(flipped[2]) // 2] *= -1
-            stems += [StemPoly._from_parts(Poly(p) for p in ps)
-                      for ps in (parts, flipped)]
-    norms = [_schoolbook_norm(s) for s in stems]
-    for stem, norm in zip(stems, norms):
-        assert stem.norm() == norm
-        assert equivalent(stem, conjugate_stem(QJ, stem)).equivalent
-    for (f, nf), (h, nh) in itertools.product(zip(stems, norms), repeat=2):
-        assert (equivalent(f, h).reason == "norm") == (nf != nh)
+            for ps in (parts, flipped):
+                stems.append(StemPoly._from_parts(Poly(p) for p in ps))
+                rational.append(StemPoly._from_rows(
+                    [[]] + [list(p) for p in ps[1:]], next(dens)))
+    for family in (stems, rational):
+        norms = [_schoolbook_norm(s) for s in family]
+        for stem, norm in zip(family, norms):
+            assert stem.norm() == norm
+            for alpha in (QJ, 1 + 2 * QK):
+                assert equivalent(stem, conjugate_stem(alpha, stem)).equivalent
+        for (f, nf), (h, nh) in itertools.product(zip(family, norms),
+                                                  repeat=2):
+            assert (equivalent(f, h).reason == "norm") == (nf != nh)
 
 def test_norm_is_decided_on_the_trace_free_parts():
     """Equal traces leave only |F''|**2 to compare, and the packing width

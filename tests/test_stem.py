@@ -42,7 +42,11 @@ ZP = Poly.monomial(1)
 
 def test_monomial_shifts_the_rows_of_the_constant():
     """`monomial` builds its rows from the constant's, and equals the
-    value built from the whole coefficient list."""
+    value built from the whole coefficient list; a negative degree is
+    refused rather than dropped."""
+    for cls, k in product((Poly, StemPoly), (-1, -3)):
+        with pytest.raises(ValueError):
+            cls.monomial(k)
     for k in (0, 1, 7):
         for c in (0, 1, -3, Fraction(-4, 6)):
             assert Poly.monomial(k, c) == Poly([0] * k + [c])
