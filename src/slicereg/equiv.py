@@ -39,18 +39,18 @@ B(A, V) = 0: one integer row per degree up to top = dmax + deg, on
 3(dmax + 1) unknowns.  K comes in the normal form of an exact nullspace
 (one vector per free column, its last nonzero entry, zero at the other
 free columns): `poly._integer_echelon` of the spanning set (with the z^k
-when V = W) read from the last column, or `poly._integer_nullspace` of
-the W = -V system; g comes from the integer lists of V + W, their
-`_gcd_ints` and `poly._pseudo_divmod`.  The vectors are then checked
-against both relations by multiplication, independently of how they were
-found: each must have 4(dmax + 1) entries, and they are stacked into one
-integer stem S, vector i at z^(i*step), with step one more than the
-highest degree a product of F or H with one vector can reach.  Each
-relation is then two products of stems packed at the `_product_width`
-of (f + h, S) (F S against S H, and S F against H S, each
-`_mul_components` of the packed components), equal iff their balanced
-digits are.  Since z is central and the blocks of a product never meet,
-S satisfies a relation exactly when every kernel vector does.
+when V = W), built column-reversed to read from the last column, or
+`poly._integer_nullspace` of the W = -V system, each vector handed on as
+its four component lists; g comes from the integer lists of V + W, their
+`_gcd_ints` and `poly._pseudo_divmod`.  The vectors are then checked on
+the criterion above, independently of how they were found: each list
+must have dmax + 1 entries, a central part must be 0 unless V = W, and
+the pure parts, stacked into one integer stem S (vector i at z^(i*step),
+step one more than the highest degree of V or W times one vector), must
+give V S = S W: two `_mul_components` of the components packed at the
+`_product_width` of (V + W, S), equal iff their balanced digits are.  As
+z is central and the blocks of a product never meet, S passes exactly
+when every vector does.  Central F = H (V = W = 0) checks the shape only.
 `verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
 on f and h: a f against h a, packed at the `_product_width` of (f + h, a),
@@ -260,7 +260,7 @@ MAX_INTERTWINER_UNKNOWNS = 256
 
 def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
-    with equal traces and norms: (1, i, j, k) of z^p at entries 4p..4p+3."""
+    with equal traces and norms: each vector as its lists (1, i, j, k)."""
     cols = 4 * (dmax + 1)
     pure, _ = _lowest_terms(
         [[x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
@@ -270,21 +270,21 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
         v = [x for c in [*zip_longest(*f[1:], fillvalue=0)][::-1] for x in c]
         strip = [0] * (3 * (top + 1) - len(v)) + v + [0] * (3 * dmax)
         rows = [strip[3 * s:3 * (s + dmax + 1)] for s in range(top, -1, -1)]
-        return [[x for i in range(0, len(vec), 3) for x in (0, *vec[i:i + 3])]
+        return [[[0] * (dmax + 1), vec[::3], vec[1::3], vec[2::3]]
                 for vec in _integer_nullspace(rows, 3 * (dmax + 1))]
     # The shifts z^k g of g = (V + W) / gcd; if F = H the z^k, or all units.
     rows = []
     if any(pure):
         d = _gcd_ints([p for p in pure if p])
-        g = list(chain.from_iterable(zip_longest(
-            (), *(_pseudo_divmod(p, d)[0] for p in pure), fillvalue=0)))
-        rows = [[0] * (4 * k) + g + [0] * (cols - 4 * k - len(g))
+        g = [*chain.from_iterable(zip_longest(
+            (), *(_pseudo_divmod(p, d)[0] for p in pure), fillvalue=0))][::-1]
+        rows = [[0] * (cols - 4 * k - len(g)) + g + [0] * (4 * k)
                 for k in range((cols - len(g)) // 4 + 1)]
     if f == h:
-        rows += ([0] * u + [1] + [0] * (cols - u - 1)
+        rows += ([0] * (cols - 1 - u) + [1] + [0] * u
                  for u in range(0, cols, 4 if any(pure) else 1))
-    m, _ = _integer_echelon([row[::-1] for row in rows], cols)
-    return [row[::-1] for row in reversed(m)]
+    m, _ = _integer_echelon(rows, cols)
+    return [[row[cols - 1 - r::-4] for r in range(4)] for row in reversed(m)]
 
 
 def _scaled_to_lcm(first: StemPoly, second: StemPoly):
@@ -305,8 +305,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     Returns an exact basis of the solution space (empty when there is no
     solution at this degree bound), each vector normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
-    (order 1, i, j, k) equal to 1 and re-verified by multiplication, all
-    at once in the stacked integer products of the module docstring.
+    (order 1, i, j, k) equal to 1 and re-verified, all at once, by the
+    check of the trace-free parts in the module docstring.
     More than MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
@@ -324,20 +324,24 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
         return []
     top = dmax + max(first.degree, second.degree, 0)
     kernel = _intertwiner_kernel(f, h, dmax, top)
-    # The stacked check of the module docstring, with step = top + 1: a
-    # product of first or second with one vector has degree at most top.
-    stacked = [[], [], [], []]
+    # The check of the module docstring, with step = top + 1: a product of
+    # V or W with one vector has degree at most top.
+    v, w, pad = f[1:], h[1:], [0] * (top - dmax)
+    stacked = [[], [], []]
     for vec in kernel:
-        if len(vec) != unknowns:
+        if any(len(xs) != dmax + 1 for xs in vec):
             raise AssertionError("kernel vector above the degree bound")
-        for r, comp in enumerate(stacked):
-            comp += vec[r::4] + [0] * (top - dmax)
-    width = _product_width(f + h, stacked)
-    f, h, stacked = ([_pack(xs, width) for xs in stem]
-                     for stem in (f, h, stacked))
-    if (_mul_components(*f, *stacked) != _mul_components(*stacked, *h)
-            or _mul_components(*stacked, *f) != _mul_components(*h, *stacked)):
-        raise AssertionError("kernel vector failed re-verification")
+        if v != w and any(vec[0]):
+            raise AssertionError("kernel vector failed re-verification")
+        for comp, xs in zip(stacked, vec[1:]):
+            comp += xs + pad
+    if any(v):
+        width = _product_width(v + w, stacked)
+        v, w, stacked = ([_pack(xs, width) for xs in lists]
+                         for lists in (v, w, stacked))
+        if _mul_components(0, *v, 0, *stacked) != _mul_components(
+                0, *stacked, 0, *w):
+            raise AssertionError("kernel vector failed re-verification")
     return [_over_lead(vec) for vec in kernel]
 
 
@@ -347,20 +351,20 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
     of the line spanned by alpha."""
     if alpha.is_zero:
         return alpha
-    return _over_lead(list(chain.from_iterable(
-        zip_longest(*alpha.nums, fillvalue=0))))
+    return _over_lead(alpha.nums)
 
 
-def _over_lead(vec) -> StemPoly:
-    """The stem with the components (1, i, j, k) of z^p at vec[4p:4p + 4],
-    divided by its first nonzero entry (see `normalize_intertwiner`); cut
-    at its last nonzero entry, so that `_from_rows` has little to trim."""
-    end = next(compress(count(len(vec), -1), reversed(vec)))
-    lead = next(filter(None, vec))
+def _over_lead(rows) -> StemPoly:
+    """The stem with the component lists rows (1, i, j, k), divided by its
+    first nonzero entry in the order of `normalize_intertwiner`; each list
+    cut at its last nonzero entry, so that `_from_rows` has none to trim."""
+    lead = next(filter(None, chain.from_iterable(
+        zip_longest(*rows, fillvalue=0))))
+    rows = [xs[:next(compress(count(len(xs), -1), reversed(xs)), 0)]
+            for xs in rows]
     if lead < 0:
-        vec, lead = [-x for x in vec[:end]], -lead
-    rows = (vec[r:end:4] for r in range(4))
-    return StemPoly._from_rows([xs if any(xs) else [] for xs in rows], lead)
+        rows, lead = [[-x for x in xs] for xs in rows], -lead
+    return StemPoly._from_rows(rows, lead)
 
 
 class ConjugatorReport(Record):

@@ -57,7 +57,7 @@ class ZeroAlphaError(SliceRegError, ValueError):
 
 class NearSingularSampleError(SliceRegError, ArithmeticError):
     """Numeric conjugation check hit a sample where the conjugator's norm
-    is too close to zero for the requested tolerance."""
+    is too close to zero, against its squared size, to invert it."""
 
 
 class LimitExceededError(SliceRegError, ValueError):

@@ -21,10 +21,10 @@ and the intertwiner checks) wide enough that no digit of the product
 overflows; the packed components are multiplied as big integers
 (Kronecker substitution), and each sum is unpacked once and divided by
 the two denominators.  A list shorter than `_SHIFT_BELOW` is packed by
-shifts and unpacked by masks, a longer one by one byte copy (`_pack`
-gives the sweep that set the crossover).  Both paths raise OverflowError
-on a digit that does not fit the width and on a value that n digits
-cannot hold.
+shifts and unpacked by masks, a longer one by one copy, through `array`
+where a C integer type has the digit's width (`_pack` gives the sweep that
+set the crossover).  Every path raises OverflowError on a digit that does
+not fit the width and on a value that n digits cannot hold.
 
 `_gcd_ints`, behind `poly_gcd_many`, `StemPoly.central_divisor` and the
 equivalence decision, takes the heuristic gcd GCDHEU (Char, Geddes and
@@ -69,6 +69,8 @@ vectors.  `Matrix` is its rational face, for outside input.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, zip_longest
@@ -338,7 +340,7 @@ def _digit_width(bound: int) -> int:
 
 
 # Lists shorter than this are packed and unpacked by shifts and masks,
-# longer ones by one byte copy (see `_pack` for the sweep that set it).
+# longer ones by one copy (see `_pack` for the sweep that set it).
 _SHIFT_BELOW = 40
 
 
@@ -349,11 +351,14 @@ def _pack(xs, width: int) -> int:
 
     Below `_SHIFT_BELOW` entries the range is checked once (min and max)
     and the digits go in by Horner's rule on shifts, highest first.  From
-    there on every digit is offset by half = 2**(8*width - 1), which makes
-    it nonnegative, so packing is a byte copy (`to_bytes` refuses a digit
-    out of range), and the offsets are taken off again in one subtraction.
-    Each shift copies the whole accumulator, so shifting costs grow with
-    the square of the length and the byte copy's about linearly.  Timed
+    there on, each digit offset by half = 2**(8*width - 1) is nonnegative:
+    where a C integer type has the width, `array` stores the digits (its
+    type refuses one out of range), and xor with the offsets adds them to
+    the two's-complement bytes; elsewhere, and on a big-endian host,
+    `to_bytes` copies each digit plus half (and refuses one out of range).
+    The offsets are then taken off in one subtraction.  Each shift copies
+    the whole accumulator, so shifting costs grow with the square of the
+    length and the copies' about linearly.  Timed
     per call (microseconds, shifts / bytes, CPython 3.11 on a shared
     2-vCPU host; `_unpack` takes the same path):
 
@@ -372,7 +377,9 @@ def _pack(xs, width: int) -> int:
     of 600, pack + unpack) at lengths 17 / 25 / 33: width 4 41/55, 44/57,
     53/65; width 12 42/53, 50/57, 61/66; width 16 50/61, 67/69, 116/122.
     On 200 `decide` benchmark rounds (seed 1) the equivalence decision
-    packs at most 33 entries, at widths 4 to 12.
+    packs at most 33 entries, at widths 4 to 12.  Cold, `_pack` alone, byte
+    copy / `array` at lengths 48 / 100 / 512 / 4096: width 2 17/14, 20/12,
+    91/40, 374/129; width 8 18/14, 26/19, 78/45, 491/258.
     """
     half = 1 << (8 * width - 1)
     if len(xs) < _SHIFT_BELOW:
@@ -382,9 +389,12 @@ def _pack(xs, width: int) -> int:
         for x in reversed(xs):
             acc = (acc << shift) + x
         return acc
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(xs), "little")
+    code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
+    if code and sys.byteorder == "little":
+        return (int.from_bytes(array(code, xs), "little") ^ offset) - offset
     digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
-    offset = half.to_bytes(width, "little") * len(xs)
-    return int.from_bytes(digits, "little") - int.from_bytes(offset, "little")
+    return int.from_bytes(digits, "little") - offset
 
 
 def _unpack(value: int, n: int, width: int) -> list:

@@ -315,8 +315,8 @@ def check_conjugation_identity(first: TruncSeries, second: TruncSeries,
     numerically on the samples, within tol; trace and norm of the two
     sides are compared as well.
 
-    Raises NearSingularSampleError when |norm(conjugator)(z)| < tol at a
-    sample, since the inverse would not be trustworthy there.
+    Raises NearSingularSampleError, whatever tol is, where the conjugator's
+    value h is 0 or |norm(h)| < 2**-52 |h|**2: too near singular to invert.
     """
     checks = []
     for z in samples:
@@ -325,10 +325,11 @@ def check_conjugation_identity(first: TruncSeries, second: TruncSeries,
             fv, f_tail = first.eval_numeric(zq)
             gv, g_tail = second.eval_numeric(zq)
             hv, h_tail = conjugator.eval_numeric(zq)
-            norm_h = hv.norm()
-            if abs(norm_h) < tol:
+            norm_h, size = hv.norm(), hv.euclid() ** 2
+            if not size or abs(norm_h) < 2 ** -52 * size:
                 raise NearSingularSampleError(
-                    f"norm of conjugator at {z} is {abs(norm_h):.3e} < tol")
+                    f"conjugator at {z} is singular to double precision: "
+                    f"|norm| {abs(norm_h):.3e}, |value|^2 {size:.3e}")
             moved = hv.inverse() * fv * hv
             value_error = moved.distance(gv)
             trace_error = abs(2 * moved.c0 - 2 * gv.c0)

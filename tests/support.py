@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 from slicereg import (ConjugatorReport, CQuat, CQuatF, GaussRat, Matrix,
                       NotInWError, Poly, Quaternion, SO3Matrix, StemPoly,
                       TruncSeries, ZeroAlphaError, ZeroPolynomialError)
+from slicereg import poly
 from slicereg.algebra import _mul_components
 from slicereg.parsing import render_stem
 from slicereg.poly import _kronecker, _over_one_denominator
@@ -23,9 +25,21 @@ from slicereg.scalars import Record
 from slicereg.series import _cut, _majorant
 
 
-# Values of `slicereg.poly._SHIFT_BELOW` that send every `_pack` and
-# `_unpack` call down one path: shifts and masks, or the byte copy.
-PACKING_BRANCHES = {"shifts": 10 ** 9, "bytes": 0}
+# Settings of `slicereg.poly` that send every `_pack` and `_unpack` call
+# down one path: shifts and masks; `array` for `_pack` at digit widths of
+# 1, 2, 4 and 8 bytes (the byte copy at the others and in `_unpack`); or,
+# as on a big-endian host, the byte copy at every width.
+PACKING_BRANCHES = {
+    "shifts": {"_SHIFT_BELOW": 10 ** 9, "sys": sys},
+    "bytes": {"_SHIFT_BELOW": 0, "sys": SimpleNamespace(byteorder="big")},
+    "array": {"_SHIFT_BELOW": 0, "sys": sys},
+}
+
+
+def use_packing_branch(monkeypatch, branch: str) -> None:
+    """Send `_pack` and `_unpack` down one path of `PACKING_BRANCHES`."""
+    for name, value in PACKING_BRANCHES[branch].items():
+        monkeypatch.setattr(poly, name, value)
 
 
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -175,7 +189,7 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
     all unknowns, stacked as block-Toeplitz strips of `_relation_block`
     (no early exit on trace or norm, no generator), handed to
     `Matrix.nullspace`, each `Fraction` kernel vector scaled back to
-    integers, the stacked re-verification through `_kronecker`, and the
+    integers, the two-relation check `stacked_relations_hold`, and the
     normalization of `normalize_intertwiner` as a rational multiple: the
     reference that `find_intertwiner` is checked against."""
     size = max(first.degree, second.degree) + 1
@@ -196,14 +210,8 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
                 rows.append(row)
     scaled = [_over_one_denominator((vec,))
               for vec in Matrix(rows).nullspace()]
-    stacked = [[], [], [], []]
-    for (nums,), _ in scaled:
-        for r, comp in enumerate(stacked):
-            comp += nums[r::4] + [0] * (top - dmax)
-    if (_kronecker(f, stacked, _mul_components)
-            != _kronecker(stacked, h, _mul_components)
-            or _kronecker(stacked, f, _mul_components)
-            != _kronecker(h, stacked, _mul_components)):
+    if not stacked_relations_hold(f, h, [[nums[r::4] for r in range(4)]
+                                         for (nums,), _ in scaled], top):
         raise AssertionError("kernel vector failed re-verification")
     basis = []
     for (nums,), vec_den in scaled:
@@ -213,6 +221,25 @@ def reference_find_intertwiner(first: StemPoly, second: StemPoly,
                     for xs in alpha.nums if k < len(xs) and xs[k])
         basis.append(alpha * Fraction(alpha.den, lead))
     return basis
+
+
+def stacked_relations_hold(f, h, kernel, top: int) -> bool:
+    """Whether every vector of kernel, four integer component lists of at
+    most top + 1 entries each, intertwines the integer lists f and h of F
+    and H over one denominator in both orders: the vectors stacked into
+    one stem S, vector i at z^(i*(top + 1)), and F S against S H and S F
+    against H S through `_kronecker`.  The two-relation check that the
+    search's check on the trace-free parts is checked against."""
+    size = max(map(len, (*f, *h)))
+    f, h = ([xs + [0] * (size - len(xs)) for xs in lists] for lists in (f, h))
+    stacked = [[], [], [], []]
+    for vec in kernel:
+        for comp, xs in zip(stacked, vec):
+            comp += xs + [0] * (top + 1 - len(xs))
+    return (_kronecker(f, stacked, _mul_components)
+            == _kronecker(stacked, h, _mul_components)
+            and _kronecker(stacked, f, _mul_components)
+            == _kronecker(h, stacked, _mul_components))
 
 
 def reference_verify_conjugator(first: StemPoly, second: StemPoly,

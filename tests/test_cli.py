@@ -244,6 +244,16 @@ def test_series_check_command(capsys):
         assert "FAIL trig-conjugation: max pointwise error inf" in out
 
 
+def test_series_check_passes_at_a_loose_tolerance(capsys):
+    """The conjugator's norm is 1 at every default sample, so a tolerance
+    of 1 or 2 must keep the verdict: the near-singular guard reads the
+    conjugator's own size, not the tolerance."""
+    for tol in ("1", "2"):
+        code, out = run_cli(capsys, "series-check", "--tol", tol)
+        assert code == 0 and out.count("PASS") == 3
+        assert f"(tol {tol})" in out
+
+
 def test_series_check_order_is_capped_at_320(capsys):
     code, out = run_cli(capsys, "series-check", "--order", "320")
     assert code == 0 and out.count("PASS") == 3 and "mod z^320" in out

@@ -18,14 +18,15 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             BRANCH_SLICE_PRESERVING, ISOTROPY_ADDITIVE,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE,
-                            _intertwiner_kernel)
+                            _intertwiner_kernel, _scaled_to_lcm)
 import slicereg.equiv
 
 from support import (conjugate_stem, convolve_stems, rand_fraction,
                      rand_nonzero_quaternion, rand_poly,
                      rand_pure_imaginary_quaternion, rand_quaternion,
                      rand_stem, rand_stem_nonslice,
-                     reference_find_intertwiner, reference_verify_conjugator)
+                     reference_find_intertwiner, reference_verify_conjugator,
+                     stacked_relations_hold)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -198,14 +199,16 @@ def test_find_intertwiner_none_for_distinct_norms():
 @pytest.mark.parametrize("entry", [0, -1])
 def test_find_intertwiner_re_verifies_every_kernel_vector(
         monkeypatch, first, second, dmax, index, dim, entry):
-    """One entry of one integer kernel vector, the lowest or the highest,
-    of the first, a middle or the last vector, is off by one: the check by
-    multiplication must refuse it."""
+    """One entry of one integer kernel vector, the lowest or the highest
+    in the order (1, i, j, k) of z^0, ..., z^dmax (the central part at z^0,
+    or the k part at z^dmax), of the first, a middle or the last vector, is
+    off by one: the check must refuse it, the central entry by the
+    central-part condition (here V != W), the other by multiplication."""
     assert len(find_intertwiner(first, second, dmax)) == dim
 
     def perturbed(*system):
         basis = _intertwiner_kernel(*system)
-        basis[index][entry] += 1
+        basis[index][entry % 4][entry // 4] += 1
         return basis
 
     monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", perturbed)
@@ -227,9 +230,16 @@ def test_find_intertwiner_re_verification_keeps_the_blocks_apart(monkeypatch):
     high = [0] * (4 * dmax + 4)
     high[2], high[5], high[7] = 2, 1, 1
     monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
-                        lambda *system: [low, high])
+                        lambda *system: [_components(low), _components(high)])
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(F_PAIR, G_PAIR, dmax)
+
+
+def _components(vec):
+    """The component lists (1, i, j, k) of a vector written flat, with the
+    components of z^p at entries 4p..4p+3: the form in which
+    `_intertwiner_kernel` hands its vectors over."""
+    return [vec[r::4] for r in range(4)]
 
 
 # -- the integer kernel against the search on the rational Matrix -------------
@@ -343,14 +353,104 @@ def test_find_intertwiner_exits_on_trace_or_norm_before_the_kernel(
 def test_find_intertwiner_re_verification_checks_both_relations(
         monkeypatch, vec):
     """1 - k satisfies i * alpha = alpha * j alone, and 1 + k satisfies
-    alpha * i = j * alpha alone: each must be refused."""
+    alpha * i = j * alpha alone: each must be refused (its central part 1
+    times V - W = i - j is not 0)."""
     alpha = StemPoly([Quaternion(*vec)])
     one_sided = (QI * alpha == alpha * QJ, alpha * QI == QJ * alpha)
     assert sorted(one_sided) == [False, True]
     monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
-                        lambda *system: [list(vec)])
+                        lambda *system: [_components(vec)])
     with pytest.raises(AssertionError, match="re-verification"):
         find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
+
+
+def test_find_intertwiner_re_verification_checks_the_central_part(
+        monkeypatch):
+    """1 + i + j for F = i, H = j: its pure part A = i + j satisfies
+    V A = A W, but a (V - W) = i - j is not 0, and it satisfies neither
+    relation, so the central-part condition alone must refuse it."""
+    alpha = StemPoly([Quaternion(1, 1, 1)])
+    pure = StemPoly([Quaternion(0, 1, 1)])
+    assert QI * pure == pure * QJ
+    assert QI * alpha != alpha * QJ and alpha * QI != QJ * alpha
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: [[[1], [1], [1], [0]]])
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(StemPoly.constant(QI), StemPoly.constant(QJ), 0)
+
+
+def _accepts(monkeypatch, first, second, dmax, kernel) -> bool:
+    """Whether the search's check accepts kernel handed over as its own."""
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: kernel)
+    try:
+        find_intertwiner(first, second, dmax)
+    except AssertionError as exc:
+        assert "re-verification" in str(exc)
+        return False
+    return True
+
+
+def _pairs_with_equal_traces_and_norms(rng):
+    """(kind, F, H, extra vectors) for each kind of pair: conjugates by a
+    pure u; F and u^-1 F u for a u with a real part, with u itself, which
+    satisfies F u = u H alone; F = H with a central part; W = -V; and
+    central F = H."""
+    f = rand_stem_nonslice(rng, rng.randint(0, 4))
+    u = rand_pure_imaginary_quaternion(rng)
+    yield "conjugates", f, conjugate_stem(u, f), []
+    u = rand_nonzero_quaternion(rng) + (rand_fraction(rng) or 1)
+    yield ("one relation", f, conjugate_stem(u.inverse(), f),
+           [StemPoly.constant(u * rand_fraction(rng, 9, 1) or u)])
+    c, v = StemPoly(rand_poly(rng, 3).coeffs) + 1, f.hat()
+    yield "F = H", c + v, c + v, []
+    yield "W = -V", c + v, c - v, []
+    yield "central F = H", c, c, []
+
+
+def test_find_intertwiner_check_matches_the_two_relation_reference(
+        monkeypatch):
+    """On random kernels handed to the search, the check of the trace-free
+    parts (a (V - W) = 0 and V A = A W) accepts exactly when both
+    relations hold for every vector (`support.stacked_relations_hold`):
+    the true kernel, integer combinations of its vectors, either with one
+    entry off by one, random vectors, random central vectors, and for F
+    and u^-1 F u the vector u."""
+    rng = random.Random(2929)
+    seen = set()
+    for _ in range(40):
+        for kind, first, second, extra in _pairs_with_equal_traces_and_norms(
+                rng):
+            dmax = rng.randint(0, 4)
+            f, h = _scaled_to_lcm(first, second)
+            top = dmax + max(first.degree, second.degree, 0)
+            true = _intertwiner_kernel(f, h, dmax, top)
+            combos = [[[sum(rng.randint(-2, 2) * vec[r][p] for vec in true)
+                        for p in range(dmax + 1)] for r in range(4)]
+                      for _ in range(2)] if true else []
+            rand = [[[rng.randint(-3, 3) for _ in range(dmax + 1)]
+                     for _ in range(4)] for _ in range(2)]
+            central = [[[rng.randint(-3, 3) for _ in range(dmax + 1)]]
+                       + [[0] * (dmax + 1)] * 3]
+            extra = [[xs + [0] * (dmax + 1 - len(xs)) for xs in alpha.nums]
+                     for alpha in extra]
+            kernels = [true, combos, rand, central, extra, true + extra]
+            for vectors in (true, combos):
+                if vectors:
+                    moved = [[list(xs) for xs in vec] for vec in vectors]
+                    rng.choice(rng.choice(moved))[rng.randint(0, dmax)] += (
+                        rng.choice((-1, 1)))
+                    kernels.append(moved)
+            for kernel in kernels:
+                # A zero vector has no lead to normalize by.
+                kernel = [vec for vec in kernel if any(map(any, vec))]
+                want = stacked_relations_hold(f, h, kernel, top)
+                assert _accepts(monkeypatch, first, second, dmax,
+                                kernel) == want
+                seen.add((kind, want))
+    assert seen == {(kind, verdict) for kind in (
+        "conjugates", "one relation", "F = H", "W = -V")
+        for verdict in (True, False)} | {("central F = H", True)}
 
 
 def test_find_intertwiner_re_verification_checks_the_degree_bound(

@@ -18,7 +18,8 @@ from slicereg.poly import (_digits, _divides, _gcd_ints, _integer_echelon,
                            _unpack)
 
 from support import (PACKING_BRANCHES, leading, rand_fraction, rand_poly,
-                     rand_pure_imaginary_quaternion, rand_stem_nonslice)
+                     rand_pure_imaginary_quaternion, rand_stem_nonslice,
+                     use_packing_branch)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Poly, st.lists(fractions, max_size=9))
@@ -229,7 +230,7 @@ def test_products_of_large_coefficients_match_the_schoolbook():
         assert a * a == _schoolbook(a, a)
 
 
-@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+@pytest.mark.parametrize("bits", [1, 7, 8, 15, 16, 26, 63, 64])
 def test_product_digit_width_holds_at_the_worst_case(bits, monkeypatch):
     """Every entry +-(2**bits - 1), signed so that all products of a
     digit add: the largest digits a packed `Poly` product can have,
@@ -246,8 +247,8 @@ def test_product_digit_width_holds_at_the_worst_case(bits, monkeypatch):
                     for k, y in enumerate(b):
                         out[i + k] += x * y
                 cases.append((a, b, out))
-    for crossover in PACKING_BRANCHES.values():
-        monkeypatch.setattr(poly, "_SHIFT_BELOW", crossover)
+    for branch in PACKING_BRANCHES:
+        use_packing_branch(monkeypatch, branch)
         for a, b, out in cases:
             assert poly._kronecker([a], [b]) == [out]
             assert Poly(a) * Poly(b) == Poly(out)
@@ -571,14 +572,17 @@ def _packed_value(xs, width):
 
 
 @pytest.mark.parametrize("branch", PACKING_BRANCHES)
-@pytest.mark.parametrize("width", [1, 2, 3, 9])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9])
 def test_pack_and_unpack_follow_the_digit_formula(branch, width,
                                                   monkeypatch):
     """On each path: the value of the digits and back, at the extreme
     digits and at lengths around the crossover; an out-of-range digit or
-    a value that needs more digits than asked for raises OverflowError."""
+    a value that needs more digits than asked for raises OverflowError.
+    On the `array` path, widths 1, 2, 4 and 8 pack through C integer types
+    of their size (which refuse +-2**63 at width 8, for example), and
+    widths 3 and 9 copy bytes."""
     crossover = poly._SHIFT_BELOW
-    monkeypatch.setattr(poly, "_SHIFT_BELOW", PACKING_BRANCHES[branch])
+    use_packing_branch(monkeypatch, branch)
     half = 1 << (8 * width - 1)
     edges = (-half, half - 1, -half + 1, half - 2, -1, 0, 1)
     rng = random.Random(width)

@@ -17,7 +17,7 @@ from support import (PACKING_BRANCHES, complex_conjugate, conjugate_stem,
                      convolve_stems, eval_slice_split, rand_fraction,
                      rand_nonzero_quaternion, rand_quaternion, rand_stem,
                      rand_stem_nonslice, reference_stem_views,
-                     series_from_stem)
+                     series_from_stem, use_packing_branch)
 
 IOTA = GaussRat(0, 1)
 
@@ -116,13 +116,13 @@ def _ints(stem):
     return [[int(x) for x in p.coeffs] for p in stem.parts]
 
 
-@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+@pytest.mark.parametrize("bits", [1, 7, 8, 15, 16, 26, 63, 64])
 def test_star_digit_width_holds_at_the_worst_case(bits, monkeypatch):
     """Every coefficient +-(2**bits - 1), signed so that the four products
     of one component add: the largest digits the packed product can have,
     against the quaternion convolution, on both packing paths."""
-    for crossover in PACKING_BRANCHES.values():
-        monkeypatch.setattr("slicereg.poly._SHIFT_BELOW", crossover)
+    for branch in PACKING_BRANCHES:
+        use_packing_branch(monkeypatch, branch)
         _check_star_at_the_worst_case(bits)
 
 
@@ -185,15 +185,15 @@ def test_norm_agrees_with_split_formula():
         assert stem.norm() == c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
 
 
-@pytest.mark.parametrize("bits", (7, 8, 15, 16, 63, 64))
+@pytest.mark.parametrize("bits", (1, 7, 8, 15, 16, 26, 63, 64))
 def test_norm_at_the_worst_case_digit_width(bits, monkeypatch):
     # Coefficients of +-(2**bits - 1), all of one sign in a part or
     # alternating, make every digit of the packed sum of squares as large
     # as its width allows, on both packing paths.
     top = 2 ** bits - 1
     lengths = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(256, 256)]
-    for crossover, (m, n) in product(PACKING_BRANCHES.values(), lengths):
-        monkeypatch.setattr("slicereg.poly._SHIFT_BELOW", crossover)
+    for branch, (m, n) in product(PACKING_BRANCHES, lengths):
+        use_packing_branch(monkeypatch, branch)
         for signs in ((1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, "alt", "alt")):
             parts = []
             for r, sign in enumerate(signs):
