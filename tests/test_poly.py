@@ -234,7 +234,7 @@ def test_products_of_large_coefficients_match_the_schoolbook():
 def test_product_digit_width_holds_at_the_worst_case(bits, monkeypatch):
     """Every entry +-(2**bits - 1), signed so that all products of a
     digit add: the largest digits a packed `Poly` product can have,
-    against the schoolbook product, on both packing paths."""
+    against the schoolbook product, on every packing path."""
     c = 2 ** bits - 1
     lengths = (1, 2, 3, 4, 5, 6, 7, 8, 256)
     cases = []
@@ -579,7 +579,7 @@ def test_pack_and_unpack_follow_the_digit_formula(branch, width,
     digits and at lengths around the crossover; an out-of-range digit or
     a value that needs more digits than asked for raises OverflowError.
     On the `array` path, widths 1, 2, 4 and 8 pack through C integer types
-    of their size (which refuse +-2**63 at width 8, for example), and
+    of their size (which refuse 2**63 and -2**63 - 1 at width 8), and
     widths 3 and 9 copy bytes."""
     crossover = poly._SHIFT_BELOW
     use_packing_branch(monkeypatch, branch)

@@ -120,7 +120,7 @@ def _ints(stem):
 def test_star_digit_width_holds_at_the_worst_case(bits, monkeypatch):
     """Every coefficient +-(2**bits - 1), signed so that the four products
     of one component add: the largest digits the packed product can have,
-    against the quaternion convolution, on both packing paths."""
+    against the quaternion convolution, on every packing path."""
     for branch in PACKING_BRANCHES:
         use_packing_branch(monkeypatch, branch)
         _check_star_at_the_worst_case(bits)
@@ -189,7 +189,7 @@ def test_norm_agrees_with_split_formula():
 def test_norm_at_the_worst_case_digit_width(bits, monkeypatch):
     # Coefficients of +-(2**bits - 1), all of one sign in a part or
     # alternating, make every digit of the packed sum of squares as large
-    # as its width allows, on both packing paths.
+    # as its width allows, on every packing path.
     top = 2 ** bits - 1
     lengths = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(256, 256)]
     for branch, (m, n) in product(PACKING_BRANCHES, lengths):
