@@ -360,8 +360,8 @@ def _over_lead(rows) -> StemPoly:
     cut at its last nonzero entry, so that `_from_rows` has none to trim."""
     lead = next(filter(None, chain.from_iterable(
         zip_longest(*rows, fillvalue=0))))
-    rows = [xs[:next(compress(count(len(xs), -1), reversed(xs)), 0)]
-            for xs in rows]
+    rows = [xs[:next(compress(count(len(xs), -1), reversed(xs)))]
+            if any(xs) else [] for xs in rows]
     if lead < 0:
         rows, lead = [[-x for x in xs] for xs in rows], -lead
     return StemPoly._from_rows(rows, lead)

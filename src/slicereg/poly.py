@@ -358,9 +358,9 @@ def _pack(xs, width: int) -> int:
     `to_bytes` copies each digit plus half (and refuses one out of range).
     The offsets are then taken off in one subtraction.  Each shift copies
     the whole accumulator, so shifting costs grow with the square of the
-    length and the copies' about linearly.  Timed
-    per call (microseconds, shifts / bytes, CPython 3.11 on a shared
-    2-vCPU host; `_unpack` takes the same path):
+    length and the copies' about linearly.  Timed per call (microseconds,
+    shifts / byte copy, CPython 3.11 on a shared 2-vCPU host; `_unpack`
+    takes the same path):
 
         length              8        33        48       100       512
         width 2   pack  1.5/1.7   4.1/7.1   7.4/6.0    14/11   190/53
