@@ -63,7 +63,7 @@ norm(alpha) means the inverse exists only off its zero set.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, zip_longest
+from itertools import chain, zip_longest
 from math import lcm
 
 from .algebra import CQuat, _mul_components, bform
@@ -326,8 +326,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     kernel = _intertwiner_kernel(f, h, dmax, top)
     # The check of the module docstring, with step = top + 1: a product of
     # V or W with one vector has degree at most top.
-    v, w, pad = f[1:], h[1:], [0] * (top - dmax)
-    stacked = [[], [], []]
+    v, w, pad, stacked = f[1:], h[1:], [0] * (top - dmax), [[], [], []]
     for vec in kernel:
         if any(len(xs) != dmax + 1 for xs in vec):
             raise AssertionError("kernel vector above the degree bound")
@@ -356,12 +355,11 @@ def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
 
 def _over_lead(rows) -> StemPoly:
     """The stem with the component lists rows (1, i, j, k), divided by its
-    first nonzero entry in the order of `normalize_intertwiner`; each list
-    cut at its last nonzero entry, so that `_from_rows` has none to trim."""
+    first nonzero entry in the order of `normalize_intertwiner`; `_from_rows`
+    trims the lists, an all-zero one handed over as [] at once."""
     lead = next(filter(None, chain.from_iterable(
         zip_longest(*rows, fillvalue=0))))
-    rows = [xs[:next(compress(count(len(xs), -1), reversed(xs)))]
-            if any(xs) else [] for xs in rows]
+    rows = [xs if any(xs) else [] for xs in rows]
     if lead < 0:
         rows, lead = [[-x for x in xs] for xs in rows], -lead
     return StemPoly._from_rows(rows, lead)

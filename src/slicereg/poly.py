@@ -342,6 +342,8 @@ def _digit_width(bound: int) -> int:
 # Lists shorter than this are packed and unpacked by shifts and masks,
 # longer ones by one copy (see `_pack` for the sweep that set it).
 _SHIFT_BELOW = 40
+# The `array` type of each digit width a C integer type has on this host.
+_ARRAY_TYPES = {array(code).itemsize: code for code in "bhiq"}
 
 
 def _pack(xs, width: int) -> int:
@@ -352,10 +354,10 @@ def _pack(xs, width: int) -> int:
     Below `_SHIFT_BELOW` entries the range is checked once (min and max)
     and the digits go in by Horner's rule on shifts, highest first.  From
     there on, each digit offset by half = 2**(8*width - 1) is nonnegative:
-    where a C integer type has the width, `array` stores the digits (its
-    type refuses one out of range), and xor with the offsets adds them to
-    the two's-complement bytes; elsewhere, and on a big-endian host,
-    `to_bytes` copies each digit plus half (and refuses one out of range).
+    where a C integer type has the width (`_ARRAY_TYPES`), `array` stores
+    the digits (its type refuses one out of range), and xor with the
+    offsets adds them to the two's-complement bytes; at other widths, and
+    on a big-endian host, `to_bytes` copies each digit plus half.
     The offsets are then taken off in one subtraction.  Each shift copies
     the whole accumulator, so shifting costs grow with the square of the
     length and the copies' about linearly.  Timed per call (microseconds,
@@ -390,7 +392,7 @@ def _pack(xs, width: int) -> int:
             acc = (acc << shift) + x
         return acc
     offset = int.from_bytes(half.to_bytes(width, "little") * len(xs), "little")
-    code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
+    code = _ARRAY_TYPES.get(width)
     if code and sys.byteorder == "little":
         return (int.from_bytes(array(code, xs), "little") ^ offset) - offset
     digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])

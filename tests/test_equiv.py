@@ -380,9 +380,10 @@ def test_find_intertwiner_re_verification_checks_the_central_part(
 
 
 def _accepts(monkeypatch, first, second, dmax, kernel) -> bool:
-    """Whether the search's check accepts kernel handed over as its own."""
-    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
-                        lambda *system: kernel)
+    """Whether the search's check accepts kernel handed over as its own: a
+    copy, since the search trims the lists of the vectors it normalizes."""
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", lambda *system:
+                        [[list(xs) for xs in vec] for vec in kernel])
     try:
         find_intertwiner(first, second, dmax)
     except AssertionError as exc:

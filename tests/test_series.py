@@ -182,6 +182,16 @@ def test_conjugation_identity_near_singular_sample():
     with pytest.raises(NearSingularSampleError):
         check_conjugation_identity(constant, rotating, vanishing,
                                    samples=(0.0, 1.0))
+    # Nonzero values on the null cone: 1 + z*i at z = 1j has norm
+    # 1 + (1j)**2 = 0, and scaled by 10**10 just off it, at 1e-20 + 1j, a
+    # norm of about 2 against a squared size of 2e20.  Neither is invertible
+    # in double precision, however loose or tight the tolerance.
+    for scale, z in ((1, 1j), (10**10, 1e-20 + 1j)):
+        null = TruncSeries(order, [Quaternion(scale), QI * scale])
+        for tol in (1e-12, 10.0):
+            with pytest.raises(NearSingularSampleError):
+                check_conjugation_identity(constant, rotating, null,
+                                           samples=(z,), tol=tol)
 
 
 def test_numeric_roots_display():
