@@ -37,20 +37,26 @@ pure solutions are Q[z] g, g = (V + W) over the gcd of its components
 F = H, solved by every alpha, or W = -V, where VA + AV = -2 B(A, V) leaves
 B(A, V) = 0: one integer row per degree up to top = dmax + deg, on
 3(dmax + 1) unknowns.  K comes in the normal form of an exact nullspace
-(one vector per free column, its last nonzero entry, zero at the other
-free columns): `poly._integer_echelon` of the spanning set (with the z^k
-when V = W), built column-reversed to read from the last column, or
-`poly._integer_nullspace` of the W = -V system, each vector handed on as
-its four component lists; g comes from the integer lists of V + W, their
-`_gcd_ints` and `poly._pseudo_divmod`.  The vectors are then checked on
-the criterion above, independently of how they were found: each list
-must have dmax + 1 entries, a central part must be 0 unless V = W, and
-the pure parts, stacked into one integer stem S (vector i at z^(i*step),
-step one more than the highest degree of V or W times one vector), must
-give V S = S W: two `_mul_components` of the components packed at the
-`_product_width` of (V + W, S), equal iff their balanced digits are.  As
-z is central and the blocks of a product never meet, S passes exactly
-when every vector does.  Central F = H (V = W = 0) checks the shape only.
+(one vector per pivot, the place (degree, then component) of its highest
+nonzero entry, zero at the other pivots, in pivot order): for W = -V,
+`poly._integer_nullspace` of the system; else written down from g (from
+the lists of V + W, `_gcd_ints` and `_pseudo_divmod`).  With n = deg g
+and r the highest component of degree n, z^k g has its pivot at (n + k, r)
+and the vectors are T_0 = g and T_k = quo(z^(n + k), g_r) g up to a factor,
+(lead z T_(k-1) - t g) / gcd(lead, t), lead = g_r[n], t the entry of
+z T_(k-1) at (n, r) (its other pivots are 0 and above g): z T_(k-1) if
+t = 0, as always when g_r is a monomial.  F = H adds the units z^p at
+component 0 (all four if V = 0), by pivot.  The vectors, handed on as
+four component lists, are checked on the criterion above, however found:
+each list must have dmax + 1 entries, a central part must be 0 unless
+V = W, and the pure parts, stacked into one integer stem S (vector i at
+z^(i*step), step one more than the highest degree of V or W times one
+vector), must give V S = S W: two `_mul_components` of the components
+packed at the `_product_width` of (V + W, S), equal iff their balanced
+digits are.  As z is central and the blocks of a product never meet, S
+passes exactly when every vector does; zA, for A one of the last two
+pure parts checked and its top entries 0, passes unstacked (list for
+list): V zA = zA W.  Central F = H (V = W = 0) checks the shape only.
 `verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
 on f and h: a f against h a, packed at the `_product_width` of (f + h, a),
@@ -64,12 +70,12 @@ norm(alpha) means the inverse exists only off its zero set.
 from __future__ import annotations
 
 from itertools import chain, zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import CQuat, _mul_components, bform
 from .errors import LimitExceededError, ZeroAlphaError, ZeroInputError
-from .poly import (Poly, _gcd_ints, _integer_echelon, _integer_nullspace,
-                   _lowest_terms, _pack, _product_width, _pseudo_divmod)
+from .poly import (Poly, _gcd_ints, _integer_nullspace, _lowest_terms,
+                   _pack, _product_width, _pseudo_divmod)
 from .scalars import GaussRat, Record
 from .stem import SLICE_PRESERVING, R3StemPoly, StemPoly
 
@@ -132,8 +138,8 @@ def _trace_norm_mismatch(f, h):
     # The trace is 2*c0, so comparing c0 compares traces.
     if f[0] != h[0]:
         return "trace", None
-    f, h = f[1:], h[1:]
-    width = _product_width(f + h, f + h)
+    f, h, both = f[1:], h[1:], f[1:] + h[1:]
+    width = _product_width(both, both)
     f_at, h_at = ([_pack(xs, width) for xs in lists] for lists in (f, h))
     if sum(x * x for x in f_at) != sum(x * x for x in h_at):
         return "norm", None
@@ -253,15 +259,13 @@ def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
     return OrbitScanReport(tuple(checks))
 
 
-# The largest intertwiner search accepted: 4 * (dmax + 1) unknowns, the
-# columns of the echelon (3 * (dmax + 1) for W = -V), so dmax <= 63.
+# The largest intertwiner search accepted, 4 * (dmax + 1) unknowns: dmax <= 63.
 MAX_INTERTWINER_UNKNOWNS = 256
 
 
 def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
     with equal traces and norms: each vector as its lists (1, i, j, k)."""
-    cols = 4 * (dmax + 1)
     pure, _ = _lowest_terms(
         [[x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
          for xs, ys in zip(f[1:], h[1:])], 1)
@@ -272,19 +276,28 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
         rows = [strip[3 * s:3 * (s + dmax + 1)] for s in range(top, -1, -1)]
         return [[[0] * (dmax + 1), vec[::3], vec[1::3], vec[2::3]]
                 for vec in _integer_nullspace(rows, 3 * (dmax + 1))]
-    # The shifts z^k g of g = (V + W) / gcd; if F = H the z^k, or all units.
-    rows = []
-    if any(pure):
-        d = _gcd_ints([p for p in pure if p])
-        g = [*chain.from_iterable(zip_longest(
-            (), *(_pseudo_divmod(p, d)[0] for p in pure), fillvalue=0))][::-1]
-        rows = [[0] * (cols - 4 * k - len(g)) + g + [0] * (4 * k)
-                for k in range((cols - len(g)) // 4 + 1)]
-    if f == h:
-        rows += ([0] * (cols - 1 - u) + [1] + [0] * u
-                 for u in range(0, cols, 4 if any(pure) else 1))
-    m, _ = _integer_echelon(rows, cols)
-    return [[row[cols - 1 - r::-4] for r in range(4)] for row in reversed(m)]
+    zero, kernel = [0] * (dmax + 1), []
+    if not any(pure):
+        return [[[0] * p + [1] + [0] * (dmax - p) if c == r else zero
+                 for c in range(4)] for p in range(dmax + 1) for r in range(4)]
+    # The T_k of the module docstring, each after the unit z^(n + k) if F = H.
+    d = _gcd_ints([p for p in pure if p])
+    g = [_pseudo_divmod(p, d)[0] for p in pure]
+    n, r = max((len(xs) - 1, c) for c, xs in enumerate(g, 1))
+    g = [zero] + [xs + [0] * (dmax + 1 - len(xs)) for xs in g]
+    row, lead = g, g[r][n]
+    for p in range(dmax + 1):
+        if f == h:
+            kernel.append([[0] * p + [1] + [0] * (dmax - p), zero, zero, zero])
+        if p > n:
+            row = [[0] + xs[:-1] for xs in row]
+            if t := row[r][n]:
+                e = gcd(lead, t)
+                row = [[lead // e * x - t // e * y for x, y in zip(xs, ys)]
+                       for xs, ys in zip(row, g)]
+        if p >= n:
+            kernel.append(row)
+    return kernel
 
 
 def _scaled_to_lcm(first: StemPoly, second: StemPoly):
@@ -306,7 +319,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     solution at this degree bound), each vector normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
     (order 1, i, j, k) equal to 1 and re-verified, all at once, by the
-    check of the trace-free parts in the module docstring.
+    check of the trace-free parts in the module docstring, which multiplies
+    only the vectors whose pure part is not z times a recent one checked.
     More than MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
@@ -327,13 +341,18 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     # The check of the module docstring, with step = top + 1: a product of
     # V or W with one vector has degree at most top.
     v, w, pad, stacked = f[1:], h[1:], [0] * (top - dmax), [[], [], []]
+    shifts = []  # z times the last two pure parts checked, if their tops are 0
     for vec in kernel:
         if any(len(xs) != dmax + 1 for xs in vec):
             raise AssertionError("kernel vector above the degree bound")
         if v != w and any(vec[0]):
             raise AssertionError("kernel vector failed re-verification")
-        for comp, xs in zip(stacked, vec[1:]):
-            comp += xs + pad
+        pure = vec[1:]
+        if pure not in shifts:
+            for comp, xs in zip(stacked, pure):
+                comp += xs + pad
+        if not any(xs[-1] for xs in pure):
+            shifts = [*shifts[-1:], [[0] + xs[:-1] for xs in pure]]
     if any(v):
         width = _product_width(v + w, stacked)
         v, w, stacked = ([_pack(xs, width) for xs in lists]

@@ -459,10 +459,10 @@ def _product_width(left, right) -> int:
     coefficients, each of at most min(m, n) products of an entry of each
     side (m, n the longest lists), and (len(left) - 1).bit_length() bits
     over that bound cover the sum."""
-    return _digit_width(_max_bits(chain.from_iterable(left))
-                        + _max_bits(chain.from_iterable(right))
-                        + min(max(map(len, left)),
-                              max(map(len, right))).bit_length()
+    bits, m = _max_bits(chain.from_iterable(left)), max(map(len, left))
+    right_bits, n = (bits, m) if right is left else (
+        _max_bits(chain.from_iterable(right)), max(map(len, right)))
+    return _digit_width(bits + right_bits + min(m, n).bit_length()
                         + (len(left) - 1).bit_length())
 
 

@@ -273,7 +273,7 @@ def test_find_intertwiner_matches_the_matrix_reference_on_planted_pairs():
 def test_find_intertwiner_matches_the_matrix_reference_on_rotated_generators():
     """F = c + N(a)*K and H = c + a*K*a^c, with a stem a of degree 1-2 and a
     pure K, share trace and norm; the generator N(a)*K + a*K*a^c has
-    positive degree and nonzero lower entries, so the echelon basis is not
+    positive degree and nonzero lower entries, so the normal form is not
     the shifts z^k * g of one vector, and a wrong reduction shows.  A
     common factor p of degree 1-2, F = c + p*N(a)*K and H = c + p*a*K*a^c,
     cancels in g = (V + W) / gcd and leaves the basis as it is; a degree
@@ -326,6 +326,29 @@ def test_find_intertwiner_matches_the_matrix_reference_on_degenerate_pairs(
         first, second):
     first, second = parse_stem(first), parse_stem(second)
     assert [_same_as_reference(first, second, dmax) for dmax in range(5)][-1]
+
+
+@pytest.mark.parametrize("first, second, short", [
+    # g's top component 1 + 4z + 3z^2: not a monomial, lead 3.
+    ("i + z*j + (1+3*z+3*z^2)*k", "j + z*k + (1+3*z+3*z^2)*i", 2),
+    ("i + z*j - (2-5*z+2*z^2)*k", "j + z*k - (2-5*z+2*z^2)*i", 2),
+    # W = V, b = 2 + z + 3z^2: the units z^p sit between the rows.
+    ("1 + i + z*j + (2 + z + 3*z^2)*k", "1 + i + z*j + (2 + z + 3*z^2)*k", 0),
+    ("1 + z^2", "1 + z^2", 0),                               # central F = H
+    ("i + z*j", "j + z*i", 0),              # V + W = (1 + z)(i + j), no k
+    ("2*i + 4*z*j + 6*z^2*k", "2*j + 4*z*k + 6*z^2*i", 2),  # V not primitive
+    ("(1/2)*i + (2/3)*z*j + (3/4)*z^2*k",
+     "(1/2)*j + (2/3)*z*k + (3/4)*z^2*i", 2),               # rational entries
+])
+def test_find_intertwiner_closed_form_kernel_matches_the_matrix_reference(
+        first, second, short):
+    """The rows written down from g, against the search on the rational
+    `Matrix`, at every degree bound up to 20 and at the unknowns cap; below
+    deg g (short) there is no intertwiner, save the units when F = H."""
+    first, second = parse_stem(first), parse_stem(second)
+    for dmax in [*range(21), 63]:
+        basis = _same_as_reference(first, second, dmax)
+        assert bool(basis) == (dmax >= short)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -414,9 +437,11 @@ def test_find_intertwiner_check_matches_the_two_relation_reference(
     """On random kernels handed to the search, the check of the trace-free
     parts (a (V - W) = 0 and V A = A W) accepts exactly when both
     relations hold for every vector (`support.stacked_relations_hold`):
-    the true kernel, integer combinations of its vectors, either with one
-    entry off by one, random vectors, random central vectors, and for F
-    and u^-1 F u the vector u."""
+    the true kernel, integer combinations of its vectors, chains of shifts
+    z^k X cut to the degree bound, the lowest true vector followed by z^-1
+    times it, the true kernel, its combinations or a chain with one entry
+    off by one, random vectors, random central vectors, and for F and
+    u^-1 F u the vector u."""
     rng = random.Random(2929)
     seen = set()
     for _ in range(40):
@@ -436,7 +461,18 @@ def test_find_intertwiner_check_matches_the_two_relation_reference(
             extra = [[xs + [0] * (dmax + 1 - len(xs)) for xs in alpha.nums]
                      for alpha in extra]
             kernels = [true, combos, rand, central, extra, true + extra]
-            for vectors in (true, combos):
+            # Chains of shifts z^k X, cut to dmax + 1: of the top vector of
+            # the true kernel, whose top entry is not 0, of a combination
+            # and of a random vector; and the lowest true vector followed
+            # by z^-1 times it, cut.
+            for vec in true[-1:] + combos[:1] + rand[:1]:
+                chain = [vec]
+                for _ in range(rng.randint(1, 3)):
+                    chain.append(_shift(chain[-1]))
+                kernels += [chain, true[:1] + chain]
+            kernels += [[vec, [xs[1:] + [0] for xs in vec]]
+                        for vec in true[:1]]
+            for vectors in (true, combos, chain):
                 if vectors:
                     moved = [[list(xs) for xs in vec] for vec in vectors]
                     rng.choice(rng.choice(moved))[rng.randint(0, dmax)] += (
@@ -452,6 +488,65 @@ def test_find_intertwiner_check_matches_the_two_relation_reference(
     assert seen == {(kind, verdict) for kind in (
         "conjugates", "one relation", "F = H", "W = -V")
         for verdict in (True, False)} | {("central F = H", True)}
+
+
+def _shift(vec):
+    """z times a vector of component lists, cut to their length."""
+    return [[0] + xs[:-1] for xs in vec]
+
+
+def test_find_intertwiner_check_refuses_a_shift_cut_at_the_degree_bound(
+        monkeypatch):
+    """[A, zA cut to dmax + 1] for the worked pair's one vector A at dmax 2,
+    whose top entry is not 0: the cut zA intertwines nothing, so it is not
+    z times a checked vector and must be multiplied."""
+    dmax = 2
+    f, h = _scaled_to_lcm(F_PAIR, G_PAIR)
+    (vec,) = _intertwiner_kernel(f, h, dmax, dmax + 2)
+    assert any(xs[-1] for xs in vec)
+    kernel = [vec, _shift(vec)]
+    assert stacked_relations_hold(f, h, kernel[:1], dmax + 2)
+    assert not stacked_relations_hold(f, h, kernel[1:], dmax + 2)
+    assert _accepts(monkeypatch, F_PAIR, G_PAIR, dmax, kernel[:1])
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: kernel)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(F_PAIR, G_PAIR, dmax)
+
+
+@pytest.mark.parametrize("index", [1, 5, 10])
+@pytest.mark.parametrize("place", [(2, 0), (3, 0), (2, -1), (3, -1),
+                                   (3, 6)])
+def test_find_intertwiner_check_refuses_a_broken_shift_chain(
+        monkeypatch, index, place):
+    """The worked pair's basis at dmax 12 is a chain of shifts z^k g; one
+    entry of a later vector off by one, at its lowest or top degree or in
+    between, breaks the chain there, and that vector must be multiplied."""
+    dmax = 12
+    f, h = _scaled_to_lcm(F_PAIR, G_PAIR)
+    true = _intertwiner_kernel(f, h, dmax, dmax + 2)
+    assert all(vec == _shift(prev) for prev, vec in zip(true, true[1:]))
+    comp, degree = place
+    true[index][comp][degree] += 1
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: true)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(F_PAIR, G_PAIR, dmax)
+
+
+def test_find_intertwiner_check_refuses_a_shift_chain_of_a_non_intertwiner(
+        monkeypatch):
+    """X, zX, z^2 X with X = i + z*j, top entries 0: every vector after the
+    first is z times the one before, so the first must be multiplied."""
+    dmax = 4
+    low = [[0] * 5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5]
+    kernel = [low, _shift(low), _shift(_shift(low))]
+    f, h = _scaled_to_lcm(F_PAIR, G_PAIR)
+    assert not stacked_relations_hold(f, h, kernel[:1], dmax + 2)
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel",
+                        lambda *system: kernel)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_intertwiner(F_PAIR, G_PAIR, dmax)
 
 
 def test_find_intertwiner_re_verification_checks_the_degree_bound(
