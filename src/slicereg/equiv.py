@@ -28,35 +28,34 @@ dmax form a space K, zero when trace or norm differ (a nonzero alpha is
 invertible over Q(z)).  With equal traces write F = c + V, H = c + W and
 alpha = a + A (c, a central; V, W, A trace-free): VA - AW and AV - WA
 share their central part and have opposite trace-free parts, so alpha
-solves both relations iff a(V - W) = 0 and VA = AW.  Equal norms give
-V**2 = -B(V, V) = W**2, so V(V + W) = (V + W)W.  If V + W != 0, the
-solutions of VA = AW over Q(z) are (V + W)(x + yW) (Skolem-Noether), of
-central part -y B(V + W, W) = -y B(V + W, V + W) / 2, so A = x(V + W): the
-pure solutions are Q[z] g, g = (V + W) over the gcd of its components
-(Gauss's lemma), spanned in K by the shifts z^k g.  V + W = 0 is central
-F = H, solved by every alpha, or W = -V, where VA + AV = -2 B(A, V) leaves
-B(A, V) = 0: one integer row per degree up to top = dmax + deg, on
-3(dmax + 1) unknowns.  K comes in the normal form of an exact nullspace
-(one vector per pivot, the place (degree, then component) of its highest
-nonzero entry, zero at the other pivots, in pivot order): for W = -V,
-`poly._integer_nullspace` of the system; else written down from g (from
-the lists of V + W, `_gcd_ints` and `_pseudo_divmod`).  With n = deg g
-and r the highest component of degree n, z^k g has its pivot at (n + k, r)
-and the vectors are T_0 = g and T_k = quo(z^(n + k), g_r) g up to a factor,
+solves both relations iff a(V - W) = 0 and VA = AW.  As V**2 = -N(V),
+V(V + W) - (V + W)W = N(W) - N(V) is central: for V + W != 0 and
+g = (V + W) / d, d the gcd of its components, V g - g W = (N(W) - N(V)) / d,
+so g's own check compares the norms (V + W = 0 has N(W) = N(V)).  If they
+agree, the solutions of VA = AW over Q(z) are (V + W)(x + yW)
+(Skolem-Noether), of central part -y B(V + W, W) = -y B(V + W, V + W) / 2,
+so A = x(V + W): the pure solutions are Q[z] g (Gauss's lemma), spanned in
+K by the shifts z^k g.  V + W = 0 is central F = H, solved by every alpha,
+or W = -V, where VA + AV = -2 B(A, V) leaves B(A, V) = 0: one integer row
+per degree up to top = dmax + deg, on 3(dmax + 1) unknowns.  K comes in the
+normal form of an exact nullspace (one vector per pivot, the place (degree,
+then component) of its highest nonzero entry, zero at the other pivots, in
+pivot order): for W = -V, `poly._integer_nullspace` of the system; else
+written down from g (`_generator`).  With n = deg g and r the highest
+component of degree n, z^k g has its pivot at (n + k, r) and the vectors
+are T_0 = g and T_k = quo(z^(n + k), g_r) g up to a factor,
 (lead z T_(k-1) - t g) / gcd(lead, t), lead = g_r[n], t the entry of
 z T_(k-1) at (n, r) (its other pivots are 0 and above g): z T_(k-1) if
 t = 0, as always when g_r is a monomial.  F = H adds the units z^p at
-component 0 (all four if V = 0), by pivot.  The vectors, handed on as
-four component lists, are checked on the criterion above, however found:
-each list must have dmax + 1 entries, a central part must be 0 unless
-V = W, and the pure parts, stacked into one integer stem S (vector i at
-z^(i*step), step one more than the highest degree of V or W times one
-vector), must give V S = S W: two `_mul_components` of the components
-packed at the `_product_width` of (V + W, S), equal iff their balanced
-digits are.  As z is central and the blocks of a product never meet, S
-passes exactly when every vector does; zA, for A one of the last two
-pure parts checked and its top entries 0, passes unstacked (list for
-list): V zA = zA W.  Central F = H (V = W = 0) checks the shape only.
+component 0 (all four if V = 0), by pivot.  The vectors, handed on as four
+component lists, are checked on the criterion above, however found: each
+list must have dmax + 1 entries, a central part must be 0 unless V = W,
+and the pure parts, stacked into one integer stem S (vector i at
+z^(i*step), step one more than the degree of V or W times a vector), must
+give V S = S W (`_pure_intertwines`): as z is central and the blocks of a
+product never meet, S passes iff every vector does.  Left out of S are 0,
+g and zX, X one of the last two vectors seen with top entries 0
+(V zX = zX W), whose normal form is z times X's: only X meets `_over_lead`.
 `verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
 the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
 on f and h: a f against h a, packed at the `_product_width` of (f + h, a),
@@ -126,24 +125,17 @@ def equivalent(first: StemPoly, second: StemPoly) -> EquivVerdict:
         same = first == second
         return EquivVerdict(same, BRANCH_SLICE_PRESERVING,
                             None if same else "identity")
-    reason, packs = _trace_norm_mismatch(*_scaled_to_lcm(first, second))
-    if reason is None and _gcd_ints(*packs[0]) != _gcd_ints(*packs[1]):
-        reason = "cdiv"
+    f, h = _scaled_to_lcm(first, second)
+    reason = "trace" if f[0] != h[0] else None  # the trace is 2*c0
+    if reason is None:
+        v, w, both = f[1:], h[1:], f[1:] + h[1:]
+        width = _product_width(both, both)
+        at_v, at_w = ([_pack(xs, width) for xs in lists] for lists in (v, w))
+        if sum(x * x for x in at_v) != sum(x * x for x in at_w):
+            reason = "norm"
+        elif _gcd_ints(v, at_v, width) != _gcd_ints(w, at_w, width):
+            reason = "cdiv"
     return EquivVerdict(reason is None, BRANCH_NOT_SLICE_PRESERVING, reason)
-
-
-def _trace_norm_mismatch(f, h):
-    """("trace" or "norm", None) for the first of them that differs, read as
-    in `equivalent`; else (None, the `_gcd_ints` arguments of each W part)."""
-    # The trace is 2*c0, so comparing c0 compares traces.
-    if f[0] != h[0]:
-        return "trace", None
-    f, h, both = f[1:], h[1:], f[1:] + h[1:]
-    width = _product_width(both, both)
-    f_at, h_at = ([_pack(xs, width) for xs in lists] for lists in (f, h))
-    if sum(x * x for x in f_at) != sum(x * x for x in h_at):
-        return "norm", None
-    return None, ((f, f_at, width), (h, h_at, width))
 
 
 class R3EquivVerdict(Record):
@@ -263,13 +255,24 @@ def pointwise_orbit_scan(first: StemPoly, second: StemPoly,
 MAX_INTERTWINER_UNKNOWNS = 256
 
 
-def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
-    """K of the module docstring, in its normal form, for integer lists f, h
-    with equal traces and norms: each vector as its lists (1, i, j, k)."""
+def _generator(f, h) -> list:
+    """The three lists of g = (V + W) / gcd for integer lists f, h, trimmed:
+    all empty when V + W = 0, and V + W itself if a component is constant."""
     pure, _ = _lowest_terms(
         [[x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
          for xs, ys in zip(f[1:], h[1:])], 1)
-    if not any(pure) and f != h:
+    if (any(pure) and 1 not in map(len, pure)
+            and (d := _gcd_ints([p for p in pure if p])) != [1]):
+        return [_pseudo_divmod(p, d)[0] for p in pure]
+    return pure
+
+
+def _intertwiner_kernel(f, h, dmax: int, top: int, *g) -> list:
+    """K of the module docstring, in its normal form, for integer lists f, h
+    with equal traces and norms: each vector as its lists (1, i, j, k).  g,
+    the lists of `_generator(f, h)`, is computed here when not given."""
+    g = g or _generator(f, h)
+    if not any(g) and f != h:
         # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
         v = [x for c in [*zip_longest(*f[1:], fillvalue=0)][::-1] for x in c]
         strip = [0] * (3 * (top + 1) - len(v)) + v + [0] * (3 * dmax)
@@ -277,12 +280,10 @@ def _intertwiner_kernel(f, h, dmax: int, top: int) -> list:
         return [[[0] * (dmax + 1), vec[::3], vec[1::3], vec[2::3]]
                 for vec in _integer_nullspace(rows, 3 * (dmax + 1))]
     zero, kernel = [0] * (dmax + 1), []
-    if not any(pure):
+    if not any(g):
         return [[[0] * p + [1] + [0] * (dmax - p) if c == r else zero
                  for c in range(4)] for p in range(dmax + 1) for r in range(4)]
     # The T_k of the module docstring, each after the unit z^(n + k) if F = H.
-    d = _gcd_ints([p for p in pure if p])
-    g = [_pseudo_divmod(p, d)[0] for p in pure]
     n, r = max((len(xs) - 1, c) for c, xs in enumerate(g, 1))
     g = [zero] + [xs + [0] * (dmax + 1 - len(xs)) for xs in g]
     row, lead = g, g[r][n]
@@ -318,9 +319,9 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     Returns an exact basis of the solution space (empty when there is no
     solution at this degree bound), each vector normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
-    (order 1, i, j, k) equal to 1 and re-verified, all at once, by the
-    check of the trace-free parts in the module docstring, which multiplies
-    only the vectors whose pure part is not z times a recent one checked.
+    (order 1, i, j, k) equal to 1 and re-verified by the check of the
+    trace-free parts in the module docstring, which multiplies g alone and
+    then, all at once, the vectors that are not g or z times a recent one.
     More than MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
@@ -331,36 +332,50 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             f"degree bound {dmax} gives {unknowns} unknowns, above the limit "
             f"of {MAX_INTERTWINER_UNKNOWNS} (degree bound "
             f"{MAX_INTERTWINER_UNKNOWNS // 4 - 1})")
-    # Over Q(z) a nonzero alpha is invertible, and conjugation keeps trace
-    # and norm: with either different, only alpha = 0 intertwines.
+    # Only alpha = 0 intertwines F and H of different trace 2*c0 or norm (a
+    # nonzero alpha is invertible over Q(z)); g's own check compares norms.
     f, h = _scaled_to_lcm(first, second)
-    if _trace_norm_mismatch(f, h)[0]:
+    if f[0] != h[0]:
         return []
+    v, w, g = f[1:], h[1:], _generator(f, h)
+    if any(g) and not _pure_intertwines(v, w, g):
+        return []
+    if not any(v + w):  # central F = H: the units z^p are K's normal form
+        return [StemPoly._reduced([[0] * p + [1] if c == r else []
+                                   for c in range(4)], 1)
+                for p in range(dmax + 1) for r in range(4)]
     top = dmax + max(first.degree, second.degree, 0)
-    kernel = _intertwiner_kernel(f, h, dmax, top)
+    kernel = _intertwiner_kernel(f, h, dmax, top, *g)
     # The check of the module docstring, with step = top + 1: a product of
-    # V or W with one vector has degree at most top.
-    v, w, pad, stacked = f[1:], h[1:], [0] * (top - dmax), [[], [], []]
-    shifts = []  # z times the last two pure parts checked, if their tops are 0
+    # V or W with one vector has degree at most top.  shifts holds z X and
+    # the place in basis of the last two vectors X seen with top entries 0.
+    pad, stacked, basis, shifts = [0] * (top - dmax), [[], [], []], [], []
+    g = [xs + [0] * (dmax + 1 - len(xs)) for xs in g]
     for vec in kernel:
         if any(len(xs) != dmax + 1 for xs in vec):
             raise AssertionError("kernel vector above the degree bound")
         if v != w and any(vec[0]):
             raise AssertionError("kernel vector failed re-verification")
-        pure = vec[1:]
-        if pure not in shifts:
-            for comp, xs in zip(stacked, pure):
+        low = next((basis[i] for zx, i in shifts if zx == vec), None)
+        if not any(xs[-1] for xs in vec):
+            shifts = [*shifts[-1:], ([[0] + xs[:-1] for xs in vec],
+                                     len(basis))]
+        if low is None and any(map(any, vec[1:])) and vec[1:] != g:
+            for comp, xs in zip(stacked, vec[1:]):
                 comp += xs + pad
-        if not any(xs[-1] for xs in pure):
-            shifts = [*shifts[-1:], [[0] + xs[:-1] for xs in pure]]
-    if any(v):
-        width = _product_width(v + w, stacked)
-        v, w, stacked = ([_pack(xs, width) for xs in lists]
-                         for lists in (v, w, stacked))
-        if _mul_components(0, *v, 0, *stacked) != _mul_components(
-                0, *stacked, 0, *w):
-            raise AssertionError("kernel vector failed re-verification")
-    return [_over_lead(vec) for vec in kernel]
+        basis.append(_over_lead(vec) if low is None else StemPoly._reduced(
+            [[0, *xs] if xs else xs for xs in low.nums], low.den))
+    if stacked[0] and not _pure_intertwines(v, w, stacked):
+        raise AssertionError("kernel vector failed re-verification")
+    return basis
+
+
+def _pure_intertwines(v, w, a) -> bool:
+    """Whether V A = A W for trace-free lists v, w, a: packed at the
+    `_product_width` of (v + w, a), equal products mean equal stems."""
+    width = _product_width(v + w, a)
+    v, w, a = ([_pack(xs, width) for xs in lists] for lists in (v, w, a))
+    return _mul_components(0, *v, 0, *a) == _mul_components(0, *a, 0, *w)
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:

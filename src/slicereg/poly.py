@@ -98,7 +98,11 @@ class IntegerRows(Frozen):
         """The value with rows rows[r] / den, for integer lists and den > 0,
         in lowest terms (`_lowest_terms`); the lists are trimmed in place
         and may be shared."""
-        rows, den = _lowest_terms(rows, den)
+        return cls._reduced(*_lowest_terms(rows, den))
+
+    @classmethod
+    def _reduced(cls, rows, den: int):
+        """`_from_rows` for rows already trimmed and in lowest terms."""
         value = object.__new__(cls)
         object.__setattr__(value, "nums", cls._store(rows))
         object.__setattr__(value, "den", den)

@@ -554,12 +554,77 @@ def test_find_intertwiner_re_verification_checks_the_degree_bound(
     """The worked pair's basis at degree bound 2 handed to a search at 1:
     its one vector has degree 2, and its block of the stacked stem would
     reach into the next block's place, so it must be refused."""
-    def one_degree_up(f, h, dmax, top):
+    def one_degree_up(f, h, dmax, top, *g):
         return _intertwiner_kernel(f, h, dmax + 1, top + 1)
 
     monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", one_degree_up)
     with pytest.raises(AssertionError, match="degree bound"):
         find_intertwiner(F_PAIR, G_PAIR, 1)
+
+
+@pytest.mark.parametrize("first, second, normalized, products", [
+    # g_r = z^2, a monomial: g, then z times the one before.
+    ("i + z*j + (1/2)*z^2*k", "(1 + (1/2)*z^2)*i", 1, 2),
+    # g_r = 1 + 3z + z^2: row operations, every vector multiplied.
+    ("i + z*j + (1+3*z+z^2)*k", "j + z*k + (1+3*z+z^2)*i", None, 4),
+    # W = V, g = i + z*j: the units z^p at component 0 sit between the
+    # shifts of g, so each of both chains is z times the vector two back.
+    ("1 + z*i + z^2*j", "1 + z*i + z^2*j", 2, 2),
+    ("1 + z*i + z^2*j", "1 - z*i - z^2*j", None, 2),      # W = -V
+    ("1 + z^2", "1 + z^2", 0, 0),                          # central F = H
+])
+def test_find_intertwiner_stems_are_in_normal_form(
+        monkeypatch, first, second, normalized, products):
+    """Each stem returned, those written as z times the one two or one
+    before included, is `normalize_intertwiner` of itself rebuilt through
+    `StemPoly` at another scale, in nums and den.  g passes by its own
+    check (two products), and neither the shifts nor a zero pure part is
+    stacked: `_over_lead` runs only on the chains' first vectors
+    (normalized; None where not counted), and the stacked product (two
+    more) only where a vector is left to multiply."""
+    first, second = parse_stem(first), parse_stem(second)
+    over_lead, mul = slicereg.equiv._over_lead, slicereg.equiv._mul_components
+    calls = {"lead": 0, "mul": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(slicereg.equiv, "_over_lead",
+                        counted("lead", over_lead))
+    monkeypatch.setattr(slicereg.equiv, "_mul_components",
+                        counted("mul", mul))
+    for dmax in [*range(13), 63]:
+        calls.update(lead=0, mul=0)
+        basis = find_intertwiner(first, second, dmax)
+        if len(basis) > 1:
+            assert normalized in (None, calls["lead"])
+            assert calls["mul"] == products
+        for alpha in basis:
+            rebuilt = StemPoly(alpha.coeffs) * Fraction(-7, 3)
+            assert rebuilt != alpha
+            again = normalize_intertwiner(rebuilt)
+            assert (again.nums, again.den) == (alpha.nums, alpha.den)
+    assert len(basis) > 60
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1", "1 + z*i"), ("1 + z*i", "1"), ("0", "i"),
+    ("1 + z^2", "1 + z^2 - z*j"),
+])
+def test_find_intertwiner_norm_mismatch_of_a_central_stem(
+        monkeypatch, first, second):
+    """A central stem against one that is not, with equal traces: V + W
+    is not 0, and g's check alone exits, before the kernel; with V = 0 no
+    stacked product could refuse the shifts z^k g of the kernel."""
+    first, second = parse_stem(first), parse_stem(second)
+    for dmax in (0, 3):
+        assert reference_find_intertwiner(first, second, dmax) == []
+    monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", _no_kernel)
+    for dmax in (0, 3, 12, 63):
+        assert find_intertwiner(first, second, dmax) == []
 
 
 def test_verify_conjugator_worked_pair():

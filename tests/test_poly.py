@@ -493,6 +493,18 @@ def test_division_at_the_point_without_divisibility_takes_the_product(
     assert len(kronecker_calls) == 1
 
 
+def test_division_bound_is_strict_at_the_digit_width(kronecker_calls):
+    """g = 1 + z and x = 200 - 57z at xi = 2**8: g(xi) = 257 divides
+    x(xi) = -14392, with the one-digit quotient -56.  The bound adds
+    6 + 1 + 1 = 8 bits for q*g and x has 8 bits, exactly 8 * width: there
+    balanced digits are not unique (200 > xi/2), so the bound must not
+    prove the quotient, and the product shows -56 - 56z is not x."""
+    assert divmod(200 - 57 * 256, 257) == (-56, 0)
+    assert _digits(-56, 1) == [-56]
+    assert not _divides([1, 1], 257, [200, -57], 200 - 57 * 256, 1)
+    assert len(kronecker_calls) == 1
+
+
 def test_decide_cdiv_plants_take_no_product(kronecker_calls):
     """The planted divisors of the benchmark's cdiv decisions (q*v*q^c
     against N(q)*v, one round's degrees) are certified by the bound or
