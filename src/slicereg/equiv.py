@@ -47,7 +47,8 @@ are T_0 = g and T_k = quo(z^(n + k), g_r) g up to a factor,
 (lead z T_(k-1) - t g) / gcd(lead, t), lead = g_r[n], t the entry of
 z T_(k-1) at (n, r) (its other pivots are 0 and above g): z T_(k-1) if
 t = 0, as always when g_r is a monomial.  F = H adds the units z^p at
-component 0 (all four if V = 0), by pivot.  The vectors, handed on as four
+component 0, by pivot; with V = 0 too, K is all the units z^p, which
+`find_intertwiner` writes down itself.  The vectors, handed on as four
 component lists, are checked on the criterion above, however found: each
 list must have dmax + 1 entries, a central part must be 0 unless V = W,
 and the pure parts, stacked into one integer stem S (vector i at
@@ -257,20 +258,19 @@ MAX_INTERTWINER_UNKNOWNS = 256
 
 def _generator(f, h) -> list:
     """The three lists of g = (V + W) / gcd for integer lists f, h, trimmed:
-    all empty when V + W = 0, and V + W itself if a component is constant."""
+    all empty when V + W = 0."""
     pure, _ = _lowest_terms(
         [[x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
          for xs, ys in zip(f[1:], h[1:])], 1)
-    if (any(pure) and 1 not in map(len, pure)
-            and (d := _gcd_ints([p for p in pure if p])) != [1]):
+    if any(pure) and (d := _gcd_ints(pure)) != [1]:
         return [_pseudo_divmod(p, d)[0] for p in pure]
     return pure
 
 
 def _intertwiner_kernel(f, h, dmax: int, top: int, *g) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
-    with equal traces and norms: each vector as its lists (1, i, j, k).  g,
-    the lists of `_generator(f, h)`, is computed here when not given."""
+    with equal traces and norms, V, W not both 0: each vector as its lists
+    (1, i, j, k).  g, `_generator(f, h)`, is computed here if not given."""
     g = g or _generator(f, h)
     if not any(g) and f != h:
         # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
@@ -280,9 +280,6 @@ def _intertwiner_kernel(f, h, dmax: int, top: int, *g) -> list:
         return [[[0] * (dmax + 1), vec[::3], vec[1::3], vec[2::3]]
                 for vec in _integer_nullspace(rows, 3 * (dmax + 1))]
     zero, kernel = [0] * (dmax + 1), []
-    if not any(g):
-        return [[[0] * p + [1] + [0] * (dmax - p) if c == r else zero
-                 for c in range(4)] for p in range(dmax + 1) for r in range(4)]
     # The T_k of the module docstring, each after the unit z^(n + k) if F = H.
     n, r = max((len(xs) - 1, c) for c, xs in enumerate(g, 1))
     g = [zero] + [xs + [0] * (dmax + 1 - len(xs)) for xs in g]
@@ -374,8 +371,9 @@ def _pure_intertwines(v, w, a) -> bool:
     """Whether V A = A W for trace-free lists v, w, a: packed at the
     `_product_width` of (v + w, a), equal products mean equal stems."""
     width = _product_width(v + w, a)
-    v, w, a = ([_pack(xs, width) for xs in lists] for lists in (v, w, a))
-    return _mul_components(0, *v, 0, *a) == _mul_components(0, *a, 0, *w)
+    at = [_pack(xs, width) if xs else 0 for xs in (*v, *w, *a)]
+    return (_mul_components(0, *at[:3], 0, *at[6:])
+            == _mul_components(0, *at[6:], 0, *at[3:6]))
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:

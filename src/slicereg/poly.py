@@ -523,19 +523,23 @@ def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
 
 def _gcd_ints(lists, packed=None, width: int = 0):
     """The primitive gcd, leading coefficient positive, of the nonempty
-    integer lists: equal for two families iff their monic gcds are.
-    `packed`, when given, holds the lists packed at `width` bytes, with
-    every entry below 2**(8*width - 2); otherwise they are packed here.
-    A list that the gcd met so far divides leaves it unchanged, and once
-    that gcd is a constant the lists left are not read."""
-    if packed is None:
-        width = _digit_width(max(map(_max_bits, lists)) + 1)
-        packed = [_pack(x, width) for x in lists]
+    (trimmed) integer lists: equal for two families iff their monic gcds
+    are.  `packed`, when given, holds the lists packed at `width` bytes,
+    with every entry below 2**(8*width - 2); otherwise they are packed here
+    once a list of positive degree comes up.  A list that the gcd met so
+    far divides leaves it unchanged, and once that gcd or a list is a
+    constant the lists left are not read."""
     g = None
-    for x, at_x in zip(lists, packed):
+    for k, x in enumerate(lists):
+        if len(x) == 1:
+            # A primitive constant is +-1, and no later list changes it.
+            return [1]
         if not x:
             continue
-        content = gcd(*x)
+        if packed is None:
+            width = _digit_width(max(map(_max_bits, lists)) + 1)
+            packed = [_pack(y, width) for y in lists]
+        content, at_x = gcd(*x), packed[k]
         if content > 1:
             x, at_x = [c // content for c in x], at_x // content
         if g is None:
@@ -543,7 +547,6 @@ def _gcd_ints(lists, packed=None, width: int = 0):
         elif not _divides(g, at_g, x, at_x, width):
             g, at_g = _heu_gcd(g, x, width, at_g, at_x)
         if len(g) == 1:
-            # A primitive constant is +-1, and no later list changes it.
             return [1]
     return g if g[-1] > 0 else [-c for c in g]
 

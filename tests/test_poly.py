@@ -578,6 +578,26 @@ def test_a_constant_gcd_ends_the_family(heu_calls):
     assert _gcd_ints(lists, [_pack(x, 1) for x in lists[:2]] + [0], 1) == [1]
 
 
+def test_a_constant_list_ends_the_family_before_it_is_packed(
+        heu_calls, monkeypatch):
+    """A nonzero constant list has primitive part +-1, so the gcd is 1 at
+    once: nothing is packed before a list of positive degree comes up, no
+    GCDHEU runs and the lists after the constant are not read."""
+    packs = []
+    pack = poly._pack
+    monkeypatch.setattr(poly, "_pack",
+                        lambda *args: packs.append(1) or pack(*args))
+    assert _gcd_ints([[], [3], _Unread([1, 2, 3])]) == [1]
+    assert _gcd_ints([[-7], [2, 4]]) == [1]
+    assert not packs
+    lists = [[2, 4], [], [6], _Unread([1, 2, 3])]
+    assert _gcd_ints(lists, [_pack(x, 1) for x in lists[:3]] + [0], 1) == [1]
+    assert _gcd_ints([[2, 4], [6]]) == [1]
+    assert not heu_calls
+    # [2, 4] has positive degree: both lists are packed when it comes up.
+    assert len(packs) == 2
+
+
 def _packed_value(xs, width):
     """sum x_k * 2**(8*width*k), the value `_pack` must give."""
     return sum(x << (8 * width * k) for k, x in enumerate(xs))
