@@ -8,7 +8,8 @@ Conventions
   `Quaternion` exact rationals, `CQuat` (the complexification) Gaussian
   rationals, `series.CQuatF` complex floats.  Mixed operands promote
   along Quaternion -> CQuat -> CQuatF, and a Gaussian scalar takes a
-  `Quaternion` into `CQuat`, so every exact mix computes in `CQuat`.
+  `Quaternion` into `CQuat` (`_widened`, the hook of `scalars.Ring`, the
+  base that subtracts), so every exact mix computes in `CQuat`.
 * `_mul_components` is the one quaternion product formula.  It holds
   over any commutative coefficient ring, so it serves these three fields,
   Horner's rule (`_horner_left`), the stem product on packed integers
@@ -24,10 +25,10 @@ Conventions
   invertible element; `conj_by_unit` realizes it and `aut_to_matrix`
   returns its matrix on span(i, j, k), a special orthogonal 3x3 matrix
   for the bilinear form `bform` extending the euclidean product.
-* `Pair` acts componentwise on an ordered pair.  `R3Elem` (the split
-  algebra H + H as pairs of (complexified) quaternions) and
-  `stem.R3StemPoly` derive from it; `swap` is the extra automorphism
-  generator that componentwise maps cannot produce.
+* `Pair`, a `scalars.Ring`, acts componentwise on pairs of one class.
+  `R3Elem` (the split algebra H + H as pairs of (complexified)
+  quaternions) and `stem.R3StemPoly` derive from it; `swap` is the extra
+  automorphism generator that componentwise maps cannot produce.
 
 The reduced trace/norm of the 2x2 complex matrix realization are not
 computed anywhere; the matrix model is deliberately not a runtime
@@ -39,8 +40,8 @@ from __future__ import annotations
 import operator
 
 from .errors import NotInWError, ZeroDivisorError, ZeroInverseError
-from .scalars import (EXACT_SCALARS, RATIONAL_TYPES, Frozen, GaussRat, as_rat,
-                      power)
+from .scalars import (EXACT_SCALARS, RATIONAL_TYPES, Frozen, GaussRat, Ring,
+                      _coerce, as_rat, power)
 
 
 def _mul_components(a0, a1, a2, a3, b0, b1, b2, b3):
@@ -72,12 +73,13 @@ def _horner_left(q, rows):
     return a0, a1, a2, a3
 
 
-class QuaternionBase(Frozen):
+class QuaternionBase(Ring):
     """Four coordinates over (1, i, j, k).  A subclass states its field:
     `_coord` coerces a coordinate, `_scalars` are the scalars it multiplies
     by, `_promotes` the quaternion types it converts into itself (those
-    in `_eq_promotes` exactly, so `==` may use them), and `_coord_repr`
-    writes a coordinate in `repr`."""
+    in `_eq_promotes` exactly, so `==` may use them), `_coord_repr` writes
+    a coordinate in `repr`, and `_widened` (from `scalars.Ring`, which
+    subtracts) takes an operand that `_operand` refuses."""
 
     __slots__ = ("c0", "c1", "c2", "c3")
     _promotes = ()
@@ -102,13 +104,7 @@ class QuaternionBase(Frozen):
             return cls(value)
         return None
 
-    @classmethod
-    def coerce(cls, value):
-        out = cls._operand(value)
-        if out is None:
-            raise TypeError(
-                f"cannot interpret {type(value).__name__} as {cls.__name__}")
-        return out
+    coerce = classmethod(_coerce)
 
     def components(self):
         return (self.c0, self.c1, self.c2, self.c3)
@@ -124,11 +120,6 @@ class QuaternionBase(Frozen):
 
     # -- ring structure ----------------------------------------------------
 
-    def _widened(self, op, other):
-        """op(self, other) in the quaternions over the wider field of the
-        scalar `other`; NotImplemented when no wider field holds both."""
-        return NotImplemented
-
     def __add__(self, other):
         operand = self._operand(other)
         if operand is None:
@@ -140,18 +131,6 @@ class QuaternionBase(Frozen):
 
     def __neg__(self):
         return type(self)(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __sub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
-            return self._widened(operator.sub, other)
-        return self + (-operand)
-
-    def __rsub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
-            return self._widened(lambda wide, g: g - wide, other)
-        return operand + (-self)
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):
@@ -404,7 +383,7 @@ def aut_to_matrix(alpha) -> SO3Matrix:
 
 # -- the split algebra H + H ----------------------------------------------------
 
-class Pair(Frozen):
+class Pair(Ring):
     """An ordered pair, acted on componentwise.  A subclass checks its
     components in `__init__` and adds its own product."""
 
@@ -414,18 +393,17 @@ class Pair(Frozen):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
+    def _operand(self, value):
+        return value if isinstance(value, type(self)) else None
+
     def __add__(self, other):
-        if isinstance(other, type(self)):
-            return type(self)(self.first + other.first, self.second + other.second)
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.first + other.first, self.second + other.second)
 
     def __neg__(self):
         return type(self)(-self.first, -self.second)
-
-    def __sub__(self, other):
-        if isinstance(other, type(self)):
-            return type(self)(self.first - other.first, self.second - other.second)
-        return NotImplemented
 
     def conj(self):
         return type(self)(self.first.conj(), self.second.conj())

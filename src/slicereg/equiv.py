@@ -267,11 +267,10 @@ def _generator(f, h) -> list:
     return pure
 
 
-def _intertwiner_kernel(f, h, dmax: int, top: int, *g) -> list:
+def _intertwiner_kernel(f, h, dmax: int, top: int, g) -> list:
     """K of the module docstring, in its normal form, for integer lists f, h
-    with equal traces and norms, V, W not both 0: each vector as its lists
-    (1, i, j, k).  g, `_generator(f, h)`, is computed here if not given."""
-    g = g or _generator(f, h)
+    with equal traces and norms, V, W not both 0, and g = `_generator(f, h)`:
+    each vector as its lists (1, i, j, k)."""
     if not any(g) and f != h:
         # W = -V: row n is B(A, V) at z^n, a slice of one padded strip.
         v = [x for c in [*zip_longest(*f[1:], fillvalue=0)][::-1] for x in c]
@@ -342,7 +341,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
                                    for c in range(4)], 1)
                 for p in range(dmax + 1) for r in range(4)]
     top = dmax + max(first.degree, second.degree, 0)
-    kernel = _intertwiner_kernel(f, h, dmax, top, *g)
+    kernel = _intertwiner_kernel(f, h, dmax, top, g)
     # The check of the module docstring, with step = top + 1: a product of
     # V or W with one vector has degree at most top.  shifts holds z X and
     # the place in basis of the last two vectors X seen with top entries 0.

@@ -9,7 +9,8 @@ integers, and `coeffs` is a `Fraction` view.  Coefficients are ints or
 Fractions (`_over_one_denominator`); a float or a Gaussian rational
 raises TypeError.  The ring code that reads only this form (coercion,
 sums, negation, scalar multiples, powers, `==`, `hash`) is written once,
-in the base `IntegerRows` of `Poly` (one row) and `stem.StemPoly` (four).
+in the base `IntegerRows` of `Poly` (one row) and `stem.StemPoly` (four);
+its base `scalars.Ring` writes the differences of every ring value.
 
 Operations run on the stored integers, and stay exact.  A sum brings both
 operands to the lcm of their denominators.  A product runs through
@@ -78,17 +79,17 @@ from math import gcd, lcm
 
 from .errors import (BothZeroError, PolyDivisionByZeroError,
                      ZeroPolynomialError)
-from .scalars import EXACT_SCALARS, RATIONAL_TYPES, Frozen, as_rat, power
+from .scalars import EXACT_SCALARS, RATIONAL_TYPES, Frozen, Ring, as_rat, power
 
 
-class IntegerRows(Frozen):
+class IntegerRows(Ring):
     """The stored form that `Poly` and `stem.StemPoly` share, integer rows
     over one positive `den` in lowest terms, and the ring code that reads
-    only that form.  A subclass builds itself (`__new__`, `_from_rows`),
-    keeps its rows in `nums` (`_store` makes `nums` of the rows, `_rows`
-    reads them back), names the scalars it lifts to constants (`_scalars`)
-    and adds its coefficient views (`coeff` hashes a constant), its
-    product and its own methods."""
+    only that form (`scalars.Ring` subtracts).  A subclass builds itself
+    (`__new__`, `_from_rows`), keeps its rows in `nums` (`_store` makes
+    `nums` of the rows, `_rows` reads them back), names the scalars that
+    `_operand` lifts to constants (`_scalars`) and adds its coefficient
+    views (`coeff` hashes a constant), its product and its own methods."""
 
     __slots__ = ("nums", "den")
     _scalars = RATIONAL_TYPES
@@ -158,18 +159,6 @@ class IntegerRows(Frozen):
 
     def __neg__(self):
         return self._scaled(-1)
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def _scaled(self, scalar):
         """The multiple by a rational a/b: rows times a, den times b."""
@@ -498,7 +487,8 @@ def _heu_gcd(a, b, width: int, at_a: int, at_b: int):
     """(g, g(xi)) for the primitive gcd g of two nonzero primitive integer
     lists a, b, given with at_a = a(xi) and at_b = b(xi) at
     xi = 2**(8*width) > 2*min(|a|, |b|) + 2: GCDHEU from xi on, widening
-    the point until a candidate divides both (module docstring)."""
+    the point until a candidate divides both (module docstring).  A
+    widened point also packs the larger list, which xi need not bound."""
     point = width
     while True:
         at_h = gcd(at_a, at_b)

@@ -7,8 +7,9 @@ parts.  `E` is the scalar imaginary unit of the complexification and is
 unrelated to the quaternion units i, j, k, with which it commutes.
 
 The module also holds `Frozen`, the one immutable base of the package's
-values, and `Record`, the `Frozen` base of its result records, because
-every other module loads this one.
+values, `Ring`, the base of its ring values that writes their subtraction,
+and `Record`, the `Frozen` base of its result records, because every
+other module loads this one.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def power(base, exponent: int, one, mul):
     return result
 
 
+def _coerce(cls, value):
+    """`cls.coerce`: `value` lifted by `cls._operand`, else TypeError."""
+    out = cls._operand(value)
+    if out is None:
+        raise TypeError(
+            f"cannot interpret {type(value).__name__} as {cls.__name__}")
+    return out
+
+
 def _rebuild(cls, state: dict):
     """The `Frozen` value of class `cls` whose slots hold `state`."""
     value = object.__new__(cls)
@@ -78,7 +88,33 @@ class Frozen:
         return _rebuild, (cls, state)
 
 
-class GaussRat(Frozen):
+class Ring(Frozen):
+    """The base of `GaussRat`, `algebra.QuaternionBase`, `algebra.Pair`,
+    `poly.IntegerRows` and `series.TruncSeries`.  Each defines `_operand`
+    (the other operand lifted into its class, or None), `+` and unary `-`;
+    subtraction, a + (-b), is written here once from them, and an operand
+    that `_operand` refuses goes to `_widened`."""
+
+    __slots__ = ()
+
+    def _widened(self, op, other):
+        """op(self, other) in a wider ring holding both, or NotImplemented."""
+        return NotImplemented
+
+    def __sub__(self, other):
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(operator.sub, other)
+        return self + (-operand)
+
+    def __rsub__(self, other):
+        operand = self._operand(other)
+        if operand is None:
+            return self._widened(lambda wide, scalar: scalar - wide, other)
+        return operand + (-self)
+
+
+class GaussRat(Ring):
     """A Gaussian rational re + E*im with E**2 = -1.
 
     Values are immutable; all arithmetic returns new objects.  Mixed
@@ -92,12 +128,15 @@ class GaussRat(Frozen):
         object.__setattr__(self, "im", as_rat(im))
 
     @classmethod
-    def coerce(cls, value) -> "GaussRat":
+    def _operand(cls, value):
+        """`value` as a Gaussian rational, or None."""
         if isinstance(value, GaussRat):
             return value
         if isinstance(value, RATIONAL_TYPES):
             return cls(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as GaussRat")
+        return None
+
+    coerce = classmethod(_coerce)
 
     # -- predicates ------------------------------------------------------
 
@@ -127,18 +166,6 @@ class GaussRat(Frozen):
 
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRat(self.re - other, self.im)
-        if isinstance(other, GaussRat):
-            return GaussRat(self.re - other.re, self.im - other.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRat(other - self.re, -self.im)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -174,11 +201,10 @@ class GaussRat(Frozen):
     # -- comparison / hashing / display -----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         if self.im == 0:

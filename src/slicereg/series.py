@@ -34,7 +34,7 @@ from itertools import zip_longest
 from .algebra import CQuat, Quaternion, QuaternionBase, _horner_left
 from .errors import NearSingularSampleError, SliceRegError
 from .poly import Poly
-from .scalars import RATIONAL_TYPES, Frozen, GaussRat, Record
+from .scalars import RATIONAL_TYPES, GaussRat, Record, Ring
 from .stem import StemPoly
 
 DEFAULT_ORDER = 40
@@ -43,7 +43,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = (0.3 + 0j, 1.0 + 0j, -0.7 + 0j, 0.5 + 0.5j, -1.2j)
 
 
-class TruncSeries(Frozen):
+class TruncSeries(Ring):
     """sum_{k<order} z^k a_k, exact modulo z^order: a stem of degree
     below the order, plus the order."""
 
@@ -87,8 +87,16 @@ class TruncSeries(Frozen):
 
     # -- ring operations -----------------------------------------------------
 
+    def _operand(self, value):
+        """`value` as a series (a coefficient as a constant), or None."""
+        if isinstance(value, TruncSeries):
+            return value
+        if isinstance(value, (Quaternion,) + RATIONAL_TYPES):
+            return TruncSeries.constant(value, self.order)
+        return None
+
     def __add__(self, other):
-        other = _series_operand(other, self.order)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
@@ -104,20 +112,8 @@ class TruncSeries(Frozen):
         return TruncSeries(self.order, -self.stem, self.majorant,
                            self.is_polynomial)
 
-    def __sub__(self, other):
-        other = _series_operand(other, self.order)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _series_operand(other, self.order)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def star(self, other) -> "TruncSeries":
-        other = _series_operand(other, self.order)
+        other = self._operand(other)
         if other is None:
             raise TypeError("star expects a series or a coefficient")
         n = min(self.order, other.order)
@@ -135,11 +131,10 @@ class TruncSeries(Frozen):
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.star(other)
-        if isinstance(other, Quaternion):
-            return TruncSeries.constant(other, self.order).star(self)
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other.star(self)
 
     def conj(self) -> "TruncSeries":
         return TruncSeries(self.order, self.stem.conj(), self.majorant,
@@ -215,14 +210,6 @@ def _majorant(stem: StemPoly):
     except OverflowError:
         c = math.inf
     return c, float(stem.degree > 0)
-
-
-def _series_operand(value, order):
-    if isinstance(value, TruncSeries):
-        return value
-    if isinstance(value, (Quaternion,) + RATIONAL_TYPES):
-        return TruncSeries.constant(value, order)
-    return None
 
 
 _BUILDERS = ("cos", "sin", "exp", "cos_half", "sin_half")

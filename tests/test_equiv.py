@@ -18,7 +18,8 @@ from slicereg.equiv import (BRANCH_NOT_SLICE_PRESERVING,
                             BRANCH_SLICE_PRESERVING, ISOTROPY_ADDITIVE,
                             ISOTROPY_FULL_GROUP, ISOTROPY_TORUS,
                             KIND_CENTER_FIXED, KIND_GENERIC, KIND_NULL_CONE,
-                            _intertwiner_kernel, _scaled_to_lcm)
+                            _generator, _intertwiner_kernel,
+                            _scaled_to_lcm)
 import slicereg.equiv
 
 from support import (conjugate_stem, convolve_stems, rand_fraction,
@@ -455,7 +456,8 @@ def test_find_intertwiner_check_matches_the_two_relation_reference(
                       for c in range(4)]
                      for p in range(dmax + 1) for r in range(4)]
                     if kind == "central F = H"
-                    else _intertwiner_kernel(f, h, dmax, top))
+                    else _intertwiner_kernel(f, h, dmax, top,
+                                             _generator(f, h)))
             combos = [[[sum(rng.randint(-2, 2) * vec[r][p] for vec in true)
                         for p in range(dmax + 1)] for r in range(4)]
                       for _ in range(2)] if true else []
@@ -507,7 +509,7 @@ def test_find_intertwiner_check_refuses_a_shift_cut_at_the_degree_bound(
     z times a checked vector and must be multiplied."""
     dmax = 2
     f, h = _scaled_to_lcm(F_PAIR, G_PAIR)
-    (vec,) = _intertwiner_kernel(f, h, dmax, dmax + 2)
+    (vec,) = _intertwiner_kernel(f, h, dmax, dmax + 2, _generator(f, h))
     assert any(xs[-1] for xs in vec)
     kernel = [vec, _shift(vec)]
     assert stacked_relations_hold(f, h, kernel[:1], dmax + 2)
@@ -529,7 +531,7 @@ def test_find_intertwiner_check_refuses_a_broken_shift_chain(
     between, breaks the chain there, and that vector must be multiplied."""
     dmax = 12
     f, h = _scaled_to_lcm(F_PAIR, G_PAIR)
-    true = _intertwiner_kernel(f, h, dmax, dmax + 2)
+    true = _intertwiner_kernel(f, h, dmax, dmax + 2, _generator(f, h))
     assert all(vec == _shift(prev) for prev, vec in zip(true, true[1:]))
     comp, degree = place
     true[index][comp][degree] += 1
@@ -559,8 +561,8 @@ def test_find_intertwiner_re_verification_checks_the_degree_bound(
     """The worked pair's basis at degree bound 2 handed to a search at 1:
     its one vector has degree 2, and its block of the stacked stem would
     reach into the next block's place, so it must be refused."""
-    def one_degree_up(f, h, dmax, top, *g):
-        return _intertwiner_kernel(f, h, dmax + 1, top + 1)
+    def one_degree_up(f, h, dmax, top, g):
+        return _intertwiner_kernel(f, h, dmax + 1, top + 1, g)
 
     monkeypatch.setattr(slicereg.equiv, "_intertwiner_kernel", one_degree_up)
     with pytest.raises(AssertionError, match="degree bound"):

@@ -437,6 +437,26 @@ def test_gcd_widens_past_six_refused_candidates(monkeypatch):
     assert poly_gcd(Z + P61, Z) == _euclid(Z + P61, Z) == Poly([1])
 
 
+def test_gcd_widens_to_pack_the_larger_list(monkeypatch):
+    # The contract bounds only the smaller list by the point: at xi = 2**8,
+    # a = (z + 1)(2**40 z + 1) has entries far past it, and its value there
+    # is handed in, computed by Horner's rule.  Once the first candidate is
+    # refused, doubling the width alone would not fit a's entries; the new
+    # width must pack both lists.
+    a, b = [1, 2 ** 40 + 1, 2 ** 40], [3, 4, 1]
+    divides, calls = poly._divides, []
+
+    def refusing_divides(*args):
+        calls.append(args)
+        return len(calls) > 1 and divides(*args)
+
+    monkeypatch.setattr(poly, "_divides", refusing_divides)
+    at_a, at_b = (reduce(lambda acc, c: (acc << 8) + c, reversed(xs), 0)
+                  for xs in (a, b))
+    assert poly._heu_gcd(a, b, 1, at_a, at_b) == ([1, 1], 257)
+    assert len(calls) == 3
+
+
 def test_gcd_widens_the_point_after_a_failed_candidate(monkeypatch):
     # (2z - 1) times two coprime cubics: the candidate read back at
     # xi = 2**8 fails its check, the one at xi = 2**16 passes.  The inputs
