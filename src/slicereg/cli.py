@@ -30,7 +30,7 @@ from .series import (DEFAULT_ORDER, DEFAULT_SAMPLES, DEFAULT_TOL, CQuatF,
                      parse_samples, taylor_series)
 from .stem import SLICE_PRESERVING, Divisor
 
-# The largest series-check order: 0.7 s at 320, 1.8 s at 400 (2 vCPUs).
+# The largest series-check order: 0.6 s at 320, 1.2 s at 400 (2 vCPUs).
 MAX_SERIES_ORDER = 320
 RESULT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",

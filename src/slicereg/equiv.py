@@ -53,14 +53,14 @@ component lists, are checked on the criterion above, however found: each
 list must have dmax + 1 entries, a central part must be 0 unless V = W,
 and the pure parts, stacked into one integer stem S (vector i at
 z^(i*step), step one more than the degree of V or W times a vector), must
-give V S = S W (`_pure_intertwines`): as z is central and the blocks of a
-product never meet, S passes iff every vector does.  Left out of S are 0,
-g and zX, X one of the last two vectors seen with top entries 0
-(V zX = zX W), whose normal form is z times X's: only X meets `_over_lead`.
-`verify_conjugator` checks alpha = a / d_a against alpha * F = H * alpha,
-the form in which an invertible alpha exhibits F = alpha**-1 * H * alpha,
-on f and h: a f against h a, packed at the `_product_width` of (f + h, a),
-so equal values mean equal stems.  If norm(alpha) is a nonzero constant
+give V S = S W: as z is central and the blocks of a product never meet,
+S passes iff every vector does.  Left out of S are 0, g and zX, X one of
+the last two vectors seen with top entries 0 (V zX = zX W), whose normal
+form is z times X's: only X meets `_over_lead`.  `verify_conjugator`
+checks alpha = a / d_a against alpha * F = H * alpha, the form in which an
+invertible alpha exhibits F = alpha**-1 * H * alpha, on f and h: h a
+against a f.  V g = g W, V S = S W and h a = a f are one check on packed
+lists, `_intertwines`.  If norm(alpha) is a nonzero constant
 c, alpha is invertible with polynomial inverse alpha^c / c on all of C,
 and as alpha alpha^c = c the identity holds exactly when it intertwines:
 multiply alpha^c H alpha = c F on the left by alpha.  A nonconstant
@@ -316,8 +316,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     solution at this degree bound), each vector normalized so the
     lowest-degree nonzero coefficient has its first nonzero component
     (order 1, i, j, k) equal to 1 and re-verified by the check of the
-    trace-free parts in the module docstring, which multiplies g alone and
-    then, all at once, the vectors that are not g or z times a recent one.
+    trace-free parts in the module docstring, `_intertwines` on g alone and
+    then, all at once, on the vectors that are not g or z times a recent one.
     More than MAX_INTERTWINER_UNKNOWNS unknowns raise LimitExceededError.
     """
     if dmax < 0:
@@ -333,8 +333,8 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     f, h = _scaled_to_lcm(first, second)
     if f[0] != h[0]:
         return []
-    v, w, g = f[1:], h[1:], _generator(f, h)
-    if any(g) and not _pure_intertwines(v, w, g):
+    v, w, g = [[], *f[1:]], [[], *h[1:]], _generator(f, h)
+    if any(g) and not _intertwines(v, [[], *g], w):
         return []
     if not any(v + w):  # central F = H: the units z^p are K's normal form
         return [StemPoly._reduced([[0] * p + [1] if c == r else []
@@ -345,7 +345,7 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
     # The check of the module docstring, with step = top + 1: a product of
     # V or W with one vector has degree at most top.  shifts holds z X and
     # the place in basis of the last two vectors X seen with top entries 0.
-    pad, stacked, basis, shifts = [0] * (top - dmax), [[], [], []], [], []
+    pad, stacked, basis, shifts = [0] * (top - dmax), [[], [], [], []], [], []
     g = [xs + [0] * (dmax + 1 - len(xs)) for xs in g]
     for vec in kernel:
         if any(len(xs) != dmax + 1 for xs in vec):
@@ -357,22 +357,22 @@ def find_intertwiner(first: StemPoly, second: StemPoly,
             shifts = [*shifts[-1:], ([[0] + xs[:-1] for xs in vec],
                                      len(basis))]
         if low is None and any(map(any, vec[1:])) and vec[1:] != g:
-            for comp, xs in zip(stacked, vec[1:]):
+            for comp, xs in zip(stacked[1:], vec[1:]):
                 comp += xs + pad
         basis.append(_over_lead(vec) if low is None else StemPoly._reduced(
             [[0, *xs] if xs else xs for xs in low.nums], low.den))
-    if stacked[0] and not _pure_intertwines(v, w, stacked):
+    if stacked[1] and not _intertwines(v, stacked, w):
         raise AssertionError("kernel vector failed re-verification")
     return basis
 
 
-def _pure_intertwines(v, w, a) -> bool:
-    """Whether V A = A W for trace-free lists v, w, a: packed at the
-    `_product_width` of (v + w, a), equal products mean equal stems."""
-    width = _product_width(v + w, a)
-    at = [_pack(xs, width) if xs else 0 for xs in (*v, *w, *a)]
-    return (_mul_components(0, *at[:3], 0, *at[6:])
-            == _mul_components(0, *at[6:], 0, *at[3:6]))
+def _intertwines(left, a, right) -> bool:
+    """Whether L A = A R for the four integer component lists of each (a
+    pure part with [] as its central list): packed at the `_product_width`
+    of (left + right, a), equal products mean equal stems."""
+    width = _product_width(left + right, a)
+    at = [_pack(xs, width) if xs else 0 for xs in (*left, *a, *right)]
+    return _mul_components(*at[:8]) == _mul_components(*at[4:])
 
 
 def normalize_intertwiner(alpha: StemPoly) -> StemPoly:
@@ -411,10 +411,11 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
                       alpha: StemPoly) -> ConjugatorReport:
     """Exact verification of an intertwiner candidate.
 
-    A polynomial nonvanishing on all of C is constant, so alpha and its
-    inverse are both polynomial stems exactly when norm(alpha) is a
-    nonzero constant; the norm polynomial is returned so callers can
-    reason about smaller domains themselves.
+    alpha * F = H * alpha is checked by `_intertwines`.  A polynomial
+    nonvanishing on all of C is constant, so alpha and its inverse are
+    both polynomial stems exactly when norm(alpha) is a nonzero constant;
+    the norm polynomial is returned so callers can reason about smaller
+    domains themselves.
     """
     if not isinstance(alpha, StemPoly):
         alpha = StemPoly((alpha,))
@@ -423,10 +424,8 @@ def verify_conjugator(first: StemPoly, second: StemPoly,
     norm_alpha = alpha.norm()
     invertible = norm_alpha.degree == 0 and not norm_alpha.is_zero
     # The relation is linear in alpha, so its denominator drops out.
-    a, (f, h) = alpha.nums, _scaled_to_lcm(first, second)
-    width = _product_width(f + h, a)
-    a, f, h = ([_pack(xs, width) for xs in nums] for nums in (a, f, h))
-    intertwines = _mul_components(*a, *f) == _mul_components(*h, *a)
+    f, h = _scaled_to_lcm(first, second)
+    intertwines = _intertwines(h, alpha.nums, f)
     # alpha * alpha^c = norm(alpha) = c != 0, so alpha^c * H * alpha = c * F
     # holds iff alpha * F = H * alpha (multiply on the left by alpha).
     return ConjugatorReport(intertwines, norm_alpha, invertible,

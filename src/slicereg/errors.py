@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised on purpose derives from SliceRegError, so callers can
-catch the package's own failures without swallowing genuine bugs.
+Every error that CLI input can cause (parse, limit, domain) derives from
+SliceRegError, so callers can catch the package's own failures without
+swallowing genuine bugs; misuse of the library API (a negative degree
+bound, an unknown series kind) raises TypeError or ValueError instead.
 """
 
 

@@ -216,25 +216,22 @@ _BUILDERS = ("cos", "sin", "exp", "cos_half", "sin_half")
 
 
 def taylor_series(kind: str, order: int) -> TruncSeries:
-    """Exact rational Taylor coefficients of the named entire function."""
+    """Exact rational Taylor coefficients of the named entire function:
+    s_k / (k! 2^k) for a half argument, else s_k / k!, with s_k = 1 for
+    exp and the real (cos) or imaginary (sin) part of E^k otherwise, as
+    integers over the denominator of k = order - 1."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown series kind {kind!r}; choose from {_BUILDERS}")
     if order < 1:
         raise ValueError("order must be at least 1")
     half = kind.endswith("_half")
-    base = kind.removesuffix("_half")
-    coeffs = []
-    for k in range(order):
-        if base == "exp":
-            c = Fraction(1, math.factorial(k))
-        elif base == "cos":
-            c = Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
-        else:  # sin
-            c = Fraction((-1) ** ((k - 1) // 2), math.factorial(k)) if k % 2 == 1 else Fraction(0)
-        if half:
-            c *= Fraction(1, 2 ** k)
-        coeffs.append(Quaternion(c))
-    return TruncSeries(order, coeffs, (1.0, 0.5 if half else 1.0), False)
+    signs = {"exp": (1, 1, 1, 1), "cos": (1, 0, -1, 0),
+             "sin": (0, 1, 0, -1)}[kind.removesuffix("_half")]
+    den = math.factorial(order - 1) << (order - 1) * half
+    nums = [signs[k % 4] * den // (math.factorial(k) << k * half)
+            for k in range(order)]
+    return TruncSeries(order, StemPoly._from_rows([nums, [], [], []], den),
+                       (1.0, 0.5 if half else 1.0), False)
 
 
 class CQuatF(QuaternionBase):
@@ -340,10 +337,13 @@ def numeric_roots(p: Poly) -> list[complex]:
     except ImportError as exc:
         raise SliceRegError("approximate roots need numpy, which is not "
                             "installed") from exc
-
     if p.degree < 1:
         return []
-    desc = [complex(c) for c in reversed(p.coeffs)]
+    try:
+        desc = [complex(c) for c in reversed(p.coeffs)]
+    except OverflowError as exc:
+        raise SliceRegError("approximate roots need coefficients within "
+                            "the double range") from exc
     roots = np.roots(desc)
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 

@@ -60,14 +60,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
 
 from .algebra import (CQuat, Pair, Quaternion, R3Elem, _horner_left,
                       _inner_components, _mul_components)
 from .errors import SlicePreservingError, ZeroFunctionError
 from .poly import (_ZERO, IntegerRows, Poly, _divide_linear, _fractions,
                    _gcd_ints, _kronecker, _over_one_denominator,
-                   vanishing_order)
+                   _pseudo_divmod, vanishing_order)
 from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
@@ -154,14 +153,6 @@ class StemPoly(IntegerRows):
         return cls._from_rows(
             *_over_one_denominator(zip(*rows) if rows else [()] * 4))
 
-    @classmethod
-    def _from_parts(cls, parts) -> "StemPoly":
-        """The stem with these four component `Poly`s (any iterable)."""
-        parts = tuple(parts)
-        den = lcm(*(p.den for p in parts))
-        return cls._from_rows([[x * (den // p.den) for x in p.nums]
-                               for p in parts], den)
-
     @property
     def _rows(self) -> tuple:
         return self.nums
@@ -244,23 +235,23 @@ class StemPoly(IntegerRows):
         """Factor F = lam * Ftilde with empty cdiv(Ftilde).
 
         Requires trace(F) = 0 and F nonzero; lam is the monic divisor
-        polynomial and norm(F) = lam**2 * norm(Ftilde).
+        polynomial and norm(F) = lam**2 * norm(Ftilde).  lam = g / g[-1],
+        stored as g over g[-1], for g = `_gcd_ints(n1, n2, n3)`; g is
+        primitive, so by Gauss's lemma it divides each n_r in Z[z]
+        (`_pseudo_divmod` at scale 1), and Ftilde is g[-1] n_r / g over den.
         """
         if self.is_zero:
             raise ZeroFunctionError("cannot factor the zero function")
-        if self.is_slice_preserving():
-            raise SlicePreservingError(
-                "central divisor undefined for slice preserving functions")
-        if not self.trace().is_zero:
+        lam = self.central_divisor().gcd_poly  # refuses a slice preserving F
+        if self.nums[0]:
             raise ValueError("remove_central_divisor needs a trace-free input")
-        lam = self.central_divisor().gcd_poly
-        reduced = [Poly()]
-        for w in self.parts[1:]:
-            q, r = divmod(w, lam)
-            if not r.is_zero:
+        g, reduced = lam.nums, [[]]
+        for xs in self.nums[1:]:
+            q, r = _pseudo_divmod(xs, g)
+            if any(r):
                 raise AssertionError("gcd does not divide a component")
-            reduced.append(q)
-        return lam, StemPoly._from_parts(reduced)
+            reduced.append([g[-1] * x for x in q])
+        return lam, StemPoly._from_rows(reduced, self.den)
 
     # -- evaluation ----------------------------------------------------------------
 

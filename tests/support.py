@@ -15,8 +15,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from slicereg import (ConjugatorReport, CQuat, CQuatF, GaussRat, Matrix,
-                      NotInWError, Poly, Quaternion, SO3Matrix, StemPoly,
-                      TruncSeries, ZeroAlphaError, ZeroPolynomialError)
+                      NotInWError, Poly, Quaternion, SlicePreservingError,
+                      SO3Matrix, StemPoly, TruncSeries, ZeroAlphaError,
+                      ZeroFunctionError, ZeroPolynomialError)
 from slicereg import poly
 from slicereg.algebra import _mul_components
 from slicereg.parsing import render_stem
@@ -94,6 +95,37 @@ def rand_stem_nonslice(rng: random.Random, max_degree: int = 5) -> StemPoly:
         stem = rand_stem(rng, max_degree)
         if not stem.is_slice_preserving():
             return stem
+
+
+def stem_from_parts(parts) -> StemPoly:
+    """The stem with these four component `Poly`s (any iterable), brought
+    to the lcm of their denominators."""
+    parts = tuple(parts)
+    den = math.lcm(*(p.den for p in parts))
+    return StemPoly._from_rows([[x * (den // p.den) for x in p.nums]
+                                for p in parts], den)
+
+
+def reference_remove_central_divisor(stem: StemPoly):
+    """F = lam * Ftilde on the component `Poly`s: lam the monic divisor
+    polynomial, and each trace-free part divided by it with
+    `Poly.__divmod__`: the reference that `StemPoly.remove_central_divisor`
+    is checked against."""
+    if stem.is_zero:
+        raise ZeroFunctionError("cannot factor the zero function")
+    if stem.is_slice_preserving():
+        raise SlicePreservingError(
+            "central divisor undefined for slice preserving functions")
+    if not stem.trace().is_zero:
+        raise ValueError("remove_central_divisor needs a trace-free input")
+    lam = stem.central_divisor().gcd_poly
+    reduced = [Poly()]
+    for w in stem.parts[1:]:
+        q, r = divmod(w, lam)
+        if not r.is_zero:
+            raise AssertionError("gcd does not divide a component")
+        reduced.append(q)
+    return lam, stem_from_parts(reduced)
 
 
 def conjugate_stem(alpha: Quaternion, stem: StemPoly) -> StemPoly:
@@ -295,6 +327,26 @@ def truncated_convolution(left: TruncSeries, right: TruncSeries) -> TruncSeries:
     return TruncSeries(n, out, (left.majorant[0] * right.majorant[0],
                                 left.majorant[1] + right.majorant[1]),
                        polynomial)
+
+
+def reference_taylor_series(kind: str, order: int) -> TruncSeries:
+    """The named Taylor series from one `Fraction` and one `Quaternion`
+    per coefficient, brought to one denominator by `StemPoly`: the
+    reference that `taylor_series` is checked against."""
+    half = kind.endswith("_half")
+    base = kind.removesuffix("_half")
+    coeffs = []
+    for k in range(order):
+        if base == "exp":
+            c = Fraction(1, math.factorial(k))
+        elif base == "cos":
+            c = Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
+        else:  # sin
+            c = Fraction((-1) ** ((k - 1) // 2), math.factorial(k)) if k % 2 == 1 else Fraction(0)
+        if half:
+            c *= Fraction(1, 2 ** k)
+        coeffs.append(Quaternion(c))
+    return TruncSeries(order, coeffs, (1.0, 0.5 if half else 1.0), False)
 
 
 def reference_eval_numeric(series: TruncSeries, q: CQuatF) -> CQuatF:

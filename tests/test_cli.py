@@ -154,6 +154,14 @@ def test_cdiv_roots_without_numpy_is_an_error(capsys, monkeypatch):
     assert captured.err.startswith("error: ") and "numpy" in captured.err
 
 
+def test_cdiv_roots_above_the_double_range_are_an_error(capsys):
+    code = main(["cdiv", "(z + 10^400)*i", "--roots"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: approximate roots need coefficients "
+                            "within the double range\n")
+
+
 def test_parse_and_usage_errors(capsys):
     code, _ = run_cli(capsys, "equiv", "i + +", "j")
     assert code == 2

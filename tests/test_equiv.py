@@ -27,7 +27,7 @@ from support import (conjugate_stem, convolve_stems, rand_fraction,
                      rand_pure_imaginary_quaternion, rand_quaternion,
                      rand_stem, rand_stem_nonslice,
                      reference_find_intertwiner, reference_verify_conjugator,
-                     stacked_relations_hold)
+                     stacked_relations_hold, stem_from_parts)
 
 IOTA = GaussRat(0, 1)
 F_PAIR = parse_stem("i + z*j + (1/2)*z^2*k")
@@ -164,9 +164,9 @@ def test_find_intertwiner_worked_pair():
 
 def test_normalize_intertwiner_divides_exactly():
     # Integer coefficients: 1 / 2 must stay the rational 1/2, not a float.
-    alpha = StemPoly._from_parts((Poly([2, 1]), Poly(), Poly(), Poly()))
+    alpha = stem_from_parts((Poly([2, 1]), Poly(), Poly(), Poly()))
     assert normalize_intertwiner(alpha) == StemPoly([1, Fraction(1, 2)])
-    beta = StemPoly._from_parts((Poly(), Poly([0, 3]), Poly([0, -1]), Poly()))
+    beta = stem_from_parts((Poly(), Poly([0, 3]), Poly([0, -1]), Poly()))
     normalized = normalize_intertwiner(beta)
     assert normalized == StemPoly([0, Quaternion(0, 1, Fraction(-1, 3))])
     assert all(type(x) is Fraction for p in normalized.parts for x in p.coeffs)
@@ -989,7 +989,7 @@ def test_norm_comparison_is_exact_at_the_digit_width(bits):
             flipped = [list(p) for p in parts]
             flipped[2][len(flipped[2]) // 2] *= -1
             for ps in (parts, flipped):
-                stems.append(StemPoly._from_parts(Poly(p) for p in ps))
+                stems.append(stem_from_parts(Poly(p) for p in ps))
                 rational.append(StemPoly._from_rows(
                     [[]] + [list(p) for p in ps[1:]], next(dens)))
     for family in (stems, rational):
@@ -1019,14 +1019,14 @@ def test_norm_is_decided_on_the_trace_free_parts():
             n = rng.randint(1, 8)
             c0, c1, c2, c3 = [[entries[0]() for _ in range(n)]] + [
                 [entry() for _ in range(n)] + [1] for entry in entries[1:]]
-            f = StemPoly._from_parts(Poly(p) for p in (c0, c1, c2, c3))
+            f = stem_from_parts(Poly(p) for p in (c0, c1, c2, c3))
             turn = [Poly(c0), -Poly(c2), Poly(c1), Poly(c3)]
             tilt = [Poly(c0), Poly(c1) * Fraction(3, 5) - Poly(c2) * Fraction(4, 5),
                     Poly(c1) * Fraction(4, 5) + Poly(c2) * Fraction(3, 5), Poly(c3)]
             for parts in (turn, tilt):
-                h = StemPoly._from_parts(parts)
+                h = stem_from_parts(parts)
                 k = rng.randrange(n + 1)
-                off = StemPoly._from_parts(parts[:3] + [parts[3] + ZP ** k])
+                off = stem_from_parts(parts[:3] + [parts[3] + ZP ** k])
                 assert f.den == 1 and h.den == (1 if parts is turn else 5)
                 for a, b in ((f, h), (h, f)):
                     assert equivalent(a, b).equivalent

@@ -14,7 +14,8 @@ from slicereg.algebra import QI, QJ, QK
 from slicereg.series import DEFAULT_SAMPLES, parse_samples
 
 from support import (rand_fraction, rand_stem, reference_eval_numeric,
-                     series_from_stem, truncated_convolution)
+                     reference_taylor_series, series_from_stem,
+                     truncated_convolution)
 
 
 def series_triple(order):
@@ -38,6 +39,17 @@ def test_builder_coefficients():
         taylor_series("tan", 4)
     with pytest.raises(ValueError):
         taylor_series("cos", 0)
+
+
+def test_taylor_series_matches_the_fraction_reference():
+    for kind in ("cos", "sin", "exp", "cos_half", "sin_half"):
+        for order in range(1, 81):
+            series = taylor_series(kind, order)
+            ref = reference_taylor_series(kind, order)
+            assert (series.order, series.stem.nums, series.stem.den) == (
+                ref.order, ref.stem.nums, ref.stem.den)
+            assert series.majorant == ref.majorant
+            assert series.is_polynomial is ref.is_polynomial is False
 
 
 def test_rotating_series_identities_exact():

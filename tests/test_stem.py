@@ -16,8 +16,9 @@ from slicereg.algebra import QI, QJ, QK
 from support import (PACKING_BRANCHES, complex_conjugate, conjugate_stem,
                      convolve_stems, eval_slice_split, rand_fraction,
                      rand_nonzero_quaternion, rand_quaternion, rand_stem,
-                     rand_stem_nonslice, reference_stem_views,
-                     series_from_stem, use_packing_branch)
+                     rand_stem_nonslice, reference_remove_central_divisor,
+                     reference_stem_views, series_from_stem, stem_from_parts,
+                     use_packing_branch)
 
 IOTA = GaussRat(0, 1)
 
@@ -212,7 +213,7 @@ component_polys = st.lists(st.one_of(st.just(Fraction(0)), fractions),
                            max_size=7).map(Poly)
 stems_from_parts = st.tuples(component_polys, component_polys,
                              component_polys,
-                             component_polys).map(StemPoly._from_parts)
+                             component_polys).map(stem_from_parts)
 
 
 def _expected_repr(parts):
@@ -230,7 +231,7 @@ def test_coeffs_and_parts_round_trip(stem):
     again = StemPoly(stem.coeffs)
     assert again == stem and again.parts == stem.parts
     assert hash(again) == hash(stem)
-    assert StemPoly._from_parts(stem.parts) == stem
+    assert stem_from_parts(stem.parts) == stem
     assert all(type(x) is Fraction for p in again.parts for x in p.coeffs)
     assert repr(stem) == repr(again) == _expected_repr(stem.parts)
     assert [stem.coeff(k) for k in range(-1, stem.degree + 3)] == (
@@ -275,7 +276,7 @@ def test_every_route_stores_one_canonical_form(quats, extra, scale):
 def test_parts_of_unequal_length_and_the_zero_stem():
     c0 = Poly([1, 0, Fraction(1, 2)])
     c3 = Poly([0, 0, 0, 0, 0, -3])
-    stem = StemPoly._from_parts((c0, Poly(), Poly(), c3))
+    stem = stem_from_parts((c0, Poly(), Poly(), c3))
     assert stem.degree == 5
     assert stem.coeffs == (Quaternion(1), Quaternion(), Quaternion(Fraction(1, 2)),
                            Quaternion(), Quaternion(), Quaternion(0, 0, 0, -3))
@@ -284,7 +285,7 @@ def test_parts_of_unequal_length_and_the_zero_stem():
     assert repr(stem) == ("StemPoly([Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0), "
                           "Quaternion(1/2, 0, 0, 0), Quaternion(0, 0, 0, 0), "
                           "Quaternion(0, 0, 0, 0), Quaternion(0, 0, 0, -3)])")
-    zero = StemPoly._from_parts((Poly(),) * 4)
+    zero = stem_from_parts((Poly(),) * 4)
     assert zero == StemPoly() == StemPoly([0, Quaternion(), 0])
     assert zero.is_zero and zero.degree == -1 and zero.coeffs == ()
     assert repr(zero) == "StemPoly([])"
@@ -331,6 +332,7 @@ def test_constant_stems_hash_as_the_quaternions_they_equal():
 
 def test_invariants_and_products_build_no_quaternion(monkeypatch):
     from slicereg import CQuatF, render_stem, taylor_series
+    from slicereg.series import _BUILDERS
     rotating = taylor_series("cos", 12) * QI + taylor_series("sin", 12) * QJ
     stems = [F_PAIR, G_PAIR, parse_stem("(1 + z*i + z^2*j)^3")]
     built = []
@@ -345,9 +347,12 @@ def test_invariants_and_products_build_no_quaternion(monkeypatch):
         for g in stems:
             f.star(g)
         f.norm(), f.trace(), f.hat(), f.conj(), f.central_divisor()
+        f.hat().remove_central_divisor()
         render_stem(f), series_from_stem(f, 2)
     rotating.star(rotating)
     rotating.eval_numeric(CQuatF(0.5))
+    for kind in _BUILDERS:
+        taylor_series(kind, 12)
     assert built == []
 
 
@@ -470,6 +475,62 @@ def test_remove_central_divisor():
         StemPoly([1, 2]).remove_central_divisor()
     with pytest.raises(ValueError):
         StemPoly([Quaternion(1, 1)]).remove_central_divisor()
+
+
+def _trace_free_stems_with_a_divisor(rng):
+    """Trace-free stems (0, c1 d, c2 d, c3 d) over seeded rational
+    divisors d, some with repeated roots, and components that may be zero,
+    carry an integer content or lead with a negative entry."""
+    stems = []
+    for _ in range(60):
+        d = Poly([1])
+        for _ in range(rng.randint(0, 3)):
+            factor = Poly([rand_fraction(rng), rng.choice((1, -2, 3))])
+            d = d * factor ** rng.randint(1, 3)
+        parts = [Poly()]
+        for _ in range(3):
+            c = rng.choice((Poly(), Poly([rng.choice((-6, 4, 10))]),
+                            Poly([rand_fraction(rng) for _ in range(
+                                rng.randint(1, 4))])))
+            parts.append(c * d * rng.choice((1, -1, Fraction(12, 7), 30)))
+        stem = stem_from_parts(parts)
+        if not stem.is_slice_preserving():
+            stems.append(stem)
+    return stems
+
+
+def test_remove_central_divisor_matches_the_poly_division_reference(
+        monkeypatch):
+    """The route on the stored lists against the `Poly` quotients, which
+    it must not call."""
+    stems = _trace_free_stems_with_a_divisor(random.Random(3301))
+    stems += [parse_stem("z*(z - 1)*(i + z*j)"), StemPoly([0, QI]), F_PAIR,
+              parse_stem("(z^2 + 1)^2*(3*z - 1)^3*(2*i - 3*j + 5*k)"),
+              parse_stem("(-6*z^2 + 4)*i + (-12*z^2 + 8)*k")]
+    assert any(s.central_divisor().degree >= 2 for s in stems)
+    references = [reference_remove_central_divisor(stem) for stem in stems]
+
+    def refused(*args):
+        raise AssertionError("Poly quotient built")
+
+    monkeypatch.setattr(Poly, "__divmod__", refused)
+    with pytest.raises(AssertionError, match="built"):
+        divmod(Poly([1, 1]), Poly([1]))
+    for stem, (ref_lam, ref_tilde) in zip(stems, references):
+        lam, tilde = stem.remove_central_divisor()
+        assert (lam.nums, lam.den) == (ref_lam.nums, ref_lam.den)
+        assert (tilde.nums, tilde.den) == (ref_tilde.nums, ref_tilde.den)
+        assert lam.nums[-1] == lam.den  # monic
+        assert tilde.central_divisor().is_empty
+        assert stem.norm() == lam * lam * tilde.norm()
+    for bad, error in ((StemPoly(), ZeroFunctionError),
+                       (StemPoly([1, 2]), SlicePreservingError),
+                       (StemPoly([Quaternion(1, 1)]), ValueError)):
+        for route in (StemPoly.remove_central_divisor,
+                      reference_remove_central_divisor):
+            with pytest.raises(ValueError) as caught:
+                route(bad)
+            assert caught.type is error
 
 
 def test_eval_stem_values():
