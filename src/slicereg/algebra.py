@@ -14,7 +14,7 @@ Conventions
   over any commutative coefficient ring, so it serves these three fields,
   Horner's rule (`_horner_left`), the stem product on packed integers
   (`poly._kronecker`) and the intertwiner and conjugator checks alike;
-  `_inner_components`, the real part of a * b^c, gives packed stem norms.
+  `_inner_components`, the real part of a * b^c, gives all norms and `bform`.
 * The center is exactly the set of elements with zero i, j, k parts; in
   `CQuat` complex conjugation (E -> -E, componentwise) and quaternionic
   conjugation commute.
@@ -168,8 +168,7 @@ class QuaternionBase(Ring):
         return self.c0 * 2
 
     def norm(self):
-        return (self.c0 * self.c0 + self.c1 * self.c1
-                + self.c2 * self.c2 + self.c3 * self.c3)
+        return _inner_components(*self.components(), *self.components())[0]
 
     def inverse(self):
         n = self.norm()
@@ -309,11 +308,10 @@ QK = Quaternion(0, 0, 0, 1)
 def bform(v, w) -> GaussRat:
     """The symmetric bilinear form on the trace-free part W, extending the
     euclidean scalar product of span(i, j, k).  B(v, v) = norm(v) there."""
-    v = CQuat.coerce(v)
-    w = CQuat.coerce(w)
+    v, w = CQuat.coerce(v), CQuat.coerce(w)
     if v.c0 or w.c0:
         raise NotInWError("bform arguments must have zero center part")
-    return v.c1 * w.c1 + v.c2 * w.c2 + v.c3 * w.c3
+    return _inner_components(*v.components(), *w.components())[0]
 
 
 def conj_by_unit(alpha, x):
@@ -384,8 +382,8 @@ def aut_to_matrix(alpha) -> SO3Matrix:
 # -- the split algebra H + H ----------------------------------------------------
 
 class Pair(Ring):
-    """An ordered pair, acted on componentwise.  A subclass checks its
-    components in `__init__` and adds its own product."""
+    """An ordered pair, acted on componentwise with a pair of its own class
+    (`_operand`); a subclass checks its components in `__init__`."""
 
     __slots__ = ("first", "second")
 
@@ -401,6 +399,12 @@ class Pair(Ring):
         if other is None:
             return NotImplemented
         return type(self)(self.first + other.first, self.second + other.second)
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.first * other.first, self.second * other.second)
 
     def __neg__(self):
         return type(self)(-self.first, -self.second)
@@ -453,11 +457,6 @@ class R3Elem(Pair):
     @property
     def is_real(self) -> bool:
         return isinstance(self.first, Quaternion)
-
-    def __mul__(self, other):
-        if isinstance(other, R3Elem):
-            return R3Elem(self.first * other.first, self.second * other.second)
-        return NotImplemented
 
     def inverse(self) -> "R3Elem":
         return R3Elem(self.first.inverse(), self.second.inverse())

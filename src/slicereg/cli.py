@@ -83,6 +83,11 @@ def _render_cdiv(value) -> str:
     return render_poly(value.gcd_poly)
 
 
+def _root_part(x: float) -> str:
+    # From 2**53 on a double holds no fraction digits: print what it holds.
+    return f"{x:+.6e}" if abs(x) >= 2 ** 53 else f"{x:+.6f}"
+
+
 def _emit(args, document: dict, text_lines) -> None:
     if getattr(args, "json", False):
         # Imported here: text-mode commands never pay for loading json.
@@ -135,7 +140,7 @@ def _cmd_cdiv(args) -> int:
         roots = numeric_roots(divisor.gcd_poly)
         if roots:
             lines.append("approximate roots (display only):")
-            lines.extend(f"  {r.real:+.6f}{r.imag:+.6f}i" for r in roots)
+            lines.extend(f"  {_root_part(r.real)}{_root_part(r.imag)}i" for r in roots)
         else:
             lines.append("approximate roots (display only): none")
     _emit(args, None, lines)

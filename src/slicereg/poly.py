@@ -335,8 +335,8 @@ def _digit_width(bound: int) -> int:
 # Lists shorter than this are packed and unpacked by shifts and masks,
 # longer ones by one copy (see `_pack` for the sweep that set it).
 _SHIFT_BELOW = 40
-# The `array` type of each digit width a C integer type has on this host.
-_ARRAY_TYPES = {array(code).itemsize: code for code in "bhiq"}
+# The `array` type of each C integer width; none where `array` is big-endian.
+_ARRAY_TYPES = {array(c).itemsize: c for c in "bhiq" if sys.byteorder == "little"}
 
 
 def _pack(xs, width: int) -> int:
@@ -349,8 +349,8 @@ def _pack(xs, width: int) -> int:
     there on, each digit offset by half = 2**(8*width - 1) is nonnegative:
     where a C integer type has the width (`_ARRAY_TYPES`), `array` stores
     the digits (its type refuses one out of range), and xor with the
-    offsets adds them to the two's-complement bytes; at other widths, and
-    on a big-endian host, `to_bytes` copies each digit plus half.
+    offsets adds them to the two's-complement bytes; at other widths (all
+    of them on a big-endian host), `to_bytes` copies each digit plus half.
     The offsets are then taken off in one subtraction.  Each shift copies
     the whole accumulator, so shifting costs grow with the square of the
     length and the copies' about linearly.  Timed per call (microseconds,
@@ -386,7 +386,7 @@ def _pack(xs, width: int) -> int:
         return acc
     offset = int.from_bytes(half.to_bytes(width, "little") * len(xs), "little")
     code = _ARRAY_TYPES.get(width)
-    if code and sys.byteorder == "little":
+    if code:
         return (int.from_bytes(array(code, xs), "little") ^ offset) - offset
     digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
     return int.from_bytes(digits, "little") - offset
@@ -677,15 +677,13 @@ class Matrix(Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def _integer_rows(self) -> list:
-        return _over_one_denominator(self.entries)[0]
-
     def nullspace(self):
         """Exact basis of the right kernel {v : M v = 0}, empty iff it is
         trivial: each vector has a 1 in its free coordinate and zeros in the
         other free coordinates, so the result is deterministic."""
         basis = []
-        for v in _integer_nullspace(self._integer_rows(), self.cols):
+        for v in _integer_nullspace(_over_one_denominator(self.entries)[0],
+                                     self.cols):
             den = next(filter(None, reversed(v)))
             basis.append(tuple(Fraction(x, den) for x in v))
         return basis

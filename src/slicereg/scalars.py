@@ -93,7 +93,10 @@ class Ring(Frozen):
     `poly.IntegerRows` and `series.TruncSeries`.  Each defines `_operand`
     (the other operand lifted into its class, or None), `+` and unary `-`;
     subtraction, a + (-b), is written here once from them, and an operand
-    that `_operand` refuses goes to `_widened`."""
+    that `_operand` refuses goes to `_widened`.  Their `==` is symmetric and
+    agrees with `hash` but not transitive: `Fraction(1, 2) == 0.5`, yet
+    `GaussRat`, `Poly` and `StemPoly` refuse floats and `Poly` and `StemPoly`
+    constants are never equal, so a mixed set depends on insertion order."""
 
     __slots__ = ()
 

@@ -126,24 +126,19 @@ class TruncSeries(Ring):
                            polynomial)
 
     def __mul__(self, other):
-        if isinstance(other, (TruncSeries, Quaternion) + RATIONAL_TYPES):
-            return self.star(other)
-        return NotImplemented
+        other = self._operand(other)
+        return NotImplemented if other is None else self.star(other)
 
     def __rmul__(self, other):
         other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return other.star(self)
+        return NotImplemented if other is None else other.star(self)
 
     def conj(self) -> "TruncSeries":
         return TruncSeries(self.order, self.stem.conj(), self.majorant,
                            self.is_polynomial)
 
     def trace(self) -> "TruncSeries":
-        c, a = self.majorant
-        return TruncSeries(self.order, self.stem + self.stem.conj(),
-                           (2 * c, a), self.is_polynomial)
+        return self + self.conj()
 
     def norm(self) -> "TruncSeries":
         return self.star(self.conj())

@@ -71,17 +71,12 @@ from .scalars import RATIONAL_TYPES, Frozen, GaussRat
 
 
 class _SlicePreservingMarker:
-    """Sentinel used where a central divisor would be undefined."""
+    """Marks an undefined central divisor; copy and pickle keep it by name."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
+    def __reduce__(self):
         return "SLICE_PRESERVING"
+
+    __repr__ = __reduce__
 
 
 SLICE_PRESERVING = _SlicePreservingMarker()
@@ -188,16 +183,14 @@ class StemPoly(IntegerRows):
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return self._scaled(other)
-        if isinstance(other, (StemPoly, Quaternion)):
-            return self.star(other)
-        return NotImplemented
+        operand = self._operand(other)
+        return NotImplemented if operand is None else self.star(operand)
 
     def __rmul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            return self * other
-        if isinstance(other, Quaternion):
-            return StemPoly.constant(other).star(self)
-        return NotImplemented
+            return self._scaled(other)
+        operand = self._operand(other)
+        return NotImplemented if operand is None else operand.star(self)
 
     # -- conjugation and invariants ----------------------------------------------
 
@@ -298,10 +291,7 @@ class R3StemPoly(Pair):
     def star(self, other) -> "R3StemPoly":
         if not isinstance(other, R3StemPoly):
             raise TypeError("star expects another pair")
-        return R3StemPoly(self.first.star(other.first),
-                          self.second.star(other.second))
-
-    __mul__ = star
+        return self * other
 
     def is_slice_preserving(self):
         return (self.first.is_slice_preserving(),

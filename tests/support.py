@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -29,11 +28,13 @@ from slicereg.series import _cut, _majorant
 # Settings of `slicereg.poly` that send every `_pack` and `_unpack` call
 # down one path: shifts and masks; `array` for `_pack` at digit widths of
 # 1, 2, 4 and 8 bytes (the byte copy at the others and in `_unpack`); or,
-# as on a big-endian host, the byte copy at every width.
+# as on a big-endian host, whose `_ARRAY_TYPES` is empty, the byte copy at
+# every width.  Each branch sets both names, so branches can follow one
+# another in one test.
 PACKING_BRANCHES = {
-    "shifts": {"_SHIFT_BELOW": 10 ** 9, "sys": sys},
-    "bytes": {"_SHIFT_BELOW": 0, "sys": SimpleNamespace(byteorder="big")},
-    "array": {"_SHIFT_BELOW": 0, "sys": sys},
+    "shifts": {"_SHIFT_BELOW": 10 ** 9, "_ARRAY_TYPES": poly._ARRAY_TYPES},
+    "bytes": {"_SHIFT_BELOW": 0, "_ARRAY_TYPES": {}},
+    "array": {"_SHIFT_BELOW": 0, "_ARRAY_TYPES": poly._ARRAY_TYPES},
 }
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicereg import (CQuat, CQuatF, GaussRat, NotInWError, Quaternion,
-                      R3Elem, R3StemPoly, SO3Matrix, StemPoly,
-                      ZeroDivisorError, ZeroInverseError, aut_to_matrix,
-                      bform, conj_by_unit)
+from slicereg import (CQuat, CQuatF, Divisor, GaussRat, NotInWError, Poly,
+                      Quaternion, R3Elem, R3StemPoly, SO3Matrix, StemPoly,
+                      TruncSeries, ZeroDivisorError, ZeroInverseError,
+                      aut_to_matrix, bform, conj_by_unit)
 from slicereg.algebra import QI, QJ, QK
 
 from support import (complex_conjugate, rand_cquat, rand_invertible_cquat,
@@ -332,6 +332,15 @@ def test_repr_str_and_immutability_are_pinned():
          "R3StemPoly(StemPoly([Quaternion(1/2, -1, 0, 3), "
          "Quaternion(1, 0, 0, 0)]), StemPoly([Quaternion(0, 0, 1, 0)]))",
          "((1/2 - i + 3*k) + z*(1) ; (j))"),
+        (Poly([Fraction(1, 2), 0, -3]),
+         "Poly([Fraction(1, 2), Fraction(0, 1), Fraction(-3, 1)])",
+         "1/2 - 3*z^2"),
+        (Divisor(Poly([1, 0, Fraction(1, 2)])),
+         "Divisor(Poly([Fraction(2, 1), Fraction(0, 1), Fraction(1, 1)]))",
+         "2 + z^2"),
+        (TruncSeries(2, [1, QI]),
+         "TruncSeries(2, [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0)])",
+         "TruncSeries(2, [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0)])"),
     ]
     for value, want_repr, want_str in cases:
         assert repr(value) == want_repr

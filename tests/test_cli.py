@@ -162,6 +162,23 @@ def test_cdiv_roots_above_the_double_range_are_an_error(capsys):
                             "within the double range\n")
 
 
+def test_cdiv_roots_from_2_to_the_53_print_in_exponent_form(capsys):
+    """From 2**53 on a double holds no fraction digits, so such a part of a
+    root prints as +d.dddddde+NN; smaller parts keep six fixed decimals."""
+    cases = {
+        "(z^2+10^300)*i": ["  +0.000000-1.000000e+150i",
+                           "  +0.000000+1.000000e+150i"],
+        "(z^2+1)*i": ["  +0.000000+1.000000i", "  +0.000000-1.000000i"],
+        "(z - 9007199254740992)*i": ["  +9.007199e+15-0.000000i"],
+        "(z - 9007199254740991)*i": ["  +9007199254740991.000000-0.000000i"],
+    }
+    for stem, roots in cases.items():
+        code, out = run_cli(capsys, "cdiv", stem, "--roots")
+        assert code == 0
+        assert out.splitlines()[1:] == ["approximate roots (display only):",
+                                        *roots], stem
+
+
 def test_parse_and_usage_errors(capsys):
     code, _ = run_cli(capsys, "equiv", "i + +", "j")
     assert code == 2

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -48,6 +50,8 @@ def test_invariants_values():
     assert sp.norm == Poly([1, 0, 2, 0, 1])
     assert sp.central_divisor is SLICE_PRESERVING
     assert sp.is_slice_preserving
+    for twin in (copy.copy(sp), copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))):
+        assert twin == sp and twin.central_divisor is SLICE_PRESERVING
 
     const = invariants(StemPoly.constant(QI))
     assert const.trace.is_zero and const.norm == Poly([1])
@@ -103,6 +107,12 @@ def test_r3_equivalent():
     near = R3StemPoly(StemPoly.constant(QI), StemPoly.constant(QJ))
     far = R3StemPoly(StemPoly.constant(QI), StemPoly.constant(QI))
     assert r3_equivalent(near, far).equivalent
+
+    # Neither pairing holds: both are tried and reported.
+    neither = r3_equivalent(pair, R3StemPoly(G_PAIR, QI), allow_swap=True)
+    assert not neither.equivalent and neither.pairing is None
+    assert [v.reason for v in neither.direct] == ["cdiv", None]
+    assert [v.reason for v in neither.swapped] == ["norm", "norm"]
 
 
 def test_orbit_equivalent_values():
@@ -782,6 +792,9 @@ def test_pointwise_scan_zero_mismatch():
     assert not report.all_pass
     assert [c.reason for c in report.checks if not c.passed] == [
         "zero-mismatch"]
+    # Where both stems vanish the sample passes.
+    both = pointwise_orbit_scan(StemPoly([0, QI]), StemPoly([0, QJ]), [0, 1])
+    assert [(c.passed, c.reason) for c in both.checks] == [(True, None)] * 2
 
 
 def test_soundness_link_on_randomized_conjugates():

@@ -37,6 +37,7 @@ def test_divmod_values():
     assert q == Z and r.is_zero
     q, r = divmod(Z ** 2 + 1, Z + 1)
     assert q == Z - 1 and r == Poly.constant(Fraction(2))
+    assert (Z ** 2 + 1) // (Z + 1) == q and (Z ** 2 + 1) % (Z + 1) == r
     with pytest.raises(PolyDivisionByZeroError):
         divmod(Z, Poly())
 

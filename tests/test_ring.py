@@ -1,7 +1,8 @@
 """Mixed operands across every value class of the package.
 
-Subtraction is written once, as a + (-b), for every ring class; this
-table pins what each pair of operands gives, whatever class answers it.
+Subtraction is written once, as a + (-b), for every ring class, and each
+class lifts a product's operand through its `_operand`; this table pins
+what each pair of operands gives, whatever class answers it.
 """
 
 from fractions import Fraction
@@ -56,6 +57,20 @@ def test_difference_is_the_sum_with_the_negation(left):
         else:
             assert type(difference) is type(total), right
             assert difference == total, right
+
+
+@pytest.mark.parametrize("left", [name for name in VALUES if name != "str"])
+def test_products_refuse_in_both_orders_and_commute_with_scalars(left):
+    """`str` is left out: a string times an int repeats it."""
+    a = VALUES[left]
+    for right, b in VALUES.items():
+        if right == "str":
+            continue
+        product, reverse = _outcome(lambda: a * b), _outcome(lambda: b * a)
+        assert (product is TypeError) is (reverse is TypeError), right
+        if product is not TypeError and isinstance(b, (int, Fraction,
+                                                       GaussRat)):
+            assert product == reverse, right
 
 
 @pytest.mark.parametrize("left", VALUES)

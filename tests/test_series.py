@@ -150,6 +150,11 @@ def test_a_series_from_coefficients_gets_their_majorant():
     series = TruncSeries(4, [1, QI, Fraction(-3, 2) * QJ])
     assert series.majorant == (3.0, 1.0)
     assert series.eval_numeric(CQuatF(1.5)).tail_bound == 0.0
+    # A trace doubles C and keeps A and the polynomial flag.
+    for s in (series, taylor_series("sin_half", 9)):
+        trace = s.trace()
+        assert (trace.majorant, trace.is_polynomial) == (
+            (2 * s.majorant[0], s.majorant[1]), s.is_polynomial)
     # Past the largest factorial a float holds, the majorant is infinite.
     assert TruncSeries(200, [0] * 199 + [1]).majorant == (math.inf, 1.0)
     assert (TruncSeries(200, [0] * 199 + [1]) * taylor_series("exp", 200)

@@ -632,6 +632,18 @@ def test_r3_stem_componentwise():
 
     both_sp = R3StemPoly(StemPoly([1, 2]), G_PAIR)
     assert both_sp.central_divisor()[0] is SLICE_PRESERVING
+    assert both_sp.is_slice_preserving() == (True, False)
+    assert str(SLICE_PRESERVING) == repr(SLICE_PRESERVING) == "SLICE_PRESERVING"
+
+    # The product is componentwise, and only between pairs.
+    other = R3StemPoly(StemPoly([QJ, 0, 2]), StemPoly([1, QK]))
+    assert pair * other == pair.star(other) == R3StemPoly(
+        convolve_stems(pair.first, other.first),
+        convolve_stems(pair.second, other.second))
+    with pytest.raises(TypeError, match="^star expects another pair$"):
+        pair.star(G_PAIR)
+    with pytest.raises(TypeError):
+        pair * 3
 
     swapped = pair.swap()
     assert swapped.first == G_PAIR and swapped.second == StemPoly.constant(QI)
